@@ -2,29 +2,21 @@
 
 Evaluation combines a 2m-term alternating partial sum with a closed-form
 correction term and reports an a-priori error budget alongside every value.
-See eta() and zeta() in this namespace for the user-facing entry points.
+See eta() and zeta() in this namespace for the user-facing entry points;
+the building blocks stay importable from their own modules.
 """
 
-from .coefficients import (CoefficientTable, bernoulli_numbers, c_coefficient,
-                           p_coefficient_asymptotic, p_coefficients)
 from .errors import (DomainError, EtaZetaError, GammaOverflowError,
                      IndeterminateFormError, NonConvergentTailError,
                      ParameterExhaustionError, PoleError)
-from .eta_core import (DEFAULT_TARGET_RATIO, M_SCHEDULE,
-                       alternating_partial_sum, correction_term, eta_raw,
-                       select_params)
-from .gamma import (TailRatioReport, gamma_reflected, gamma_tail_bound,
-                    log_gamma, stirling_magnitude, tail_ratio_report)
+from .eta_core import M_SCHEDULE
 from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
-from .zeta_bridge import (ExceptionalProximity, eta, eta_functional_equation,
-                          exceptional_proximity, zeta, zeta_em_stepwise)
+from .zeta_bridge import ExceptionalProximity, eta, exceptional_proximity, zeta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientTable",
     "ComplexPoint",
-    "DEFAULT_TARGET_RATIO",
     "DomainError",
     "ErrorBudget",
     "EtaZetaError",
@@ -38,23 +30,7 @@ __all__ = [
     "NonConvergentTailError",
     "ParameterExhaustionError",
     "PoleError",
-    "TailRatioReport",
-    "alternating_partial_sum",
-    "bernoulli_numbers",
-    "c_coefficient",
-    "correction_term",
     "eta",
-    "eta_functional_equation",
-    "eta_raw",
     "exceptional_proximity",
-    "gamma_reflected",
-    "gamma_tail_bound",
-    "log_gamma",
-    "p_coefficient_asymptotic",
-    "p_coefficients",
-    "select_params",
-    "stirling_magnitude",
-    "tail_ratio_report",
     "zeta",
-    "zeta_em_stepwise",
 ]

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import eta_raw, max_tail_ratio
-from .types import ComplexPoint, EvalParams, EvalResult
+from .eta_core import eta_raw
+from .gamma import max_tail_ratio
+from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
 EPS = sys.float_info.epsilon
@@ -121,7 +122,7 @@ def _special_value_checks() -> list[CheckResult]:
     for m, allowed in ((50, 1e-11), (40, 1.5e-9)):
         # eta_raw, not eta: the point is the formula output at this m, not
         # the closed-form shortcut the dispatcher takes at s = 1.
-        v = eta_raw(ComplexPoint(1.0, 0.0), EvalParams(m=m)).value
+        v = eta_raw(ComplexPoint(1.0, 0.0), m).value
         checks.append(_check(f"eta(1) m={m} vs ln 2", abs(v - ln2), allowed))
     for m in (40, 50):
         v = _eta_value(0.5, 0.0, m=m).value
@@ -174,9 +175,9 @@ def _critical_zero_checks() -> list[CheckResult]:
 def _tail_ratio_checks() -> list[CheckResult]:
     return [
         _check("tail ratio b=81 sigma=1 t=40",
-               max_tail_ratio(ComplexPoint(1.0, 40.0), 40), 1e-5),
+               max_tail_ratio(1.0, 40.0, 81.0), 1e-5),
         _check("tail ratio b=101 sigma=1 t=50",
-               max_tail_ratio(ComplexPoint(1.0, 50.0), 50), 1e-7),
+               max_tail_ratio(1.0, 50.0, 101.0), 1e-7),
     ]
 
 

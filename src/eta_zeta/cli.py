@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
-from .zeta_bridge import LN2, SIGMA_MAX, SIGMA_MIN, eta, zeta
+from .zeta_bridge import LN2, check_sigma, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6
@@ -142,9 +142,10 @@ def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     count = grid_count(args.t_min, args.t_max, args.step)
     if count > MAX_SCAN_POINTS:
         parser.error(f"grid has {count} points, maximum is {MAX_SCAN_POINTS}")
-    if not SIGMA_MIN <= args.sigma <= SIGMA_MAX:
-        print(f"error: outside supported sigma range [{SIGMA_MIN:g}, "
-              f"{SIGMA_MAX:g}]", file=sys.stderr)
+    try:
+        check_sigma(args.sigma)
+    except EtaZetaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     records = scan_records(args.function, args.sigma, args.t_min, args.t_max,
                            args.step, m=args.m, jobs=args.jobs)

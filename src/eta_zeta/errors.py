@@ -18,11 +18,12 @@ class IndeterminateFormError(EtaZetaError, ArithmeticError):
 
 
 class ParameterExhaustionError(EtaZetaError, RuntimeError):
-    """No cutoff in the schedule meets the requested tail ratio (t too large)."""
+    """No cutoff in the schedule meets the target tail ratio (t too large)."""
 
 
 class NonConvergentTailError(EtaZetaError, RuntimeError):
-    """The stepwise series did not meet its stopping criterion within k_max."""
+    """The stepwise series did not meet its stopping criterion within
+    STEPWISE_K_MAX terms."""
 
 
 class GammaOverflowError(EtaZetaError, OverflowError):

@@ -20,18 +20,17 @@ import math
 
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
-from .gamma import TAIL_N_MAX, tail_ratio_report
+from .gamma import max_tail_ratio
 from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
 
-# Cutoff schedule: smallest half-count whose dropped-tail ratio meets the
-# target is selected; roughly m = 40 up to t = 40 and m = 50 up to t = 50 at
-# the ratio levels those cutoffs were designed for.
+# Cutoff schedule: the smallest m whose dropped-tail ratio meets TARGET_RATIO
+# is selected; roughly m = 40 up to t = 40 and m = 50 up to t = 50.
 M_SCHEDULE = (40, 50, 65, 80, 100, 125, 150)
+TARGET_RATIO = 1e-7
 
-DEFAULT_TARGET_RATIO = 1e-7
-TARGET_RATIO_MIN = 1e-12
-TARGET_RATIO_MAX = 1e-4
-
+# Depth of the correction polynomial.  The budget's series-truncation
+# envelope (exponent 2 R_MAX - 1 = 13, KERNEL_SERIES_ERROR) assumes it.
+R_MAX = 7
 # Accuracy of the truncated kernel series itself: below 2e-8 for beta*y <= 1,
 # independent of beta.
 KERNEL_SERIES_ERROR = 2e-8
@@ -47,28 +46,19 @@ def _check_direct_sigma(s: ComplexPoint) -> None:
             f"{SIGMA_DIRECT_MAX}, got sigma = {s.sigma:g}")
 
 
-def max_tail_ratio(s: ComplexPoint, m: int) -> float:
-    """Worst E(n, 2m+1) to |Gamma(n + sigma + i t)| ratio over n <= 13."""
-    reports = tail_ratio_report(s.sigma, s.t, float(2 * m + 1), TAIL_N_MAX)
-    return max(r.ratio for r in reports)
-
-
-def select_params(s: ComplexPoint,
-                  target_ratio: float = DEFAULT_TARGET_RATIO) -> EvalParams:
-    """Smallest scheduled m whose dropped-tail ratio stays below target_ratio.
+def select_params(s: ComplexPoint) -> tuple[EvalParams, float]:
+    """Smallest scheduled m whose dropped-tail ratio stays below TARGET_RATIO,
+    with that ratio.
 
     Raises ParameterExhaustionError when even the largest scheduled cutoff
-    fails, which signals that t is too large for the configured schedule.
+    fails, which signals that t is too large for the schedule.
     """
-    _check_direct_sigma(s)
-    if not TARGET_RATIO_MIN <= target_ratio <= TARGET_RATIO_MAX:
-        raise DomainError(
-            f"target_ratio must lie in [{TARGET_RATIO_MIN:g}, {TARGET_RATIO_MAX:g}]")
     for m in M_SCHEDULE:
-        if max_tail_ratio(s, m) <= target_ratio:
-            return EvalParams(m=m)
+        ratio = max_tail_ratio(s.sigma, s.t, float(2 * m + 1))
+        if ratio <= TARGET_RATIO:
+            return EvalParams(m=m), ratio
     raise ParameterExhaustionError(
-        f"parameter exhaustion: no scheduled m reaches ratio {target_ratio:g} "
+        f"parameter exhaustion: no scheduled m reaches ratio {TARGET_RATIO:g} "
         f"at t = {s.t:g} (schedule max m = {M_SCHEDULE[-1]})")
 
 
@@ -108,7 +98,7 @@ def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
     The factor product for step r reuses the previous one times two new
     factors; beta powers advance by beta^2 per step.
     """
-    table = p_coefficients(params.r_max)
+    table = p_coefficients(R_MAX)
     z = s.z
     b = float(params.b)
     beta = params.beta
@@ -116,7 +106,7 @@ def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
     prod = z
     beta_pow = beta
     beta2 = beta * beta
-    for r in range(1, params.r_max + 1):
+    for r in range(1, R_MAX + 1):
         if r > 1:
             prod *= (z + (2 * r - 3)) * (z + (2 * r - 2))
             beta_pow *= beta2
@@ -125,7 +115,7 @@ def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
 
 
 def _assemble_budget(s: ComplexPoint, params: EvalParams,
-                     correction_mag: float) -> ErrorBudget:
+                     correction_mag: float, tail_ratio: float) -> ErrorBudget:
     b = float(params.b)
     integral_tail = math.exp(-b)
     # Envelope for the neglected series terms: the kernel-series error times
@@ -133,21 +123,27 @@ def _assemble_budget(s: ComplexPoint, params: EvalParams,
     # above the dominant neglected (r = 8) term on the supported range.
     mod_s = abs(s.z)
     series_truncation = (KERNEL_SERIES_ERROR * b ** (-s.sigma)
-                         * (1.0 + mod_s / b) ** 13)
-    dropped = max_tail_ratio(s, params.m) * correction_mag
+                         * (1.0 + mod_s / b) ** (2 * R_MAX - 1))
+    dropped = tail_ratio * correction_mag
     return ErrorBudget.assemble(integral_tail, series_truncation, dropped,
                                 extrapolated=s.sigma > 1.0)
 
 
-def eta_raw(s: ComplexPoint, params: EvalParams) -> EvalResult:
-    """Direct evaluation of eta(s) with explicit parameters.
+def eta_raw(s: ComplexPoint, m: int | None = None) -> EvalResult:
+    """Direct evaluation of eta(s) with 2m terms; m = None selects the
+    cutoff from M_SCHEDULE.
 
     Valid for 0.5 <= sigma <= 3; the budget is calibrated on [1/2, 1] and
     flagged extrapolated above that.
     """
     _check_direct_sigma(s)
+    if m is None:
+        params, tail_ratio = select_params(s)
+    else:
+        params = EvalParams(m=m)
+        tail_ratio = max_tail_ratio(s.sigma, s.t, float(params.b))
     correction = correction_term(s, params)
     value = alternating_partial_sum(s, params.m) + correction
-    budget = _assemble_budget(s, params, abs(correction))
+    budget = _assemble_budget(s, params, abs(correction), tail_ratio)
     return EvalResult(value=value, budget=budget, method=MethodTag.DIRECT26,
                       params=params)

@@ -1,16 +1,16 @@
-"""Complex gamma machinery and cutoff-tail diagnostics.
+"""Complex gamma machinery and the cutoff-tail ratio.
 
 log_gamma / gamma_reflected provide user-facing gamma values (13+ significant
 digits on the supported strip).  stirling_magnitude and gamma_tail_bound feed
-the parameter-selection ratio check only; the 1-2% accuracy of leading-order
-Stirling is irrelevant there because only orders of magnitude are compared.
+the cutoff-selection ratio max_tail_ratio only; the 1-2% accuracy of
+leading-order Stirling is irrelevant there because only orders of magnitude
+are compared.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GammaOverflowError, PoleError
@@ -29,24 +29,14 @@ _SHIFT_THRESHOLD = 10.0
 TAIL_N_MAX = 13
 
 
-@dataclass(frozen=True)
-class TailRatioReport:
-    """Dropped-tail bound E(n, b) against the gamma magnitude it competes with."""
-
-    n: int
-    b: float
-    e_nb: float
-    gamma_mag: float
-    ratio: float
-
-
 def log_gamma(z: complex) -> complex:
     """Principal-branch log gamma for Re(z) > 0.
 
     Uses the Stirling asymptotic series after shifting the argument to
     Re >= 10 through log Gamma(z) = log Gamma(z+1) - log z, which is exact for
     the principal branch on the right half-plane.  Accurate to 13+ significant
-    digits for 0 < Re(z) <= 60, |Im(z)| <= 120.
+    digits for 0 < Re(z) <= 60, |Im(z)| <= 180, which covers every t the
+    cutoff schedule admits (about 177).
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -134,22 +124,16 @@ def gamma_tail_bound(n: int, b: float) -> float:
     return math.exp(-b) * math.factorial(n) * total
 
 
-def tail_ratio_report(sigma: float, t: float, b: float,
-                      n_max: int = TAIL_N_MAX) -> list[TailRatioReport]:
-    """E(n, b) versus the Stirling estimate of |Gamma(n + sigma + i t)| for
-    n = 0..n_max.  The maximum ratio is the dropped-tail relative error fed
-    into the error budget."""
-    if not 0.5 <= sigma <= 3.0:
-        raise DomainError("tail ratio check supported for 0.5 <= sigma <= 3")
-    if not 0 <= n_max <= TAIL_N_MAX:
-        raise DomainError(f"n_max supported in 0..{TAIL_N_MAX}")
-    reports = []
-    for n in range(n_max + 1):
-        e_nb = gamma_tail_bound(n, b)
+def max_tail_ratio(sigma: float, t: float, b: float) -> float:
+    """Worst E(n, b) / |Gamma(n + sigma + i t)| over n = 0..13, with the
+    Stirling estimate for the gamma magnitude: the dropped-tail relative
+    error fed into the error budget."""
+    worst = 0.0
+    for n in range(TAIL_N_MAX + 1):
         gamma_mag = stirling_magnitude(n + sigma, t)
         # the estimate underflows for t beyond ~500; the ratio is then
         # effectively infinite and no cutoff can satisfy it
-        ratio = e_nb / gamma_mag if gamma_mag > 0.0 else math.inf
-        reports.append(TailRatioReport(n=n, b=b, e_nb=e_nb,
-                                       gamma_mag=gamma_mag, ratio=ratio))
-    return reports
+        if not gamma_mag > 0.0:
+            return math.inf
+        worst = max(worst, gamma_tail_bound(n, b) / gamma_mag)
+    return worst

@@ -48,17 +48,13 @@ class ComplexPoint:
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Method parameters: 2*m directly summed terms (cutoff b = 2m+1) and the
-    depth of the correction polynomial."""
+    """Method parameters: 2*m directly summed terms, cutoff b = 2m+1."""
 
     m: int
-    r_max: int = 7
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DomainError("m must be a positive integer")
-        if not 1 <= self.r_max <= 15:
-            raise DomainError("r_max supported in 1..15")
 
     @property
     def b(self) -> int:
@@ -74,7 +70,7 @@ class ErrorBudget:
     """A-priori error bound, decomposed by approximation.
 
     integral_tail      : bound exp(-b) on the kernel integral dropped past y = b
-    series_truncation  : envelope for cutting the correction series at r_max
+    series_truncation  : envelope for cutting the correction series at r = 7
     dropped_gamma_tail : worst tail-to-gamma ratio times the correction size
     total              : sum of the three components
     extrapolated       : True when sigma is outside [1/2, 1], where the

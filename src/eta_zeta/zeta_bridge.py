@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .coefficients import c_coefficient
 from .errors import (DomainError, IndeterminateFormError,
                      NonConvergentTailError, PoleError)
-from .eta_core import DEFAULT_TARGET_RATIO, eta_raw, select_params
+from .eta_core import eta_raw
 from .gamma import gamma_reflected
-from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
+from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
 LN2 = math.log(2.0)
 EXCEPTIONAL_SPACING = 2.0 * math.pi / LN2  # imaginary gap between zeros of 1 - 2^(1-s)
@@ -71,8 +71,9 @@ def exceptional_proximity(s: ComplexPoint) -> ExceptionalProximity:
                                 distance=math.hypot(s.sigma - 1.0, s.t - t_exc))
 
 
-def _check_sigma(s: ComplexPoint) -> None:
-    if not SIGMA_MIN <= s.sigma <= SIGMA_MAX:
+def check_sigma(sigma: float) -> None:
+    """Raise DomainError unless SIGMA_MIN <= sigma <= SIGMA_MAX."""
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
         raise DomainError(
             f"outside supported sigma range [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
 
@@ -82,8 +83,17 @@ def _one_minus_two_pow(w: complex) -> complex:
     return 1.0 - cmath.exp(w * LN2)
 
 
+def _fe_parts(z: complex) -> tuple[complex, complex]:
+    """Numerator pi (1 - 2^z) and denominator Gamma(1-z) sin(pi z/2) (2 pi)^z
+    of the multiplier G(s) with eta(1-s) = G(s) * zeta(s)."""
+    return (math.pi * _one_minus_two_pow(z),
+            gamma_reflected(1.0 - z) * cmath.sin(0.5 * math.pi * z)
+            * cmath.exp(z * math.log(2.0 * math.pi)))
+
+
 def _fe_factor(s: ComplexPoint) -> complex:
-    """Multiplier F(s) with eta(1-s) = F(s) * eta(s)."""
+    """Multiplier F(s) with eta(1-s) = F(s) * eta(s): G(s) with the
+    conversion denominator 1 - 2^(1-s) divided out."""
     z = s.z
     if z == 1.0:
         raise PoleError("pole at s=1")
@@ -92,10 +102,8 @@ def _fe_factor(s: ComplexPoint) -> complex:
         raise IndeterminateFormError(
             "0/0 in the functional equation near an exceptional point; "
             "use the stepwise route")
-    numerator = math.pi * _one_minus_two_pow(z)
-    denominator = (gamma_reflected(1.0 - z) * cmath.sin(0.5 * math.pi * z)
-                   * cmath.exp(z * math.log(2.0 * math.pi)) * denom_gap)
-    return numerator / denominator
+    numerator, denominator = _fe_parts(z)
+    return numerator / (denominator * denom_gap)
 
 
 def eta_functional_equation(eta_s: complex, s: ComplexPoint) -> complex:
@@ -105,16 +113,6 @@ def eta_functional_equation(eta_s: complex, s: ComplexPoint) -> complex:
     points (callers switch to the stepwise route) and PoleError at s = 1.
     """
     return eta_s * _fe_factor(s)
-
-
-def _reduced_fe_factor(s: ComplexPoint) -> complex:
-    """Multiplier G(s) with eta(1-s) = G(s) * zeta(s); the conversion
-    denominator is folded into zeta, so this stays finite at exceptional
-    points."""
-    z = s.z
-    return (math.pi * _one_minus_two_pow(z)
-            / (gamma_reflected(1.0 - z) * cmath.sin(0.5 * math.pi * z)
-               * cmath.exp(z * math.log(2.0 * math.pi))))
 
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
@@ -141,15 +139,15 @@ def _zeta_dirichlet_tail(z: complex) -> complex:
     return complex(sum_re, sum_im) + tail
 
 
-def zeta_em_stepwise(s: ComplexPoint, k_max: int = STEPWISE_K_MAX,
-                     tol: float = STEPWISE_TOL) -> complex:
+def zeta_em_stepwise(s: ComplexPoint) -> complex:
     """zeta(s) by stepping to the right:
 
         zeta(s) = 1 + (2/3)^(s-1) / (s-1) - sum_{k>=1} C_k(s) [zeta(s+2k) - 1]
 
     The inner zeta values sit at Re >= sigma + 2 and come from the direct
     series with an integral tail.  Terms are added until two consecutive ones
-    fall below tol relative to the running value.
+    fall below STEPWISE_TOL relative to the running value, for at most
+    STEPWISE_K_MAX terms.
     """
     z = s.z
     if z == 1.0:
@@ -160,24 +158,19 @@ def zeta_em_stepwise(s: ComplexPoint, k_max: int = STEPWISE_K_MAX,
             f"(cancellation grows like e^(e|t|/4)); got t = {s.t:g}")
     acc = 1.0 + cmath.exp((z - 1.0) * math.log(2.0 / 3.0)) / (z - 1.0)
     consecutive_small = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, STEPWISE_K_MAX + 1):
         term = (c_coefficient(k, s)
                 * (_zeta_dirichlet_tail(z + 2.0 * k) - 1.0))
         acc -= term
-        if abs(term) < tol * abs(acc):
+        if abs(term) < STEPWISE_TOL * abs(acc):
             consecutive_small += 1
             if consecutive_small >= 2:
                 return acc
         else:
             consecutive_small = 0
     raise NonConvergentTailError(
-        f"non-convergent tail: stopping criterion not met within k_max = {k_max}")
-
-
-def _params_for(s: ComplexPoint, m: int | None, target_ratio: float) -> EvalParams:
-    if m is not None:
-        return EvalParams(m=m)
-    return select_params(s, target_ratio)
+        f"non-convergent tail: stopping criterion not met within "
+        f"{STEPWISE_K_MAX} terms")
 
 
 def _stepwise_eta_image(sp: ComplexPoint) -> EvalResult:
@@ -186,15 +179,15 @@ def _stepwise_eta_image(sp: ComplexPoint) -> EvalResult:
     if abs(sp.t) > STEPWISE_T_MAX:
         raise DomainError(_STEPWISE_RANGE_MESSAGE)
     zeta_sp = zeta_em_stepwise(sp)
-    factor = _reduced_fe_factor(sp)
+    numerator, denominator = _fe_parts(sp.z)
+    factor = numerator / denominator
     value = (zeta_sp * factor).conjugate()
     budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE * abs(factor), 0.0)
     return EvalResult(value=value, budget=budget, method=MethodTag.STEPWISE3,
                       params=None)
 
 
-def eta(s: ComplexPoint, m: int | None = None,
-        target_ratio: float = DEFAULT_TARGET_RATIO) -> EvalResult:
+def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:
     """eta(s) on -0.5 <= sigma <= 3.
 
     sigma >= 1/2 evaluates directly; sigma < 1/2 reflects sigma' = 1 - sigma
@@ -202,7 +195,7 @@ def eta(s: ComplexPoint, m: int | None = None,
     s = 0 and s = 1 return their closed-form values.  An explicit m overrides
     the automatic cutoff selection.
     """
-    _check_sigma(s)
+    check_sigma(s.sigma)
     z = s.z
     if z == 1.0:
         return EvalResult(complex(LN2, 0.0), ErrorBudget.exact(),
@@ -211,28 +204,27 @@ def eta(s: ComplexPoint, m: int | None = None,
         return EvalResult(complex(0.5, 0.0), ErrorBudget.exact(),
                           MethodTag.SPECIAL_VALUE, None)
     if s.sigma >= 0.5:
-        return eta_raw(s, _params_for(s, m, target_ratio))
+        return eta_raw(s, m)
 
     s_prime = ComplexPoint(1.0 - s.sigma, s.t)  # conj(1 - s)
     try:
         factor = _fe_factor(s_prime)
     except IndeterminateFormError:
         return _stepwise_eta_image(s_prime)
-    inner = eta_raw(s_prime, _params_for(s_prime, m, target_ratio))
+    inner = eta_raw(s_prime, m)
     value = (inner.value * factor).conjugate()
     return EvalResult(value=value, budget=inner.budget.scaled(abs(factor)),
                       method=MethodTag.REFLECTION27, params=inner.params)
 
 
-def zeta(s: ComplexPoint, m: int | None = None,
-         target_ratio: float = DEFAULT_TARGET_RATIO) -> EvalResult:
+def zeta(s: ComplexPoint, m: int | None = None) -> EvalResult:
     """zeta(s) on -0.5 <= sigma <= 3, s != 1.
 
     Away from exceptional points: eta(s) / (1 - 2^(1-s)), budget scaled by
     the reciprocal denominator magnitude.  Within the exceptional threshold
     the stepwise continuation is used instead (supported for |t| <= 20).
     """
-    _check_sigma(s)
+    check_sigma(s.sigma)
     z = s.z
     if z == 1.0:
         raise PoleError("pole at s=1")
@@ -240,7 +232,7 @@ def zeta(s: ComplexPoint, m: int | None = None,
         return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
                           MethodTag.SPECIAL_VALUE, None)
     if exceptional_proximity(s).distance >= EXCEPTIONAL_DISTANCE_THRESHOLD:
-        eta_result = eta(s, m=m, target_ratio=target_ratio)
+        eta_result = eta(s, m=m)
         denominator = _one_minus_two_pow(1.0 - z)
         return EvalResult(value=eta_result.value / denominator,
                           budget=eta_result.budget.scaled(1.0 / abs(denominator)),

@@ -188,10 +188,13 @@ def test_scan_usage_errors():
 
 
 def test_scan_sigma_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "scan", "eta", "--sigma", "4",
-                           "--t-min", "0", "--t-max", "1", "--step", "0.5")
-    assert code == 2
-    assert "outside supported sigma range" in err
+    for function, sigma in (("eta", "4"), ("zeta", "3.5")):
+        code, out, err = run_cli(capsys, "scan", function, "--sigma", sigma,
+                                 "--t-min", "0", "--t-max", "1",
+                                 "--step", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: outside supported sigma range [-0.5, 3]\n"
 
 
 # ------------------------------------------------------------------ table2 ---

@@ -6,8 +6,9 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, bernoulli_numbers,
-                      c_coefficient, p_coefficient_asymptotic, p_coefficients)
+from eta_zeta import ComplexPoint, DomainError
+from eta_zeta.coefficients import (bernoulli_numbers, c_coefficient,
+                                   p_coefficient_asymptotic, p_coefficients)
 
 # Published table for the kernel-series coefficients: exact rationals and the
 # decimals printed alongside them (finite-digit rows only).

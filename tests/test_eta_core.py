@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta_zeta import (ComplexPoint, DomainError, EvalParams, MethodTag,
-                      ParameterExhaustionError, alternating_partial_sum,
-                      correction_term, eta_raw, select_params)
+                      ParameterExhaustionError, eta)
+from eta_zeta import eta_core
+from eta_zeta.eta_core import (TARGET_RATIO, alternating_partial_sum,
+                               correction_term, eta_raw, select_params)
+from eta_zeta.gamma import max_tail_ratio
 
 import oracles
 
@@ -18,10 +21,13 @@ GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
 # ---------------------------------------------------------------- params ---
 
 def test_select_params_reproduces_design_pairs():
-    assert select_params(ComplexPoint(1, 40), target_ratio=1e-5).m == 40
-    assert select_params(ComplexPoint(1, 50), target_ratio=1e-7).m == 50
+    # the b = 81, t = 40 pair at ratio 1e-5 is the acceptance check
+    # "tail ratio b=81 sigma=1 t=40"
+    params, ratio = select_params(ComplexPoint(1, 50))
+    assert params.m == 50
+    assert ratio == max_tail_ratio(1.0, 50.0, 101.0) <= TARGET_RATIO
     # at t = 0 the ratios are astronomically small: schedule minimum
-    assert select_params(ComplexPoint(0.5, 0)).m == 40
+    assert select_params(ComplexPoint(0.5, 0))[0].m == 40
 
 
 def test_select_params_exhaustion():
@@ -29,15 +35,28 @@ def test_select_params_exhaustion():
         select_params(ComplexPoint(1, 1000))
 
 
-def test_select_params_validates_target():
-    for bad in (1e-13, 1e-3):
-        with pytest.raises(DomainError):
-            select_params(ComplexPoint(1, 0), target_ratio=bad)
-
-
 def test_select_params_validates_sigma():
-    with pytest.raises(DomainError):
-        select_params(ComplexPoint(0.3, 0))
+    # selection runs inside eta_raw, behind its sigma check
+    with pytest.raises(DomainError, match="direct evaluation"):
+        eta_raw(ComplexPoint(0.3, 0))
+
+
+def test_each_tail_ratio_computed_once(monkeypatch):
+    calls = []  # the m of every tail ratio eta_core computes
+
+    def counting(sigma, t, b):
+        calls.append((b - 1) / 2)
+        return max_tail_ratio(sigma, t, b)
+
+    monkeypatch.setattr(eta_core, "max_tail_ratio", counting)
+    eta(ComplexPoint(0.5, 14.13))
+    assert calls == [40]
+    calls.clear()
+    assert eta(ComplexPoint(0.5, 45.0)).params.m == 50
+    assert calls == [40, 50]
+    calls.clear()
+    eta(ComplexPoint(0.5, 14.13), m=50)
+    assert calls == [50]
 
 
 # ----------------------------------------------------------- partial sum ---
@@ -87,21 +106,21 @@ def test_correction_matches_remainder_oracle_at_one():
 
 def test_eta_raw_at_one():
     ln2 = math.log(2.0)
-    v50 = eta_raw(ComplexPoint(1, 0), EvalParams(m=50)).value
+    v50 = eta_raw(ComplexPoint(1, 0), 50).value
     assert abs(v50 - ln2) < 1e-11
     assert f"{v50.real:.11f}" == "0.69314718056"
-    v40 = eta_raw(ComplexPoint(1, 0), EvalParams(m=40)).value
+    v40 = eta_raw(ComplexPoint(1, 0), 40).value
     assert abs(v40 - ln2) < 1.5e-9
 
 
 def test_eta_raw_at_first_on_line_zero():
     t = 2.0 * math.pi / math.log(2.0)
-    v = eta_raw(ComplexPoint(1, t), EvalParams(m=50)).value
+    v = eta_raw(ComplexPoint(1, t), 50).value
     assert abs(v) < 1e-11
 
 
 def test_eta_raw_at_lowest_critical_zero():
-    result = eta_raw(ComplexPoint(0.5, 14.134725), EvalParams(m=40))
+    result = eta_raw(ComplexPoint(0.5, 14.134725), 40)
     # residual comes from the rounded zero location plus the method error;
     # reference value confirmed against the 30-digit oracle
     assert 2.6e-7 < abs(result.value) < 2.75e-7
@@ -110,7 +129,7 @@ def test_eta_raw_at_lowest_critical_zero():
 
 
 def test_eta_raw_method_tag_and_params():
-    result = eta_raw(ComplexPoint(0.75, 3.0), EvalParams(m=40))
+    result = eta_raw(ComplexPoint(0.75, 3.0), 40)
     assert result.method is MethodTag.DIRECT26
     assert result.params == EvalParams(m=40)
 
@@ -118,7 +137,7 @@ def test_eta_raw_method_tag_and_params():
 def test_eta_raw_domain():
     for sigma in (0.49, 3.01, -1.0):
         with pytest.raises(DomainError):
-            eta_raw(ComplexPoint(sigma, 0), EvalParams(m=40))
+            eta_raw(ComplexPoint(sigma, 0), 40)
 
 
 @settings(max_examples=80, deadline=None)
@@ -127,23 +146,23 @@ def test_eta_raw_domain():
        m=st.sampled_from([40, 50, 80]))
 def test_eta_raw_conjugation(sigma, t, m):
     # only real constants enter, so conjugating s conjugates the result
-    plus = eta_raw(ComplexPoint(sigma, t), EvalParams(m=m)).value
-    minus = eta_raw(ComplexPoint(sigma, -t), EvalParams(m=m)).value
+    plus = eta_raw(ComplexPoint(sigma, t), m).value
+    minus = eta_raw(ComplexPoint(sigma, -t), m).value
     assert abs(minus - plus.conjugate()) <= 2.0 * 2.3e-16 * abs(plus)
 
 
 def test_monotone_refinement_on_grid():
     for sigma, t in GRID:
         s = ComplexPoint(sigma, t)
-        coarse = eta_raw(s, EvalParams(m=40))
-        fine = eta_raw(s, EvalParams(m=50))
+        coarse = eta_raw(s, 40)
+        fine = eta_raw(s, 50)
         assert abs(fine.value - coarse.value) < coarse.budget.total
 
 
 def test_oracle_agreement_on_grid():
     for sigma, t in GRID:
         s = ComplexPoint(sigma, t)
-        result = eta_raw(s, EvalParams(m=50) if t >= 40 else EvalParams(m=40))
+        result = eta_raw(s, 50 if t >= 40 else 40)
         ref = oracles.eta_reference(sigma, t)
         allowed = max(result.budget.total, 5e-12)
         assert oracles.diff(result.value, ref) <= allowed, (sigma, t)
@@ -153,7 +172,7 @@ def test_oracle_agreement_against_accelerated_series():
     # same check against the in-repo accelerated-series oracle
     for sigma, t in ((0.5, 0.0), (0.75, 14.1), (1.0, 40.0)):
         s = ComplexPoint(sigma, t)
-        result = eta_raw(s, EvalParams(m=50))
+        result = eta_raw(s, 50)
         ref = oracles.eta_alternating_accelerated(sigma, t)
         allowed = max(result.budget.total, 5e-12)
         assert oracles.diff(result.value, ref) <= allowed
@@ -162,7 +181,7 @@ def test_oracle_agreement_against_accelerated_series():
 # ----------------------------------------------------------------- budget ---
 
 def test_budget_structure():
-    result = eta_raw(ComplexPoint(0.75, 14.1), EvalParams(m=40))
+    result = eta_raw(ComplexPoint(0.75, 14.1), 40)
     budget = result.budget
     assert budget.integral_tail == math.exp(-81.0)
     for part in (budget.integral_tail, budget.series_truncation,
@@ -175,22 +194,22 @@ def test_budget_structure():
 
 
 def test_budget_extrapolation_flag():
-    assert eta_raw(ComplexPoint(2.0, 1.0), EvalParams(m=40)).budget.extrapolated
-    assert not eta_raw(ComplexPoint(0.9, 1.0), EvalParams(m=40)).budget.extrapolated
+    assert eta_raw(ComplexPoint(2.0, 1.0), 40).budget.extrapolated
+    assert not eta_raw(ComplexPoint(0.9, 1.0), 40).budget.extrapolated
 
 
 def test_budget_shrinks_with_m():
     for sigma, t in GRID:
         s = ComplexPoint(sigma, t)
-        assert (eta_raw(s, EvalParams(m=50)).budget.total
-                < eta_raw(s, EvalParams(m=40)).budget.total)
+        assert (eta_raw(s, 50).budget.total
+                < eta_raw(s, 40).budget.total)
 
 
 def test_budget_envelope_levels():
     # the a-priori envelope is deliberately conservative: near t = 40 it
     # reaches the 1e-6 scale while the observed error stays around 1e-13
     for sigma, t in GRID:
-        total = eta_raw(ComplexPoint(sigma, t), EvalParams(m=40)).budget.total
+        total = eta_raw(ComplexPoint(sigma, t), 40).budget.total
         assert total < 1e-5
         if t <= 5.0:
             assert total < 1e-8

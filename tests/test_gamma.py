@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (DomainError, PoleError, gamma_reflected,
-                      gamma_tail_bound, log_gamma, stirling_magnitude,
-                      tail_ratio_report)
+from eta_zeta import DomainError, GammaOverflowError, PoleError
+from eta_zeta.gamma import (gamma_reflected, gamma_tail_bound, log_gamma,
+                            max_tail_ratio, stirling_magnitude)
 
 import oracles
 
@@ -20,7 +20,8 @@ def test_log_gamma_closed_forms():
 
 
 @pytest.mark.parametrize("re", [1e-3, 0.1, 0.5, 1.0, 2.5, 10.0, 30.0, 60.0])
-@pytest.mark.parametrize("im", [0.0, 0.5, 5.0, 14.134725, 40.0, -37.2, 120.0])
+@pytest.mark.parametrize("im", [0.0, 0.5, 5.0, 14.134725, 40.0, -37.2, 120.0,
+                                150.0, 177.0, -177.0])
 def test_log_gamma_thirteen_digits(re, im):
     z = complex(re, im)
     ref = oracles.loggamma_reference(re, im)
@@ -57,8 +58,6 @@ def test_gamma_reflected_poles(z):
 
 
 def test_gamma_reflected_overflow():
-    from eta_zeta import GammaOverflowError
-
     with pytest.raises(GammaOverflowError):
         gamma_reflected(200.0 + 0j)
 
@@ -129,34 +128,16 @@ def test_gamma_tail_bound_domain():
         gamma_tail_bound(3, 0.0)
 
 
-def test_tail_ratio_report_criteria():
-    # the two cutoff/height pairs the schedule is built around
-    reports = tail_ratio_report(1.0, 40.0, 81.0)
-    assert len(reports) == 14
-    assert all(r.e_nb > 0 and r.gamma_mag > 0 and r.ratio > 0 for r in reports)
-    assert max(r.ratio for r in reports) < 1e-5
-
-    reports = tail_ratio_report(1.0, 50.0, 101.0)
-    assert max(r.ratio for r in reports) < 1e-7
+def test_max_tail_ratio_at_t_zero():
+    # b = 81: against the exact |Gamma(n + 1)| = n! the worst ratio moves
+    # only by the leading-order Stirling error
+    exact = max(gamma_tail_bound(n, 81.0) / math.factorial(n)
+                for n in range(14))
+    assert max_tail_ratio(1.0, 0.0, 81.0) == pytest.approx(exact, rel=0.10)
 
 
-def test_tail_ratio_report_at_t_zero():
-    # n = 0, b = 81: the bound is e^-81 and the gamma estimate sits within
-    # the leading-order Stirling error of Gamma(1) = 1
-    report = tail_ratio_report(1.0, 0.0, 81.0)[0]
-    assert report.e_nb == math.exp(-81.0)
-    assert report.ratio == pytest.approx(math.exp(-81.0), rel=0.10)
-
-
-def test_tail_ratio_report_decreasing_in_b():
-    for n in (0, 7, 13):
-        r_small = tail_ratio_report(1.0, 10.0, 81.0)[n]
-        r_large = tail_ratio_report(1.0, 10.0, 101.0)[n]
-        assert r_large.e_nb < r_small.e_nb
-
-
-def test_tail_ratio_report_domain():
-    with pytest.raises(DomainError):
-        tail_ratio_report(0.4, 1.0, 81.0)
-    with pytest.raises(DomainError):
-        tail_ratio_report(3.5, 1.0, 81.0)
+def test_max_tail_ratio_decreasing_in_b():
+    # a larger cutoff always meets a tighter ratio, which selection relies on
+    r81, r101, r131 = (max_tail_ratio(1.0, 10.0, b)
+                       for b in (81.0, 101.0, 131.0))
+    assert r81 > r101 > r131

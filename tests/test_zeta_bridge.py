@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from eta_zeta import (ComplexPoint, DomainError, EvalParams,
                       IndeterminateFormError, MethodTag,
                       NonConvergentTailError, PoleError, eta,
-                      eta_functional_equation, eta_raw, exceptional_proximity,
-                      zeta, zeta_em_stepwise)
+                      exceptional_proximity, zeta)
+from eta_zeta import zeta_bridge
+from eta_zeta.eta_core import eta_raw
+from eta_zeta.zeta_bridge import eta_functional_equation, zeta_em_stepwise
 
 import oracles
 
@@ -45,7 +47,7 @@ def test_proximity_negative_t():
 # --------------------------------------------------- functional equation ---
 
 def test_functional_equation_reaches_quarter():
-    inner = eta_raw(ComplexPoint(0.75, 0.0), EvalParams(m=50)).value
+    inner = eta_raw(ComplexPoint(0.75, 0.0), 50).value
     image = eta_functional_equation(inner, ComplexPoint(0.75, 0.0))
     ref = oracles.eta_reference(0.25, 0.0)
     assert oracles.diff(image, ref) <= 1e-9
@@ -53,7 +55,7 @@ def test_functional_equation_reaches_quarter():
 
 def test_functional_equation_maps_zero_to_zero():
     s = ComplexPoint(0.5, 14.134725)
-    inner = eta_raw(s, EvalParams(m=40)).value
+    inner = eta_raw(s, 40).value
     assert abs(eta_functional_equation(inner, s)) < 1e-5
 
 
@@ -68,7 +70,7 @@ def test_functional_equation_limit_towards_one():
     # eta(-eps) from eta(1+eps) tends to eta(0) = 1/2
     eps = 1e-3
     s = ComplexPoint(1.0 + eps, 0.0)
-    inner = eta_raw(s, EvalParams(m=50)).value
+    inner = eta_raw(s, 50).value
     image = eta_functional_equation(inner, s)
     assert abs(image - 0.5) < 5e-4
     assert oracles.diff(image, oracles.eta_reference(-eps, 0.0)) <= 1e-9
@@ -78,7 +80,7 @@ def test_functional_equation_round_trip():
     # the two multipliers F(s) F(1-s) cancel exactly
     for sigma, t in ((0.6, 2.5), (0.75, 7.0), (0.9, 2.5)):
         s = ComplexPoint(sigma, t)
-        first = eta_raw(s, EvalParams(m=40)).value
+        first = eta_raw(s, 40).value
         image = eta_functional_equation(first, s)
         back = eta_functional_equation(image, ComplexPoint(1.0 - sigma, -t))
         assert abs(back - first) <= 1e-9 * abs(first)
@@ -216,13 +218,14 @@ def test_stepwise_at_zero():
     assert abs(zeta_em_stepwise(ComplexPoint(0, 0)) + 0.5) <= 1e-14
 
 
-def test_stepwise_guards():
+def test_stepwise_guards(monkeypatch):
     with pytest.raises(PoleError):
         zeta_em_stepwise(ComplexPoint(1, 0))
     with pytest.raises(DomainError):
         zeta_em_stepwise(ComplexPoint(0.5, 25.0))
+    monkeypatch.setattr(zeta_bridge, "STEPWISE_K_MAX", 2)
     with pytest.raises(NonConvergentTailError):
-        zeta_em_stepwise(ComplexPoint(0.6, 12.0), k_max=2)
+        zeta_em_stepwise(ComplexPoint(0.6, 12.0))
 
 
 def test_cross_method_agreement():
