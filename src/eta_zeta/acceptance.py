@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import eta_raw
-from .gamma import max_tail_ratio
+from .eta_core import DirectLine, eta_raw
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -173,11 +172,10 @@ def _critical_zero_checks() -> list[CheckResult]:
 
 
 def _tail_ratio_checks() -> list[CheckResult]:
+    line = DirectLine(1.0)
     return [
-        _check("tail ratio b=81 sigma=1 t=40",
-               max_tail_ratio(1.0, 40.0, 81.0), 1e-5),
-        _check("tail ratio b=101 sigma=1 t=50",
-               max_tail_ratio(1.0, 50.0, 101.0), 1e-7),
+        _check("tail ratio b=81 sigma=1 t=40", line.tail_ratio(40.0, 40), 1e-5),
+        _check("tail ratio b=101 sigma=1 t=50", line.tail_ratio(50.0, 50), 1e-7),
     ]
 
 

@@ -7,17 +7,21 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
-from .zeta_bridge import LN2, check_sigma, eta, zeta
+from .zeta_bridge import LN2, Line, check_sigma, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6
+# Index ranges per job of a pooled scan, so workers with cheap ranges take more.
+RANGES_PER_JOB = 4
 TABLE2_HALF_SPACING = math.pi / LN2  # imaginary gap between table rows
 ZERO_MARKER_THRESHOLD = 1e-9
 
@@ -36,9 +40,7 @@ class OutputRecord:
     m_used: int | None
 
 
-def _record(function: str, sigma: float, t: float, m: int | None) -> OutputRecord:
-    evaluate = eta if function == "eta" else zeta
-    result: EvalResult = evaluate(ComplexPoint(sigma, t), m=m)
+def _record(sigma: float, t: float, result: EvalResult) -> OutputRecord:
     value = result.value
     return OutputRecord(sigma=sigma, t=t, re=value.real, im=value.imag,
                         abs=abs(value), method=str(result.method),
@@ -46,17 +48,20 @@ def _record(function: str, sigma: float, t: float, m: int | None) -> OutputRecor
                         m_used=result.params.m if result.params else 0)
 
 
-def _record_or_error(function: str, sigma: float, t: float,
-                     m: int | None) -> OutputRecord:
-    try:
-        return _record(function, sigma, t, m)
-    except EtaZetaError:
-        return OutputRecord(sigma=sigma, t=t, re=None, im=None, abs=None,
-                            method="error", err_bound=None, m_used=None)
-
-
-def _scan_worker(args: tuple[str, float, float, int | None]) -> OutputRecord:
-    return _record_or_error(*args)
+def _scan_range(function: str, sigma: float, t_min: float, step: float,
+                m: int | None, start: int, stop: int) -> list[OutputRecord]:
+    """Records for grid indices start..stop-1, evaluated on one Line."""
+    line = Line(sigma, m)
+    evaluate = line.eta if function == "eta" else line.zeta
+    records = []
+    for i in range(start, stop):
+        t = t_min + i * step
+        try:
+            records.append(_record(sigma, t, evaluate(t)))
+        except EtaZetaError:
+            records.append(OutputRecord(sigma, t, None, None, None, "error",
+                                        None, None))
+    return records
 
 
 def grid_count(t_min: float, t_max: float, step: float) -> int:
@@ -69,18 +74,20 @@ def grid_count(t_min: float, t_max: float, step: float) -> int:
 def scan_records(function: str, sigma: float, t_min: float, t_max: float,
                  step: float, m: int | None = None,
                  jobs: int = 1) -> list[OutputRecord]:
-    """Records for the grid t_min, t_min+step, ... (ascending, inclusive).
-
-    Points are independent; with jobs > 1 they are computed in a process
-    pool and re-emitted in grid order, so the output is identical either way.
-    """
+    """Records for the grid t_min, t_min+step, ... (ascending, inclusive),
+    evaluated on one Line.  With jobs > 1 a process pool evaluates contiguous
+    index ranges, each on a line of its own, and the records come back in
+    grid order: the output is identical either way."""
     count = grid_count(t_min, t_max, step)
-    tasks = [(function, sigma, t_min + i * step, m) for i in range(count)]
     if jobs <= 1:
-        return [_scan_worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, count // (jobs * 8))
-        return list(pool.map(_scan_worker, tasks, chunksize=chunk))
+        return _scan_range(function, sigma, t_min, step, m, 0, count)
+    n_ranges = min(count, jobs * RANGES_PER_JOB)
+    bounds = [count * k // n_ranges for k in range(n_ranges + 1)]
+    scan_range = functools.partial(_scan_range, function, sigma, t_min, step, m)
+    workers = min(jobs, n_ranges, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(scan_range, bounds[:-1], bounds[1:])
+        return [rec for chunk in chunks for rec in chunk]
 
 
 def record_to_csv(rec: OutputRecord) -> str:
@@ -114,8 +121,10 @@ def _fmt_value(re: float, im: float) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    evaluate = eta if args.function == "eta" else zeta
     try:
-        rec = _record(args.function, args.sigma, args.t, args.m)
+        rec = _record(args.sigma, args.t,
+                      evaluate(ComplexPoint(args.sigma, args.t), m=args.m))
     except EtaZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -135,13 +144,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if not all(map(math.isfinite, (args.t_min, args.t_max, args.step))):
+        parser.error("--t-min, --t-max and --step must be finite")
     if args.step <= 0:
         parser.error("--step must be positive")
     if args.t_max < args.t_min:
         parser.error("--t-max must be >= --t-min")
-    count = grid_count(args.t_min, args.t_max, args.step)
-    if count > MAX_SCAN_POINTS:
-        parser.error(f"grid has {count} points, maximum is {MAX_SCAN_POINTS}")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    # the span can overflow a double (-1e308 to 1e308), leaving no count
+    if (not (args.t_max - args.t_min) / args.step < MAX_SCAN_POINTS
+            or grid_count(args.t_min, args.t_max, args.step) > MAX_SCAN_POINTS):
+        parser.error(f"grid has more than {MAX_SCAN_POINTS} points")
     try:
         check_sigma(args.sigma)
     except EtaZetaError as exc:
@@ -159,9 +173,10 @@ def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     print(" n   t            eta(1 + t i)                                zero")
+    line = Line(1.0, args.m)
     for n in range(12):
         t = n * TABLE2_HALF_SPACING
-        rec = _record("eta", 1.0, t, args.m)
+        rec = _record(1.0, t, line.eta(t))
         marker = "X" if rec.abs < ZERO_MARKER_THRESHOLD else ""
         value = _fmt_value(rec.re, rec.im)
         print(f"{n:2d}  {t:10.6f}   {value:<42s}  {marker}")

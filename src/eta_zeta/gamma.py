@@ -1,10 +1,9 @@
-"""Complex gamma machinery and the cutoff-tail ratio.
+"""Complex gamma machinery and the dropped-tail integral.
 
 log_gamma / gamma_reflected provide user-facing gamma values (13+ significant
-digits on the supported strip).  stirling_magnitude and gamma_tail_bound feed
-the cutoff-selection ratio max_tail_ratio only; the 1-2% accuracy of
-leading-order Stirling is irrelevant there because only orders of magnitude
-are compared.
+digits on the supported strip).  gamma_tail_bound E(n, b) feeds the
+cutoff-selection ratio of eta_core.DirectLine only, where it is set against
+a leading-order Stirling estimate of |Gamma(n + sigma + i t)|.
 """
 
 from __future__ import annotations
@@ -92,21 +91,6 @@ def gamma_reflected(z: complex) -> complex:
     return _bounded_exp(lg, z)
 
 
-def stirling_magnitude(x: float, t: float) -> float:
-    """Leading-order Stirling estimate of |Gamma(x + i t)| for x >= 0.5:
-
-        sqrt(2 pi) e^(-x) (x^2 + t^2)^((2x-1)/4) e^(-t arctan(t/x))
-
-    Error estimation only (roughly 2% at x = 4, under 1% by x = 14); never
-    used for values returned to users.
-    """
-    if x < 0.5:
-        raise DomainError("stirling_magnitude requires x >= 0.5")
-    return (math.sqrt(2.0 * math.pi) * math.exp(-x)
-            * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
-            * math.exp(-t * math.atan2(t, x)))
-
-
 def gamma_tail_bound(n: int, b: float) -> float:
     """Closed form of the dropped integral int_b^inf y^n e^(-y) dy:
 
@@ -122,18 +106,3 @@ def gamma_tail_bound(n: int, b: float) -> float:
     for k in range(n, -1, -1):
         total += b ** k / math.factorial(k)
     return math.exp(-b) * math.factorial(n) * total
-
-
-def max_tail_ratio(sigma: float, t: float, b: float) -> float:
-    """Worst E(n, b) / |Gamma(n + sigma + i t)| over n = 0..13, with the
-    Stirling estimate for the gamma magnitude: the dropped-tail relative
-    error fed into the error budget."""
-    worst = 0.0
-    for n in range(TAIL_N_MAX + 1):
-        gamma_mag = stirling_magnitude(n + sigma, t)
-        # the estimate underflows for t beyond ~500; the ratio is then
-        # effectively infinite and no cutoff can satisfy it
-        if not gamma_mag > 0.0:
-            return math.inf
-        worst = max(worst, gamma_tail_bound(n, b) / gamma_mag)
-    return worst

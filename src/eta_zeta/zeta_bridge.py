@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .coefficients import c_coefficient
 from .errors import (DomainError, IndeterminateFormError,
                      NonConvergentTailError, PoleError)
-from .eta_core import eta_raw
+from .eta_core import DirectLine, dirichlet_sum
 from .gamma import gamma_reflected
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
@@ -48,9 +48,7 @@ STEPWISE_ERR_ENVELOPE = 1e-9
 # Inner Dirichlet series cutoff; the two-term tail correction leaves a
 # residual under |z| N^(-sigma-1) / 12 < 1e-11 for sigma >= 2, |t| <= 20.
 _INNER_N = 2000
-_INNER_LOG = [0.0] * (_INNER_N + 1)
-for _n in range(1, _INNER_N + 1):
-    _INNER_LOG[_n] = math.log(_n)
+_INNER_LOG = [math.log(n) for n in range(1, _INNER_N + 1)]
 
 _STEPWISE_RANGE_MESSAGE = "exceptional point requires stepwise path beyond |t|<=20"
 
@@ -118,25 +116,11 @@ def eta_functional_equation(eta_s: complex, s: ComplexPoint) -> complex:
 def _zeta_dirichlet_tail(z: complex) -> complex:
     """zeta(z) for Re(z) >= 1.5 by direct summation to N with a two-term
     integral tail: sum_{n<=N} n^(-z) + N^(1-z)/(z-1) - N^(-z)/2."""
-    sigma, t = z.real, z.imag
-    sum_re = sum_im = carry_re = carry_im = 0.0
-    for n in range(1, _INNER_N + 1):
-        ln_n = _INNER_LOG[n]
-        mag = math.exp(-sigma * ln_n)
-        angle = t * ln_n
-        term_re = mag * math.cos(angle)
-        term_im = -mag * math.sin(angle)
-        y = term_re - carry_re
-        tmp = sum_re + y
-        carry_re = (tmp - sum_re) - y
-        sum_re = tmp
-        y = term_im - carry_im
-        tmp = sum_im + y
-        carry_im = (tmp - sum_im) - y
-        sum_im = tmp
+    sigma = z.real
+    mags = [math.exp(-sigma * ln_n) for ln_n in _INNER_LOG]
     big_n = complex(_INNER_N, 0.0)
     tail = big_n ** (1.0 - z) / (z - 1.0) - 0.5 * big_n ** (-z)
-    return complex(sum_re, sum_im) + tail
+    return dirichlet_sum(mags, _INNER_LOG, z.imag) + tail
 
 
 def zeta_em_stepwise(s: ComplexPoint) -> complex:
@@ -187,60 +171,79 @@ def _stepwise_eta_image(sp: ComplexPoint) -> EvalResult:
                       params=None)
 
 
-def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:
-    """eta(s) on -0.5 <= sigma <= 3.
-
-    sigma >= 1/2 evaluates directly; sigma < 1/2 reflects sigma' = 1 - sigma
-    through the functional equation at s' = conj(1-s) and conjugates back.
-    s = 0 and s = 1 return their closed-form values.  An explicit m overrides
-    the automatic cutoff selection.
+class Line:
+    """eta and zeta along the vertical line Re s = sigma, all points sharing
+    one DirectLine at max(sigma, 1 - sigma): the direct route evaluates
+    there and the reflection route reflects from there.  m = None selects
+    the cutoff per point.  A line is mutable: create one per caller, do not
+    share it between threads.
     """
-    check_sigma(s.sigma)
-    z = s.z
-    if z == 1.0:
-        return EvalResult(complex(LN2, 0.0), ErrorBudget.exact(),
-                          MethodTag.SPECIAL_VALUE, None)
-    if z == 0.0:
-        return EvalResult(complex(0.5, 0.0), ErrorBudget.exact(),
-                          MethodTag.SPECIAL_VALUE, None)
-    if s.sigma >= 0.5:
-        return eta_raw(s, m)
 
-    s_prime = ComplexPoint(1.0 - s.sigma, s.t)  # conj(1 - s)
-    try:
-        factor = _fe_factor(s_prime)
-    except IndeterminateFormError:
-        return _stepwise_eta_image(s_prime)
-    inner = eta_raw(s_prime, m)
-    value = (inner.value * factor).conjugate()
-    return EvalResult(value=value, budget=inner.budget.scaled(abs(factor)),
-                      method=MethodTag.REFLECTION27, params=inner.params)
+    def __init__(self, sigma: float, m: int | None = None) -> None:
+        check_sigma(sigma)
+        self.sigma = sigma
+        self.m = m
+        self.direct = DirectLine(max(sigma, 1.0 - sigma))
+
+    def eta(self, t: float) -> EvalResult:
+        """eta(sigma + i t): direct for sigma >= 1/2, else reflected from
+        sigma' = 1 - sigma through the functional equation at s' = conj(1-s);
+        closed forms at s = 0 and s = 1."""
+        return self._eta(ComplexPoint(self.sigma, t))
+
+    def _eta(self, s: ComplexPoint) -> EvalResult:
+        z = s.z
+        if z == 1.0:
+            return EvalResult(complex(LN2, 0.0), ErrorBudget.exact(),
+                              MethodTag.SPECIAL_VALUE, None)
+        if z == 0.0:
+            return EvalResult(complex(0.5, 0.0), ErrorBudget.exact(),
+                              MethodTag.SPECIAL_VALUE, None)
+        if s.sigma >= 0.5:
+            return self.direct.eval(s.t, self.m)
+
+        s_prime = ComplexPoint(1.0 - s.sigma, s.t)  # conj(1 - s)
+        try:
+            factor = _fe_factor(s_prime)
+        except IndeterminateFormError:
+            return _stepwise_eta_image(s_prime)
+        inner = self.direct.eval(s.t, self.m)
+        value = (inner.value * factor).conjugate()
+        return EvalResult(value=value, budget=inner.budget.scaled(abs(factor)),
+                          method=MethodTag.REFLECTION27, params=inner.params)
+
+    def zeta(self, t: float) -> EvalResult:
+        """zeta(sigma + i t), s != 1: eta(s) / (1 - 2^(1-s)) with the budget
+        scaled alike, or the stepwise continuation (|t| <= 20 only) within
+        EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point."""
+        s = ComplexPoint(self.sigma, t)
+        z = s.z
+        if z == 1.0:
+            raise PoleError("pole at s=1")
+        if z == 0.0:
+            return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
+                              MethodTag.SPECIAL_VALUE, None)
+        if exceptional_proximity(s).distance >= EXCEPTIONAL_DISTANCE_THRESHOLD:
+            eta_result = self._eta(s)
+            denominator = _one_minus_two_pow(1.0 - z)
+            budget = eta_result.budget.scaled(1.0 / abs(denominator))
+            return EvalResult(value=eta_result.value / denominator,
+                              budget=budget, method=eta_result.method,
+                              params=eta_result.params)
+        if abs(s.t) > STEPWISE_T_MAX:
+            raise DomainError(_STEPWISE_RANGE_MESSAGE)
+        value = zeta_em_stepwise(s)
+        budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE, 0.0)
+        return EvalResult(value=value, budget=budget, method=MethodTag.STEPWISE3,
+                          params=None)
+
+
+def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:
+    """eta(s) on -0.5 <= sigma <= 3 (see Line.eta); m overrides the cutoff."""
+    return Line(s.sigma, m).eta(s.t)
 
 
 def zeta(s: ComplexPoint, m: int | None = None) -> EvalResult:
-    """zeta(s) on -0.5 <= sigma <= 3, s != 1.
-
-    Away from exceptional points: eta(s) / (1 - 2^(1-s)), budget scaled by
-    the reciprocal denominator magnitude.  Within the exceptional threshold
-    the stepwise continuation is used instead (supported for |t| <= 20).
-    """
-    check_sigma(s.sigma)
-    z = s.z
-    if z == 1.0:
-        raise PoleError("pole at s=1")
-    if z == 0.0:
-        return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
-                          MethodTag.SPECIAL_VALUE, None)
-    if exceptional_proximity(s).distance >= EXCEPTIONAL_DISTANCE_THRESHOLD:
-        eta_result = eta(s, m=m)
-        denominator = _one_minus_two_pow(1.0 - z)
-        return EvalResult(value=eta_result.value / denominator,
-                          budget=eta_result.budget.scaled(1.0 / abs(denominator)),
-                          method=eta_result.method,
-                          params=eta_result.params)
-    if abs(s.t) > STEPWISE_T_MAX:
-        raise DomainError(_STEPWISE_RANGE_MESSAGE)
-    value = zeta_em_stepwise(s)
-    budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE, 0.0)
-    return EvalResult(value=value, budget=budget, method=MethodTag.STEPWISE3,
-                      params=None)
+    """zeta(s) on -0.5 <= sigma <= 3, s != 1 (see Line.zeta); m overrides
+    the cutoff."""
+    return Line(s.sigma, m).zeta(s.t)

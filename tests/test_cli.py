@@ -172,19 +172,74 @@ def test_scan_repeated_and_parallel_bytes_identical():
     assert first == parallel
 
 
-def test_scan_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "eta", "--sigma", "0.5", "--t-min", "0",
-              "--t-max", "1", "--step", "-0.1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "eta", "--sigma", "0.5", "--t-min", "2",
-              "--t-max", "1", "--step", "0.1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "eta", "--sigma", "0.5", "--t-min", "0",
-              "--t-max", "1e6", "--step", "1e-6"])
-    assert exc.value.code == 2
+def test_scan_usage_errors(capsys):
+    for t_min, t_max, step, jobs in (
+            ("0", "1", "-0.1", "1"),
+            ("2", "1", "0.1", "1"),
+            ("0", "1e6", "1e-6", "1"),
+            ("-1e308", "1e308", "1", "1"),  # the span overflows a double
+            ("0", "inf", "0.5", "1"),
+            ("-inf", "1", "0.5", "1"),
+            ("nan", "1", "0.5", "1"),
+            ("0", "1", "nan", "1"),
+            ("0", "1", "inf", "1"),
+            ("0", "1", "0.5", "0"),
+            ("0", "1", "0.5", "-3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "eta", "--sigma", "0.5", "--t-min", t_min,
+                  "--t-max", t_max, "--step", step, "--jobs", jobs])
+        assert exc.value.code == 2, (t_min, t_max, step, jobs)
+        assert capsys.readouterr().out == ""
+
+
+def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
+    # an in-process stand-in for the pool records the worker count it is
+    # given, so no process is started
+    from eta_zeta import cli
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    args = ("zeta", 0.5, 0.0, 2.0, 0.25)  # 9 points
+    serial = records_to_csv(scan_records(*args))
+    for jobs in (2, 5, 10 ** 6):
+        assert records_to_csv(scan_records(*args, jobs=jobs)) == serial
+    assert sizes == [2, 3, 3]  # min(jobs, ranges, cpu count)
+    sizes.clear()
+    few = ("eta", 0.5, 0.0, 0.5, 0.5)  # 2 points, so 2 ranges
+    assert records_to_csv(scan_records(*few, jobs=64)) \
+        == records_to_csv(scan_records(*few))
+    assert sizes == [2]
+
+
+def test_scan_computes_each_tail_bound_once(monkeypatch):
+    # the scan crosses m = 40 -> 50: E(n, b) is computed once per n and b
+    # on the line, 28 times, not at every point (574 times)
+    from eta_zeta import eta_core
+    from eta_zeta.gamma import gamma_tail_bound
+    calls = []
+
+    def counting(n, b):
+        calls.append(b)
+        return gamma_tail_bound(n, b)
+
+    monkeypatch.setattr(eta_core, "gamma_tail_bound", counting)
+    records = scan_records("zeta", 0.5, 35.0, 45.0, 0.5)
+    assert {rec.m_used for rec in records} == {40, 50}
+    assert sorted(calls) == [81.0] * 14 + [101.0] * 14
 
 
 def test_scan_sigma_out_of_range(capsys):

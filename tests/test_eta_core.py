@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from eta_zeta import (ComplexPoint, DomainError, EvalParams, MethodTag,
                       ParameterExhaustionError, eta)
 from eta_zeta import eta_core
-from eta_zeta.eta_core import (TARGET_RATIO, alternating_partial_sum,
-                               correction_term, eta_raw, select_params)
-from eta_zeta.gamma import max_tail_ratio
+from eta_zeta.eta_core import (TARGET_RATIO, DirectLine, correction_term,
+                               dirichlet_sum, eta_raw)
+from eta_zeta.gamma import gamma_tail_bound
 
 import oracles
 
@@ -23,16 +23,17 @@ GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
 def test_select_params_reproduces_design_pairs():
     # the b = 81, t = 40 pair at ratio 1e-5 is the acceptance check
     # "tail ratio b=81 sigma=1 t=40"
-    params, ratio = select_params(ComplexPoint(1, 50))
-    assert params.m == 50
-    assert ratio == max_tail_ratio(1.0, 50.0, 101.0) <= TARGET_RATIO
+    line = DirectLine(1.0)
+    m, ratio = line.select(50.0)
+    assert m == 50
+    assert ratio == line.tail_ratio(50.0, 50) <= TARGET_RATIO
     # at t = 0 the ratios are astronomically small: schedule minimum
-    assert select_params(ComplexPoint(0.5, 0))[0].m == 40
+    assert DirectLine(0.5).select(0.0)[0] == 40
 
 
 def test_select_params_exhaustion():
     with pytest.raises(ParameterExhaustionError, match="parameter exhaustion"):
-        select_params(ComplexPoint(1, 1000))
+        DirectLine(1.0).select(1000.0)
 
 
 def test_select_params_validates_sigma():
@@ -42,37 +43,41 @@ def test_select_params_validates_sigma():
 
 
 def test_each_tail_ratio_computed_once(monkeypatch):
-    calls = []  # the m of every tail ratio eta_core computes
+    # a call is a line of one point: each m tried costs one E(n, b) per n,
+    # and the selected m's ratio is reused in the budget
+    calls = []  # the b of every E(n, b) eta_core computes
 
-    def counting(sigma, t, b):
-        calls.append((b - 1) / 2)
-        return max_tail_ratio(sigma, t, b)
+    def counting(n, b):
+        calls.append(b)
+        return gamma_tail_bound(n, b)
 
-    monkeypatch.setattr(eta_core, "max_tail_ratio", counting)
+    monkeypatch.setattr(eta_core, "gamma_tail_bound", counting)
     eta(ComplexPoint(0.5, 14.13))
-    assert calls == [40]
+    assert calls == [81.0] * 14
     calls.clear()
     assert eta(ComplexPoint(0.5, 45.0)).params.m == 50
-    assert calls == [40, 50]
+    assert calls == [81.0] * 14 + [101.0] * 14
     calls.clear()
     eta(ComplexPoint(0.5, 14.13), m=50)
-    assert calls == [50]
+    assert calls == [101.0] * 14
 
 
 # ----------------------------------------------------------- partial sum ---
 
 def test_partial_sum_two_terms():
-    assert alternating_partial_sum(ComplexPoint(1, 0), 1) == 0.5 + 0j
+    assert DirectLine(1.0).partial_sum(0.0, 1) == 0.5 + 0j
 
 
 def test_partial_sum_cancels_at_s_zero():
-    assert alternating_partial_sum(ComplexPoint(0, 0), 3) == 0j
+    # the shared kernel with the s = 0 terms (-1)^(n+1), n = 1..6
+    lns = [math.log(n) for n in range(1, 7)]
+    assert dirichlet_sum([1.0, -1.0] * 3, lns, 0.0) == 0j
 
 
 def test_partial_sum_at_two_against_exact_oracle():
     # brute-force rational sum of the first 80 terms
     exact = sum(Fraction((-1) ** (n + 1), n * n) for n in range(1, 81))
-    value = alternating_partial_sum(ComplexPoint(2, 0), 40)
+    value = DirectLine(2.0).partial_sum(0.0, 40)
     assert value.imag == 0.0
     assert value.real == pytest.approx(float(exact), abs=1e-15)
     assert abs(value.real - math.pi ** 2 / 12.0) < 1.6e-4
@@ -80,7 +85,7 @@ def test_partial_sum_at_two_against_exact_oracle():
 
 def test_partial_sum_rejects_bad_m():
     with pytest.raises(DomainError):
-        alternating_partial_sum(ComplexPoint(1, 0), 0)
+        DirectLine(1.0).partial_sum(0.0, 0)
 
 
 # ------------------------------------------------------- correction term ---

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta_zeta import DomainError, GammaOverflowError, PoleError
-from eta_zeta.gamma import (gamma_reflected, gamma_tail_bound, log_gamma,
-                            max_tail_ratio, stirling_magnitude)
+from eta_zeta.eta_core import DirectLine
+from eta_zeta.gamma import gamma_reflected, gamma_tail_bound, log_gamma
 
 import oracles
 
@@ -73,26 +73,31 @@ def test_gamma_recurrence(re, im):
 
 
 def test_stirling_magnitude_examples():
-    est = stirling_magnitude(4.0, 0.0)
+    # the line at sigma = 1 estimates |Gamma(n + 1 + i t)| for n = 0..13
+    estimates = DirectLine(1.0).stirling_magnitudes(0.0)
+    est = estimates[3]
     # closed form of the leading-order estimate at x = 4
     assert est == pytest.approx(128.0 * math.sqrt(2.0 * math.pi) / math.exp(4.0),
                                 rel=1e-14)
     rel_err = abs(est - 6.0) / 6.0
     assert 0.019 < rel_err < 0.022
 
-    est14 = stirling_magnitude(14.0, 0.0)
+    est14 = estimates[13]
     assert abs(est14 - math.factorial(13)) / math.factorial(13) < 0.01
 
 
 def test_stirling_magnitude_decays_in_t():
-    values = [stirling_magnitude(1.0, t) for t in range(0, 11)]
+    line = DirectLine(1.0)
+    values = [line.stirling_magnitudes(float(t))[0] for t in range(0, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v < 1.0 for v in values[1:])
 
 
 def test_stirling_magnitude_domain():
+    # the estimate needs x = n + sigma >= 0.5, which the line's sigma check
+    # guarantees
     with pytest.raises(DomainError):
-        stirling_magnitude(0.25, 1.0)
+        DirectLine(0.25)
 
 
 def test_gamma_tail_bound_examples():
@@ -133,11 +138,11 @@ def test_max_tail_ratio_at_t_zero():
     # only by the leading-order Stirling error
     exact = max(gamma_tail_bound(n, 81.0) / math.factorial(n)
                 for n in range(14))
-    assert max_tail_ratio(1.0, 0.0, 81.0) == pytest.approx(exact, rel=0.10)
+    assert DirectLine(1.0).tail_ratio(0.0, 40) == pytest.approx(exact, rel=0.10)
 
 
 def test_max_tail_ratio_decreasing_in_b():
     # a larger cutoff always meets a tighter ratio, which selection relies on
-    r81, r101, r131 = (max_tail_ratio(1.0, 10.0, b)
-                       for b in (81.0, 101.0, 131.0))
+    line = DirectLine(1.0)
+    r81, r101, r131 = (line.tail_ratio(10.0, m) for m in (40, 50, 65))
     assert r81 > r101 > r131
