@@ -20,7 +20,7 @@ from .zeta_bridge import LN2, Line, check_sigma, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6
-# Index ranges per job of a pooled scan, so workers with cheap ranges take more.
+# Index ranges per job of a pooled scan, so records come back while workers run.
 RANGES_PER_JOB = 4
 TABLE2_HALF_SPACING = math.pi / LN2  # imaginary gap between table rows
 ZERO_MARKER_THRESHOLD = 1e-9
@@ -79,7 +79,7 @@ def scan_records(function: str, sigma: float, t_min: float, t_max: float,
     index ranges, each on a line of its own, and the records come back in
     grid order: the output is identical either way."""
     count = grid_count(t_min, t_max, step)
-    if jobs <= 1:
+    if jobs <= 1 or count <= 1:
         return _scan_range(function, sigma, t_min, step, m, 0, count)
     n_ranges = min(count, jobs * RANGES_PER_JOB)
     bounds = [count * k // n_ranges for k in range(n_ranges + 1)]

@@ -18,7 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
+from itertools import chain, cycle, islice, repeat
 
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
@@ -40,15 +41,16 @@ KERNEL_SERIES_ERROR = 2e-8
 SIGMA_DIRECT_MIN = 0.5
 SIGMA_DIRECT_MAX = 3.0
 
+TERMS_KEPT = 4096  # terms a line keeps; further ones are recomputed per point
 
-def dirichlet_sum(mags: Sequence[float], lns: Sequence[float],
-                  t: float) -> complex:
-    """sum_k mags[k] (cos(t lns[k]) - i sin(t lns[k])), Kahan-compensated in
-    order: with mags[k] = +/- n^(-sigma), lns[k] = ln n, a Dirichlet partial
+
+def dirichlet_sum(terms: Iterable[tuple[float, float]], t: float) -> complex:
+    """sum of mag (cos(t ln_n) - i sin(t ln_n)) over the (mag, ln_n) pairs,
+    Kahan-compensated in order: with mag = +/- n^(-sigma), a Dirichlet partial
     sum at sigma + i t, deterministic and near one ulp even at 2000 terms."""
     cos, sin = math.cos, math.sin
     sum_re = sum_im = carry_re = carry_im = 0.0
-    for mag, ln_n in zip(mags, lns):
+    for mag, ln_n in terms:
         angle = t * ln_n
         y = mag * cos(angle) - carry_re
         tmp = sum_re + y
@@ -59,6 +61,12 @@ def dirichlet_sum(mags: Sequence[float], lns: Sequence[float],
         carry_im = (tmp - sum_im) - y
         sum_im = tmp
     return complex(sum_re, sum_im)
+
+
+def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[float]:
+    """(-1)^(n+1) n^(-sigma) for n = start, start + 1, ..., given ln n."""
+    signs = cycle((1.0, -1.0) if start % 2 else (-1.0, 1.0))
+    return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
 def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
@@ -102,10 +110,10 @@ class DirectLine:
     """Direct evaluation of eta along the vertical line Re s = sigma.
 
     What depends on sigma alone is computed on first use and kept: the
-    signed terms (-1)^(n+1) n^(-sigma) and ln n up to the largest 2m asked
-    for, E(n, b) for each cutoff b, and the sigma-only factors of the
-    Stirling estimates.  A point then pays only for what depends on t, with
-    the same float operations in the same order as a point evaluated alone.
+    sigma-only factors of the Stirling estimates, E(n, b) for each cutoff b,
+    and the signed terms (-1)^(n+1) n^(-sigma) with ln n up to the largest 2m
+    asked for (at most TERMS_KEPT).  A point then pays only for what depends
+    on t, with the same float operations in the same order as a point alone.
     A line is mutable: create one per caller, do not share it between threads.
     """
 
@@ -144,12 +152,10 @@ class DirectLine:
     def _ratio(self, gamma_mags: list[float], m: int) -> float:
         if not gamma_mags[-1] > 0.0:
             return math.inf  # no cutoff can satisfy the ratio
-        tails = self._tails.get(m)
-        if tails is None:
-            b = float(2 * m + 1)
-            tails = self._tails[m] = [gamma_tail_bound(n, b)
-                                      for n in range(TAIL_N_MAX + 1)]
-        return max(map(operator.truediv, tails, gamma_mags))
+        if m not in self._tails:
+            self._tails[m] = [gamma_tail_bound(n, float(2 * m + 1))
+                              for n in range(TAIL_N_MAX + 1)]
+        return max(map(operator.truediv, self._tails[m], gamma_mags))
 
     def tail_ratio(self, t: float, m: int) -> float:
         """Worst E(n, 2m+1) / |Gamma(n + sigma + i t)| over n = 0..13: the
@@ -174,10 +180,17 @@ class DirectLine:
         if m < 1:
             raise DomainError("m must be >= 1")
         count, mags, lns = 2 * m, self._mags, self._lns
-        for n in range(len(mags) + 1, count + 1):
-            lns.append(math.log(n))
-            mags.append((1.0 if n % 2 else -1.0) * math.exp(-self.sigma * lns[-1]))
-        return dirichlet_sum(mags[:count], lns[:count], t)
+        start, stop = len(lns) + 1, min(count, TERMS_KEPT) + 1
+        if start < stop:
+            lns.extend(map(math.log, range(start, stop)))
+            mags.extend(_signed_powers(self.sigma, start, lns[start - 1:]))
+        terms = (zip(mags, lns) if count >= len(lns)
+                 else zip(islice(mags, count), islice(lns, count)))
+        if count > TERMS_KEPT:  # the further terms are recomputed, not kept
+            far = range(TERMS_KEPT + 1, count + 1)
+            far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
+            terms = chain(terms, zip(far_mags, map(math.log, far)))
+        return dirichlet_sum(terms, t)
 
     def eval(self, t: float, m: int | None = None) -> EvalResult:
         """eta(sigma + i t) with 2m terms; m = None selects the cutoff."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coefficients import c_coefficient
 from .errors import (DomainError, IndeterminateFormError,
@@ -120,7 +121,7 @@ def _zeta_dirichlet_tail(z: complex) -> complex:
     mags = [math.exp(-sigma * ln_n) for ln_n in _INNER_LOG]
     big_n = complex(_INNER_N, 0.0)
     tail = big_n ** (1.0 - z) / (z - 1.0) - 0.5 * big_n ** (-z)
-    return dirichlet_sum(mags, _INNER_LOG, z.imag) + tail
+    return dirichlet_sum(zip(mags, _INNER_LOG), z.imag) + tail
 
 
 def zeta_em_stepwise(s: ComplexPoint) -> complex:
@@ -173,17 +174,19 @@ def _stepwise_eta_image(sp: ComplexPoint) -> EvalResult:
 
 class Line:
     """eta and zeta along the vertical line Re s = sigma, all points sharing
-    one DirectLine at max(sigma, 1 - sigma): the direct route evaluates
-    there and the reflection route reflects from there.  m = None selects
-    the cutoff per point.  A line is mutable: create one per caller, do not
-    share it between threads.
+    one DirectLine at max(sigma, 1 - sigma), where the direct route evaluates
+    and from where the reflection route reflects; m = None selects the cutoff
+    per point.  Mutable: create one per caller, do not share between threads.
     """
 
     def __init__(self, sigma: float, m: int | None = None) -> None:
         check_sigma(sigma)
-        self.sigma = sigma
-        self.m = m
-        self.direct = DirectLine(max(sigma, 1.0 - sigma))
+        self.sigma, self.m = sigma, m
+
+    @cached_property
+    def direct(self) -> DirectLine:
+        # built on first use: a call refused before the direct route makes none
+        return DirectLine(max(self.sigma, 1.0 - self.sigma))
 
     def eta(self, t: float) -> EvalResult:
         """eta(sigma + i t): direct for sigma >= 1/2, else reflected from

@@ -223,6 +223,12 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     assert records_to_csv(scan_records(*few, jobs=64)) \
         == records_to_csv(scan_records(*few))
     assert sizes == [2]
+    sizes.clear()
+    # an empty or one-point grid starts no pool
+    for empty in ((1.0, 0.5, 1.0), (1.0, 0.0, 0.25)):
+        assert scan_records("eta", 0.5, *empty, jobs=4) == []
+    assert len(scan_records("eta", 0.5, 1.0, 1.0, 1.0, jobs=4)) == 1
+    assert sizes == []
 
 
 def test_scan_computes_each_tail_bound_once(monkeypatch):

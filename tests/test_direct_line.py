@@ -3,12 +3,13 @@
 including when a line is reused out of order and when 2m passes 2000."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from eta_zeta import ComplexPoint, EtaZetaError, ParameterExhaustionError, eta, zeta
 from eta_zeta.cli import record_to_csv, scan_records
-from eta_zeta.eta_core import M_SCHEDULE, TARGET_RATIO, DirectLine
+from eta_zeta.eta_core import M_SCHEDULE, TARGET_RATIO, TERMS_KEPT, DirectLine
 
 import reference_loops as ref
 
@@ -17,8 +18,8 @@ SIGMAS = (0.5, 0.6, 0.75, 1.0, 1.4, 2.5, 3.0)
 # top of the schedule
 TS = (-150.0, -37.5, -1e-3, 0.0, 9.0647202836, 14.134725, 45.0, 120.0, 176.0)
 # out of order on purpose, so a line is reused after growing; 1001 needs
-# more than 2000 terms
-MS = (50, 40, 65, 1, 1001, 150)
+# more than 2000 terms, 2100 more than the TERMS_KEPT a line keeps
+MS = (50, 40, 65, 1, 2100, 1001, 150)
 
 
 def bits(z):
@@ -73,6 +74,19 @@ def test_large_m_values_unchanged():
         == (1.0162861704465986 + 0.452895642561893j)
     assert zeta(ComplexPoint(0.3, 3.0), m=1200).value \
         == (0.4946903197798194 - 0.06320843421162012j)
+
+
+def test_large_m_runs_in_bounded_memory():
+    # 60000 terms: kept as lists they would take about 4 MB; a line keeps
+    # TERMS_KEPT of them and recomputes the rest
+    assert 2 * 30000 > 10 * TERMS_KEPT
+    tracemalloc.start()
+    try:
+        eta(ComplexPoint(0.75, 3.0), m=30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("function", ["eta", "zeta"])

@@ -43,23 +43,32 @@ def test_select_params_validates_sigma():
 
 
 def test_each_tail_ratio_computed_once(monkeypatch):
-    # a call is a line of one point: each m tried costs one E(n, b) per n,
-    # and the selected m's ratio is reused in the budget
-    calls = []  # the b of every E(n, b) eta_core computes
+    # a call is a line of one point: each m tried costs one tail ratio, the
+    # selected m's ratio is reused in the budget, and each ratio costs one
+    # E(n, b) per n
+    ratios, tails = [], []  # the m of every ratio, the b of every E(n, b)
+    ratio = DirectLine._ratio
 
-    def counting(n, b):
-        calls.append(b)
+    def counting_ratio(line, gamma_mags, m):
+        ratios.append(m)
+        return ratio(line, gamma_mags, m)
+
+    def counting_tail(n, b):
+        tails.append(b)
         return gamma_tail_bound(n, b)
 
-    monkeypatch.setattr(eta_core, "gamma_tail_bound", counting)
+    monkeypatch.setattr(DirectLine, "_ratio", counting_ratio)
+    monkeypatch.setattr(eta_core, "gamma_tail_bound", counting_tail)
     eta(ComplexPoint(0.5, 14.13))
-    assert calls == [81.0] * 14
-    calls.clear()
+    assert (ratios, tails) == ([40], [81.0] * 14)
+    ratios.clear()
+    tails.clear()
     assert eta(ComplexPoint(0.5, 45.0)).params.m == 50
-    assert calls == [81.0] * 14 + [101.0] * 14
-    calls.clear()
+    assert (ratios, tails) == ([40, 50], [81.0] * 14 + [101.0] * 14)
+    ratios.clear()
+    tails.clear()
     eta(ComplexPoint(0.5, 14.13), m=50)
-    assert calls == [101.0] * 14
+    assert (ratios, tails) == ([50], [101.0] * 14)
 
 
 # ----------------------------------------------------------- partial sum ---
@@ -71,7 +80,7 @@ def test_partial_sum_two_terms():
 def test_partial_sum_cancels_at_s_zero():
     # the shared kernel with the s = 0 terms (-1)^(n+1), n = 1..6
     lns = [math.log(n) for n in range(1, 7)]
-    assert dirichlet_sum([1.0, -1.0] * 3, lns, 0.0) == 0j
+    assert dirichlet_sum(zip([1.0, -1.0] * 3, lns), 0.0) == 0j
 
 
 def test_partial_sum_at_two_against_exact_oracle():
