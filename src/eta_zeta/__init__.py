@@ -7,8 +7,8 @@ the building blocks stay importable from their own modules.
 """
 
 from .errors import (DomainError, EtaZetaError, GammaOverflowError,
-                     IndeterminateFormError, NonConvergentTailError,
-                     ParameterExhaustionError, PoleError)
+                     NonConvergentTailError, ParameterExhaustionError,
+                     PoleError)
 from .eta_core import M_SCHEDULE
 from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
 from .zeta_bridge import ExceptionalProximity, eta, exceptional_proximity, zeta
@@ -24,7 +24,6 @@ __all__ = [
     "EvalResult",
     "ExceptionalProximity",
     "GammaOverflowError",
-    "IndeterminateFormError",
     "M_SCHEDULE",
     "MethodTag",
     "NonConvergentTailError",

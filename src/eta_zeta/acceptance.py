@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import DirectLine, eta_raw
+from .eta_core import DirectLine
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -119,9 +119,9 @@ def _special_value_checks() -> list[CheckResult]:
     checks = []
     ln2 = math.log(2.0)
     for m, allowed in ((50, 1e-11), (40, 1.5e-9)):
-        # eta_raw, not eta: the point is the formula output at this m, not
-        # the closed-form shortcut the dispatcher takes at s = 1.
-        v = eta_raw(ComplexPoint(1.0, 0.0), m).value
+        # the direct route, not eta: the point is the formula output at this
+        # m, not the closed-form shortcut the dispatcher takes at s = 1.
+        v = DirectLine(1.0).eval(0.0, m).value
         checks.append(_check(f"eta(1) m={m} vs ln 2", abs(v - ln2), allowed))
     for m in (40, 50):
         v = _eta_value(0.5, 0.0, m=m).value
@@ -226,7 +226,7 @@ def _cross_method_checks() -> list[CheckResult]:
     for sigma, t in _CROSS_METHOD_POINTS:
         s = ComplexPoint(sigma, t)
         direct = zeta(s).value
-        stepwise = zeta_em_stepwise(s)
+        stepwise = zeta_em_stepwise(s).value
         worst = max(worst, abs(direct - stepwise))
     return [_check("cross-method agreement (3 pts)", worst, 1e-8)]
 

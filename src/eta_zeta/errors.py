@@ -1,4 +1,4 @@
-"""Exception types raised by the evaluation routines."""
+"""Exception types: eta and zeta refuse with these, never with a bare one."""
 
 
 class EtaZetaError(Exception):
@@ -10,15 +10,12 @@ class DomainError(EtaZetaError, ValueError):
 
 
 class PoleError(EtaZetaError, ArithmeticError):
-    """Evaluation was requested exactly at a pole."""
-
-
-class IndeterminateFormError(EtaZetaError, ArithmeticError):
-    """A 0/0 combination; the caller must switch to the stepwise route."""
+    """A pole was hit: s = 1, or 1 - 2^(1-s) rounded to 0 where it divides."""
 
 
 class ParameterExhaustionError(EtaZetaError, RuntimeError):
-    """No cutoff in the schedule meets the target tail ratio (t too large)."""
+    """t is too large to bound the error: no scheduled cutoff meets the target
+    tail ratio, or at an explicit m the ratio or the budget is not finite."""
 
 
 class NonConvergentTailError(EtaZetaError, RuntimeError):
@@ -27,4 +24,4 @@ class NonConvergentTailError(EtaZetaError, RuntimeError):
 
 
 class GammaOverflowError(EtaZetaError, OverflowError):
-    """|Gamma(z)| exceeds the double-precision range."""
+    """|Gamma(z)| or the reflection's sin(pi s/2) exceeds the double range."""

@@ -201,18 +201,11 @@ class DirectLine:
         else:
             params = EvalParams(m=m)
             tail_ratio = self.tail_ratio(t, m)
+            if tail_ratio == math.inf:  # as in select: |Gamma| underflows
+                raise ParameterExhaustionError(
+                    f"parameter exhaustion: no tail ratio at t = {t:g}, m = {m}")
         correction = correction_term(s, params)
         value = self.partial_sum(t, m) + correction
         budget = _assemble_budget(s, params, abs(correction), tail_ratio)
         return EvalResult(value=value, budget=budget,
                           method=MethodTag.DIRECT26, params=params)
-
-
-def eta_raw(s: ComplexPoint, m: int | None = None) -> EvalResult:
-    """Direct evaluation of eta(s) with 2m terms; m = None selects the
-    cutoff from M_SCHEDULE.
-
-    Valid for 0.5 <= sigma <= 3; the budget is calibrated on [1/2, 1] and
-    flagged extrapolated above that.
-    """
-    return DirectLine(s.sigma).eval(s.t, m)

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ParameterExhaustionError
 
 
 class MethodTag(str, enum.Enum):
@@ -34,16 +34,9 @@ class ComplexPoint:
         if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
             raise DomainError("evaluation point must be finite")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexPoint":
-        return cls(z.real, z.imag)
-
     @property
     def z(self) -> complex:
         return complex(self.sigma, self.t)
-
-    def conjugate(self) -> "ComplexPoint":
-        return ComplexPoint(self.sigma, -self.t)
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class ErrorBudget:
     integral_tail      : bound exp(-b) on the kernel integral dropped past y = b
     series_truncation  : envelope for cutting the correction series at r = 7
     dropped_gamma_tail : worst tail-to-gamma ratio times the correction size
-    total              : sum of the three components
+    total              : sum of the three components, finite
     extrapolated       : True when sigma is outside [1/2, 1], where the
                          underlying error analysis was calibrated
     """
@@ -87,6 +80,9 @@ class ErrorBudget:
         for name in ("integral_tail", "series_truncation", "dropped_gamma_tail"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
+        if not self.total < math.inf:  # past the schedule with an explicit m
+            raise ParameterExhaustionError(
+                "parameter exhaustion: the error budget exceeds double range")
 
     @classmethod
     def assemble(cls, integral_tail: float, series_truncation: float,

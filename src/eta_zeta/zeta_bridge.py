@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .coefficients import c_coefficient
-from .errors import (DomainError, IndeterminateFormError,
-                     NonConvergentTailError, PoleError)
+from .errors import (DomainError, GammaOverflowError, NonConvergentTailError,
+                     PoleError)
 from .eta_core import DirectLine, dirichlet_sum
 from .gamma import gamma_reflected
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
@@ -36,6 +37,7 @@ SIGMA_MAX = 3.0
 EXCEPTIONAL_DISTANCE_THRESHOLD = 1e-4
 # Guard on |1 - 2^(1-s)| inside the functional equation (the 0/0 zone).
 FE_DENOMINATOR_THRESHOLD = 1e-4
+POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| below it: s = 1 for zeta
 
 # Stepwise route: term magnitudes peak like e^(e|t|/4); past |t| = 20 the
 # cancellation in double precision is no longer acceptable.
@@ -51,8 +53,6 @@ STEPWISE_ERR_ENVELOPE = 1e-9
 _INNER_N = 2000
 _INNER_LOG = [math.log(n) for n in range(1, _INNER_N + 1)]
 
-_STEPWISE_RANGE_MESSAGE = "exceptional point requires stepwise path beyond |t|<=20"
-
 
 @dataclass(frozen=True)
 class ExceptionalProximity:
@@ -64,8 +64,7 @@ class ExceptionalProximity:
 
 def exceptional_proximity(s: ComplexPoint) -> ExceptionalProximity:
     n = max(1, round(abs(s.t) * LN2 / (2.0 * math.pi)))
-    t_exc = math.copysign(n * EXCEPTIONAL_SPACING, s.t) if s.t != 0.0 \
-        else n * EXCEPTIONAL_SPACING
+    t_exc = math.copysign(n * EXCEPTIONAL_SPACING, s.t)
     return ExceptionalProximity(nearest_n=n,
                                 distance=math.hypot(s.sigma - 1.0, s.t - t_exc))
 
@@ -85,33 +84,13 @@ def _one_minus_two_pow(w: complex) -> complex:
 def _fe_parts(z: complex) -> tuple[complex, complex]:
     """Numerator pi (1 - 2^z) and denominator Gamma(1-z) sin(pi z/2) (2 pi)^z
     of the multiplier G(s) with eta(1-s) = G(s) * zeta(s)."""
+    try:  # sin overflows past |t| ~ 452, reachable only with an explicit m
+        sine = cmath.sin(0.5 * math.pi * z)
+    except OverflowError:
+        raise GammaOverflowError(f"sin(pi s/2) overflows at s = {z}") from None
     return (math.pi * _one_minus_two_pow(z),
-            gamma_reflected(1.0 - z) * cmath.sin(0.5 * math.pi * z)
+            gamma_reflected(1.0 - z) * sine
             * cmath.exp(z * math.log(2.0 * math.pi)))
-
-
-def _fe_factor(s: ComplexPoint) -> complex:
-    """Multiplier F(s) with eta(1-s) = F(s) * eta(s): G(s) with the
-    conversion denominator 1 - 2^(1-s) divided out."""
-    z = s.z
-    if z == 1.0:
-        raise PoleError("pole at s=1")
-    denom_gap = _one_minus_two_pow(1.0 - z)
-    if abs(denom_gap) < FE_DENOMINATOR_THRESHOLD:
-        raise IndeterminateFormError(
-            "0/0 in the functional equation near an exceptional point; "
-            "use the stepwise route")
-    numerator, denominator = _fe_parts(z)
-    return numerator / (denominator * denom_gap)
-
-
-def eta_functional_equation(eta_s: complex, s: ComplexPoint) -> complex:
-    """Map eta(s) to eta(1-s).
-
-    Raises IndeterminateFormError inside the 0/0 zone around exceptional
-    points (callers switch to the stepwise route) and PoleError at s = 1.
-    """
-    return eta_s * _fe_factor(s)
 
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
@@ -124,23 +103,22 @@ def _zeta_dirichlet_tail(z: complex) -> complex:
     return dirichlet_sum(zip(mags, _INNER_LOG), z.imag) + tail
 
 
-def zeta_em_stepwise(s: ComplexPoint) -> complex:
-    """zeta(s) by stepping to the right:
+def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
+    """zeta(s) for |t| <= STEPWISE_T_MAX by stepping to the right:
 
         zeta(s) = 1 + (2/3)^(s-1) / (s-1) - sum_{k>=1} C_k(s) [zeta(s+2k) - 1]
 
     The inner zeta values sit at Re >= sigma + 2 and come from the direct
     series with an integral tail.  Terms are added until two consecutive ones
     fall below STEPWISE_TOL relative to the running value, for at most
-    STEPWISE_K_MAX terms.
+    STEPWISE_K_MAX terms.  The budget is the flat STEPWISE_ERR_ENVELOPE.
     """
     z = s.z
     if z == 1.0:
         raise PoleError("pole at s=1")
     if abs(s.t) > STEPWISE_T_MAX:
-        raise DomainError(
-            f"stepwise path supports |t| <= {STEPWISE_T_MAX:g} "
-            f"(cancellation grows like e^(e|t|/4)); got t = {s.t:g}")
+        raise DomainError("exceptional point requires stepwise path beyond "
+                          f"|t|<={STEPWISE_T_MAX:g}")
     acc = 1.0 + cmath.exp((z - 1.0) * math.log(2.0 / 3.0)) / (z - 1.0)
     consecutive_small = 0
     for k in range(1, STEPWISE_K_MAX + 1):
@@ -150,7 +128,8 @@ def zeta_em_stepwise(s: ComplexPoint) -> complex:
         if abs(term) < STEPWISE_TOL * abs(acc):
             consecutive_small += 1
             if consecutive_small >= 2:
-                return acc
+                budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE, 0.0)
+                return EvalResult(acc, budget, MethodTag.STEPWISE3, None)
         else:
             consecutive_small = 0
     raise NonConvergentTailError(
@@ -158,26 +137,12 @@ def zeta_em_stepwise(s: ComplexPoint) -> complex:
         f"{STEPWISE_K_MAX} terms")
 
 
-def _stepwise_eta_image(sp: ComplexPoint) -> EvalResult:
-    # eta at conj(1 - sp) through zeta(sp): the 0/0 of the functional
-    # equation cancels once the conversion denominator is folded into zeta.
-    if abs(sp.t) > STEPWISE_T_MAX:
-        raise DomainError(_STEPWISE_RANGE_MESSAGE)
-    zeta_sp = zeta_em_stepwise(sp)
-    numerator, denominator = _fe_parts(sp.z)
-    factor = numerator / denominator
-    value = (zeta_sp * factor).conjugate()
-    budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE * abs(factor), 0.0)
-    return EvalResult(value=value, budget=budget, method=MethodTag.STEPWISE3,
-                      params=None)
-
-
 class Line:
-    """eta and zeta along the vertical line Re s = sigma, all points sharing
-    one DirectLine at max(sigma, 1 - sigma), where the direct route evaluates
-    and from where the reflection route reflects; m = None selects the cutoff
-    per point.  Mutable: create one per caller, do not share between threads.
-    """
+    """eta and zeta along the vertical line Re s = sigma, each point routed
+    here, once.  All points share one DirectLine at max(sigma, 1 - sigma),
+    where the direct route evaluates and from where the reflection route
+    reflects; m = None selects the cutoff per point.  Mutable: create one per
+    caller, do not share between threads."""
 
     def __init__(self, sigma: float, m: int | None = None) -> None:
         check_sigma(sigma)
@@ -189,9 +154,9 @@ class Line:
         return DirectLine(max(self.sigma, 1.0 - self.sigma))
 
     def eta(self, t: float) -> EvalResult:
-        """eta(sigma + i t): direct for sigma >= 1/2, else reflected from
-        sigma' = 1 - sigma through the functional equation at s' = conj(1-s);
-        closed forms at s = 0 and s = 1."""
+        """eta(sigma + i t): direct for sigma >= 1/2, else reflected through
+        the functional equation from eta(s'), s' = conj(1 - s), or from the
+        stepwise zeta(s') inside its 0/0 zone; closed forms at s = 0, 1."""
         return self._eta(ComplexPoint(self.sigma, t))
 
     def _eta(self, s: ComplexPoint) -> EvalResult:
@@ -205,40 +170,38 @@ class Line:
         if s.sigma >= 0.5:
             return self.direct.eval(s.t, self.m)
 
-        s_prime = ComplexPoint(1.0 - s.sigma, s.t)  # conj(1 - s)
-        try:
-            factor = _fe_factor(s_prime)
-        except IndeterminateFormError:
-            return _stepwise_eta_image(s_prime)
-        inner = self.direct.eval(s.t, self.m)
-        value = (inner.value * factor).conjugate()
-        return EvalResult(value=value, budget=inner.budget.scaled(abs(factor)),
-                          method=MethodTag.REFLECTION27, params=inner.params)
+        # eta(s') with s' = conj(1 - s), or inside the 0/0 zone of the
+        # functional equation zeta(s'), whose conversion gap then cancels
+        s_prime = ComplexPoint(1.0 - s.sigma, s.t)
+        gap = _one_minus_two_pow(1.0 - s_prime.z)
+        if abs(gap) < FE_DENOMINATOR_THRESHOLD:
+            inner, gap, method = zeta_em_stepwise(s_prime), 1.0, MethodTag.STEPWISE3
+        else:
+            inner, method = self.direct.eval(s.t, self.m), MethodTag.REFLECTION27
+        numerator, denominator = _fe_parts(s_prime.z)
+        factor = numerator / (denominator * gap)
+        return EvalResult(value=(inner.value * factor).conjugate(),
+                          budget=inner.budget.scaled(abs(factor)),
+                          method=method, params=inner.params)
 
     def zeta(self, t: float) -> EvalResult:
-        """zeta(sigma + i t), s != 1: eta(s) / (1 - 2^(1-s)) with the budget
-        scaled alike, or the stepwise continuation (|t| <= 20 only) within
+        """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), budget scaled alike, or
+        the stepwise continuation (|t| <= 20 only) within
         EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point."""
         s = ComplexPoint(self.sigma, t)
         z = s.z
-        if z == 1.0:
-            raise PoleError("pole at s=1")
         if z == 0.0:
             return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
                               MethodTag.SPECIAL_VALUE, None)
-        if exceptional_proximity(s).distance >= EXCEPTIONAL_DISTANCE_THRESHOLD:
-            eta_result = self._eta(s)
-            denominator = _one_minus_two_pow(1.0 - z)
-            budget = eta_result.budget.scaled(1.0 / abs(denominator))
-            return EvalResult(value=eta_result.value / denominator,
-                              budget=budget, method=eta_result.method,
-                              params=eta_result.params)
-        if abs(s.t) > STEPWISE_T_MAX:
-            raise DomainError(_STEPWISE_RANGE_MESSAGE)
-        value = zeta_em_stepwise(s)
-        budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE, 0.0)
-        return EvalResult(value=value, budget=budget, method=MethodTag.STEPWISE3,
-                          params=None)
+        if exceptional_proximity(s).distance < EXCEPTIONAL_DISTANCE_THRESHOLD:
+            return zeta_em_stepwise(s)
+        denominator = _one_minus_two_pow(1.0 - z)
+        if abs(denominator) < POLE_GAP:
+            raise PoleError("pole at s=1")
+        eta_result = self._eta(s)
+        return EvalResult(eta_result.value / denominator,
+                          eta_result.budget.scaled(1.0 / abs(denominator)),
+                          eta_result.method, eta_result.params)
 
 
 def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:

@@ -9,7 +9,7 @@ from eta_zeta import (ComplexPoint, DomainError, EvalParams, MethodTag,
                       ParameterExhaustionError, eta)
 from eta_zeta import eta_core
 from eta_zeta.eta_core import (TARGET_RATIO, DirectLine, correction_term,
-                               dirichlet_sum, eta_raw)
+                               dirichlet_sum)
 from eta_zeta.gamma import gamma_tail_bound
 
 import oracles
@@ -37,9 +37,9 @@ def test_select_params_exhaustion():
 
 
 def test_select_params_validates_sigma():
-    # selection runs inside eta_raw, behind its sigma check
+    # selection runs on a DirectLine, behind its sigma check
     with pytest.raises(DomainError, match="direct evaluation"):
-        eta_raw(ComplexPoint(0.3, 0))
+        DirectLine(0.3).select(0.0)
 
 
 def test_each_tail_ratio_computed_once(monkeypatch):
@@ -116,25 +116,25 @@ def test_correction_matches_remainder_oracle_at_one():
     assert corr.real == pytest.approx(remainder, abs=1e-13)
 
 
-# ---------------------------------------------------------------- eta_raw ---
+# ------------------------------------------------------------ direct route ---
 
 def test_eta_raw_at_one():
     ln2 = math.log(2.0)
-    v50 = eta_raw(ComplexPoint(1, 0), 50).value
+    v50 = DirectLine(1.0).eval(0.0, 50).value
     assert abs(v50 - ln2) < 1e-11
     assert f"{v50.real:.11f}" == "0.69314718056"
-    v40 = eta_raw(ComplexPoint(1, 0), 40).value
+    v40 = DirectLine(1.0).eval(0.0, 40).value
     assert abs(v40 - ln2) < 1.5e-9
 
 
 def test_eta_raw_at_first_on_line_zero():
     t = 2.0 * math.pi / math.log(2.0)
-    v = eta_raw(ComplexPoint(1, t), 50).value
+    v = DirectLine(1.0).eval(t, 50).value
     assert abs(v) < 1e-11
 
 
 def test_eta_raw_at_lowest_critical_zero():
-    result = eta_raw(ComplexPoint(0.5, 14.134725), 40)
+    result = DirectLine(0.5).eval(14.134725, 40)
     # residual comes from the rounded zero location plus the method error;
     # reference value confirmed against the 30-digit oracle
     assert 2.6e-7 < abs(result.value) < 2.75e-7
@@ -143,7 +143,7 @@ def test_eta_raw_at_lowest_critical_zero():
 
 
 def test_eta_raw_method_tag_and_params():
-    result = eta_raw(ComplexPoint(0.75, 3.0), 40)
+    result = DirectLine(0.75).eval(3.0, 40)
     assert result.method is MethodTag.DIRECT26
     assert result.params == EvalParams(m=40)
 
@@ -151,7 +151,7 @@ def test_eta_raw_method_tag_and_params():
 def test_eta_raw_domain():
     for sigma in (0.49, 3.01, -1.0):
         with pytest.raises(DomainError):
-            eta_raw(ComplexPoint(sigma, 0), 40)
+            DirectLine(sigma).eval(0.0, 40)
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,23 +160,22 @@ def test_eta_raw_domain():
        m=st.sampled_from([40, 50, 80]))
 def test_eta_raw_conjugation(sigma, t, m):
     # only real constants enter, so conjugating s conjugates the result
-    plus = eta_raw(ComplexPoint(sigma, t), m).value
-    minus = eta_raw(ComplexPoint(sigma, -t), m).value
+    plus = DirectLine(sigma).eval(t, m).value
+    minus = DirectLine(sigma).eval(-t, m).value
     assert abs(minus - plus.conjugate()) <= 2.0 * 2.3e-16 * abs(plus)
 
 
 def test_monotone_refinement_on_grid():
     for sigma, t in GRID:
-        s = ComplexPoint(sigma, t)
-        coarse = eta_raw(s, 40)
-        fine = eta_raw(s, 50)
+        line = DirectLine(sigma)
+        coarse = line.eval(t, 40)
+        fine = line.eval(t, 50)
         assert abs(fine.value - coarse.value) < coarse.budget.total
 
 
 def test_oracle_agreement_on_grid():
     for sigma, t in GRID:
-        s = ComplexPoint(sigma, t)
-        result = eta_raw(s, 50 if t >= 40 else 40)
+        result = DirectLine(sigma).eval(t, 50 if t >= 40 else 40)
         ref = oracles.eta_reference(sigma, t)
         allowed = max(result.budget.total, 5e-12)
         assert oracles.diff(result.value, ref) <= allowed, (sigma, t)
@@ -185,8 +184,7 @@ def test_oracle_agreement_on_grid():
 def test_oracle_agreement_against_accelerated_series():
     # same check against the in-repo accelerated-series oracle
     for sigma, t in ((0.5, 0.0), (0.75, 14.1), (1.0, 40.0)):
-        s = ComplexPoint(sigma, t)
-        result = eta_raw(s, 50)
+        result = DirectLine(sigma).eval(t, 50)
         ref = oracles.eta_alternating_accelerated(sigma, t)
         allowed = max(result.budget.total, 5e-12)
         assert oracles.diff(result.value, ref) <= allowed
@@ -195,7 +193,7 @@ def test_oracle_agreement_against_accelerated_series():
 # ----------------------------------------------------------------- budget ---
 
 def test_budget_structure():
-    result = eta_raw(ComplexPoint(0.75, 14.1), 40)
+    result = DirectLine(0.75).eval(14.1, 40)
     budget = result.budget
     assert budget.integral_tail == math.exp(-81.0)
     for part in (budget.integral_tail, budget.series_truncation,
@@ -208,22 +206,21 @@ def test_budget_structure():
 
 
 def test_budget_extrapolation_flag():
-    assert eta_raw(ComplexPoint(2.0, 1.0), 40).budget.extrapolated
-    assert not eta_raw(ComplexPoint(0.9, 1.0), 40).budget.extrapolated
+    assert DirectLine(2.0).eval(1.0, 40).budget.extrapolated
+    assert not DirectLine(0.9).eval(1.0, 40).budget.extrapolated
 
 
 def test_budget_shrinks_with_m():
     for sigma, t in GRID:
-        s = ComplexPoint(sigma, t)
-        assert (eta_raw(s, 50).budget.total
-                < eta_raw(s, 40).budget.total)
+        line = DirectLine(sigma)
+        assert line.eval(t, 50).budget.total < line.eval(t, 40).budget.total
 
 
 def test_budget_envelope_levels():
     # the a-priori envelope is deliberately conservative: near t = 40 it
     # reaches the 1e-6 scale while the observed error stays around 1e-13
     for sigma, t in GRID:
-        total = eta_raw(ComplexPoint(sigma, t), 40).budget.total
+        total = DirectLine(sigma).eval(t, 40).budget.total
         assert total < 1e-5
         if t <= 5.0:
             assert total < 1e-8

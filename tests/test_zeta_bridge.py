@@ -2,16 +2,16 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, EvalParams,
-                      IndeterminateFormError, MethodTag,
-                      NonConvergentTailError, PoleError, eta,
+from eta_zeta import (ComplexPoint, DomainError, EtaZetaError, EvalParams,
+                      MethodTag, NonConvergentTailError, PoleError, eta,
                       exceptional_proximity, zeta)
 from eta_zeta import zeta_bridge
-from eta_zeta.eta_core import eta_raw
-from eta_zeta.zeta_bridge import eta_functional_equation, zeta_em_stepwise
+from eta_zeta.cli import scan_records
+from eta_zeta.eta_core import DirectLine
+from eta_zeta.zeta_bridge import Line, zeta_em_stepwise
 
 import oracles
 
@@ -47,43 +47,57 @@ def test_proximity_negative_t():
 # --------------------------------------------------- functional equation ---
 
 def test_functional_equation_reaches_quarter():
-    inner = eta_raw(ComplexPoint(0.75, 0.0), 50).value
-    image = eta_functional_equation(inner, ComplexPoint(0.75, 0.0))
+    # eta(1/4) reflected from the direct value at 3/4
+    image = eta(ComplexPoint(0.25, 0.0), m=50)
+    assert image.method is MethodTag.REFLECTION27
     ref = oracles.eta_reference(0.25, 0.0)
-    assert oracles.diff(image, ref) <= 1e-9
+    assert oracles.diff(image.value, ref) <= 1e-9
 
 
 def test_functional_equation_maps_zero_to_zero():
-    s = ComplexPoint(0.5, 14.134725)
-    inner = eta_raw(s, 40).value
-    assert abs(eta_functional_equation(inner, s)) < 1e-5
-
-
-def test_functional_equation_pole_and_indeterminate():
-    with pytest.raises(PoleError):
-        eta_functional_equation(math.log(2.0) + 0j, ComplexPoint(1.0, 0.0))
-    with pytest.raises(IndeterminateFormError):
-        eta_functional_equation(0j, ComplexPoint(1.0, 9.0647202836))
+    # one ulp below sigma = 1/2 the reflection runs on the first zero itself
+    s = ComplexPoint(math.nextafter(0.5, 0.0), 14.134725)
+    image = eta(s, m=40)
+    assert image.method is MethodTag.REFLECTION27
+    assert abs(image.value) < 1e-5
 
 
 def test_functional_equation_limit_towards_one():
     # eta(-eps) from eta(1+eps) tends to eta(0) = 1/2
     eps = 1e-3
-    s = ComplexPoint(1.0 + eps, 0.0)
-    inner = eta_raw(s, 50).value
-    image = eta_functional_equation(inner, s)
+    image = eta(ComplexPoint(-eps, 0.0), m=50).value
     assert abs(image - 0.5) < 5e-4
     assert oracles.diff(image, oracles.eta_reference(-eps, 0.0)) <= 1e-9
+
+
+def _fe_multiplier(z):
+    # F(s) with eta(1-s) = F(s) eta(s), from the parts Line.eta reflects with
+    numerator, denominator = zeta_bridge._fe_parts(z)
+    return numerator / (denominator * zeta_bridge._one_minus_two_pow(1.0 - z))
 
 
 def test_functional_equation_round_trip():
     # the two multipliers F(s) F(1-s) cancel exactly
     for sigma, t in ((0.6, 2.5), (0.75, 7.0), (0.9, 2.5)):
-        s = ComplexPoint(sigma, t)
-        first = eta_raw(s, 40).value
-        image = eta_functional_equation(first, s)
-        back = eta_functional_equation(image, ComplexPoint(1.0 - sigma, -t))
+        first = DirectLine(sigma).eval(t, 40).value
+        image = first * _fe_multiplier(complex(sigma, t))
+        back = image * _fe_multiplier(complex(1.0 - sigma, -t))
         assert abs(back - first) <= 1e-9 * abs(first)
+
+
+def test_zero_over_zero_routes_are_pinned():
+    # the routes around the 0/0 of the functional equation (sigma near 0) and
+    # of the conversion (an exceptional point), pinned bit for bit
+    image = eta(ComplexPoint(0.0, 9.064720283654388))
+    assert image.value == (-1.5987345268085638-0.27833866963924203j)
+    assert image.budget.total == 1.20112240878594e-09
+    assert image.method is MethodTag.STEPWISE3
+    assert (eta(ComplexPoint(1e-9, 0.0)).value
+            == (0.5000000002257904+0j))
+    assert (zeta(ComplexPoint(-1e-9, 0.0)).value
+            == (-0.49999999908106324-6.123233984483037e-17j))
+    assert (zeta(ComplexPoint(1.0, 9.064720383654388)).value
+            == (1.3465795532854368+0.10988311702034802j))
 
 
 # ---------------------------------------------------------- eta dispatch ---
@@ -129,8 +143,10 @@ def test_eta_stepwise_image_on_the_zero_line():
 
 
 def test_eta_stepwise_image_beyond_reach():
-    with pytest.raises(DomainError, match="stepwise path beyond"):
+    with pytest.raises(DomainError, match="stepwise path beyond") as info:
         eta(ComplexPoint(0.0, 3.0 * T1))
+    # refused where the route is decided, not while handling another error
+    assert info.value.__context__ is None
 
 
 def test_eta_domain():
@@ -210,30 +226,26 @@ def test_zeta_budget_scaling():
 # ---------------------------------------------------------- stepwise route ---
 
 def test_stepwise_at_two():
-    assert abs(zeta_em_stepwise(ComplexPoint(2, 0)) - math.pi ** 2 / 6.0) <= 1e-10
+    result = zeta_em_stepwise(ComplexPoint(2, 0))
+    assert abs(result.value - math.pi ** 2 / 6.0) <= 1e-10
+    assert result.budget.total == zeta_bridge.STEPWISE_ERR_ENVELOPE
+    assert result.method is MethodTag.STEPWISE3
+    assert result.params is None
 
 
 def test_stepwise_at_zero():
     # all stepwise coefficients vanish at s = 0: 1 - 3/2 = -1/2
-    assert abs(zeta_em_stepwise(ComplexPoint(0, 0)) + 0.5) <= 1e-14
+    assert abs(zeta_em_stepwise(ComplexPoint(0, 0)).value + 0.5) <= 1e-14
 
 
 def test_stepwise_guards(monkeypatch):
     with pytest.raises(PoleError):
         zeta_em_stepwise(ComplexPoint(1, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="stepwise path beyond"):
         zeta_em_stepwise(ComplexPoint(0.5, 25.0))
     monkeypatch.setattr(zeta_bridge, "STEPWISE_K_MAX", 2)
     with pytest.raises(NonConvergentTailError):
         zeta_em_stepwise(ComplexPoint(0.6, 12.0))
-
-
-def test_cross_method_agreement():
-    for sigma, t in ((0.8, 3.0), (1.0, 9.0), (0.6, 12.0)):
-        s = ComplexPoint(sigma, t)
-        direct = zeta(s).value
-        stepwise = zeta_em_stepwise(s)
-        assert abs(direct - stepwise) < 1e-8
 
 
 # ------------------------------------------------------------- properties ---
@@ -243,20 +255,59 @@ def test_cross_method_agreement():
                                      (1.0, 33.0), (1.5, 8.5), (2.5, 41.0),
                                      (0.6, 0.37), (0.9, 48.2)])
 def test_conjugation_symmetry(sigma, t):
-    for evaluate in (eta, zeta):
-        plus = evaluate(ComplexPoint(sigma, t)).value
-        minus = evaluate(ComplexPoint(sigma, -t)).value
-        assert abs(minus - plus.conjugate()) <= 2.0 * 2.3e-16 * abs(plus)
+    # bit for bit on one line, which reuses its sigma-only state at -t; the
+    # 2-ulp check on separate calls is the acceptance check "conjugation
+    # symmetry eta/zeta (20 pts)"
+    line = Line(sigma)
+    for evaluate in (line.eta, line.zeta):
+        plus, minus = evaluate(t), evaluate(-t)
+        assert minus.value == plus.value.conjugate()
+        assert ((minus.budget, minus.method, minus.params)
+                == (plus.budget, plus.method, plus.params))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sigma=st.floats(0.5, 1.0, allow_nan=False),
        t=st.floats(0.0, 40.0, allow_nan=False))
+@example(sigma=1.0, t=5e-324)  # |zeta| ~ 1/|s - 1| past the double range
+@example(sigma=math.nextafter(1.0, 0.0), t=0.0)  # 1 - 2^(1-s) rounds to 0
 def test_conversion_identity(sigma, t):
     s = ComplexPoint(sigma, t)
-    if exceptional_proximity(s).distance < 1e-2 or s.z == 1.0:
+    if exceptional_proximity(s).distance < 1e-2:
         return
     eta_v = eta(s).value
-    zeta_v = zeta(s).value
+    try:
+        zeta_v = zeta(s).value
+    except PoleError:
+        # only where 1 - 2^(1-s) rounds to 0: next to s = 1 on sigma = 1, and
+        # at t ~ 0 one ulp off it, where the subtraction cancels
+        assert abs(s.z - 1.0) < (1e-300 if sigma == 1.0 else 2.3e-16)
+        return
     recon = zeta_v * (1.0 - cmath.exp((1.0 - s.z) * math.log(2.0)))
     assert abs(recon - eta_v) <= 4.0 * 2.3e-16 * abs(eta_v)
+
+
+@pytest.mark.parametrize("m", [None, 40])
+@pytest.mark.parametrize("sigma", [-0.5, 0.25, 0.75, 3.0])
+def test_extreme_points_are_refused_or_finite(sigma, m):
+    # far past the schedule: with m = 40 the tail ratio stays finite to
+    # t ~ 475, the reflection's sin(pi s/2) overflows past t ~ 452, and the
+    # budget can overflow before either
+    points = [(sigma, t) for t in (460.0, -460.0, 500.0, -500.0, 1000.0,
+                                   -1000.0, 1e150)]
+    points += [(1.0, 5e-324), (math.nextafter(1.0, 0.0), 0.0)]
+    for sigma_p, t in points:
+        for evaluate in (eta, zeta):
+            try:
+                result = evaluate(ComplexPoint(sigma_p, t), m=m)
+            except EtaZetaError:
+                continue
+            assert cmath.isfinite(result.value), (evaluate, sigma_p, t)
+            assert math.isfinite(result.budget.total), (evaluate, sigma_p, t)
+        for function in ("eta", "zeta"):
+            (record,) = scan_records(function, sigma_p, t, t, 1.0, m=m)
+            if record.method != "error":
+                assert all(map(math.isfinite, (record.re, record.im,
+                                               record.err_bound)))
+    with pytest.raises(PoleError):
+        zeta(ComplexPoint(1.0, 5e-324), m=m)
