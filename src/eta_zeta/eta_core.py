@@ -16,6 +16,7 @@ extended from [0, b] to [0, inf).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -42,6 +43,7 @@ SIGMA_DIRECT_MIN = 0.5
 SIGMA_DIRECT_MAX = 3.0
 
 TERMS_KEPT = 4096  # terms a line keeps; further ones are recomputed per point
+TAIL_BOUNDS_KEPT = 32  # cutoffs whose E(n, b) the process keeps: M_SCHEDULE and more
 
 
 def dirichlet_sum(terms: Iterable[tuple[float, float]], t: float) -> complex:
@@ -61,6 +63,15 @@ def dirichlet_sum(terms: Iterable[tuple[float, float]], t: float) -> complex:
         carry_im = (tmp - sum_im) - y
         sum_im = tmp
     return complex(sum_re, sum_im)
+
+
+@functools.lru_cache(maxsize=TAIL_BOUNDS_KEPT)
+def tail_bounds(m: int) -> tuple[float, ...]:
+    """E(n, 2m+1) for n = 0..13: the dropped kernel integrals of cutoff m.
+    They depend on m alone, so the process computes them once per m, on
+    first use, and every line shares the immutable tuple."""
+    b = float(2 * m + 1)
+    return tuple(gamma_tail_bound(n, b) for n in range(TAIL_N_MAX + 1))
 
 
 def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[float]:
@@ -110,11 +121,13 @@ class DirectLine:
     """Direct evaluation of eta along the vertical line Re s = sigma.
 
     What depends on sigma alone is computed on first use and kept: the
-    sigma-only factors of the Stirling estimates, E(n, b) for each cutoff b,
-    and the signed terms (-1)^(n+1) n^(-sigma) with ln n up to the largest 2m
-    asked for (at most TERMS_KEPT).  A point then pays only for what depends
-    on t, with the same float operations in the same order as a point alone.
-    A line is mutable: create one per caller, do not share it between threads.
+    sigma-only factors of the Stirling estimates and the signed terms
+    (-1)^(n+1) n^(-sigma) with ln n up to the largest 2m asked for (at most
+    TERMS_KEPT).  The tail bounds E(n, b) depend on m alone and are kept per
+    process (tail_bounds), shared by every line.  A point then pays only for
+    what depends on t, with the same float operations in the same order as a
+    point alone.  A line is mutable: create one per caller, do not share it
+    between threads.
     """
 
     def __init__(self, sigma: float) -> None:
@@ -125,7 +138,6 @@ class DirectLine:
         self.sigma = sigma
         self._mags: list[float] = []
         self._lns: list[float] = []
-        self._tails: dict[int, list[float]] = {}
         self._stirling: list[tuple[float, float, float, float]] = []
 
     def stirling_magnitudes(self, t: float) -> list[float]:
@@ -152,10 +164,7 @@ class DirectLine:
     def _ratio(self, gamma_mags: list[float], m: int) -> float:
         if not gamma_mags[-1] > 0.0:
             return math.inf  # no cutoff can satisfy the ratio
-        if m not in self._tails:
-            self._tails[m] = [gamma_tail_bound(n, float(2 * m + 1))
-                              for n in range(TAIL_N_MAX + 1)]
-        return max(map(operator.truediv, self._tails[m], gamma_mags))
+        return max(map(operator.truediv, tail_bounds(m), gamma_mags))
 
     def tail_ratio(self, t: float, m: int) -> float:
         """Worst E(n, 2m+1) / |Gamma(n + sigma + i t)| over n = 0..13: the

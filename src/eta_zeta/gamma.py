@@ -2,8 +2,9 @@
 
 log_gamma / gamma_reflected provide user-facing gamma values (13+ significant
 digits on the supported strip).  gamma_tail_bound E(n, b) feeds the
-cutoff-selection ratio of eta_core.DirectLine only, where it is set against
-a leading-order Stirling estimate of |Gamma(n + sigma + i t)|.
+cutoff-selection ratio of eta_core only: eta_core.tail_bounds keeps its
+values once per process, and each eta_core.DirectLine sets them against a
+leading-order Stirling estimate of |Gamma(n + sigma + i t)|.
 """
 
 from __future__ import annotations

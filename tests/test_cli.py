@@ -233,7 +233,8 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
 
 def test_scan_computes_each_tail_bound_once(monkeypatch):
     # the scan crosses m = 40 -> 50: E(n, b) is computed once per n and b
-    # on the line, 28 times, not at every point (574 times)
+    # in the process, 28 times, not at every point (574 times); a second
+    # scan, on a fresh line, computes none
     from eta_zeta import eta_core
     from eta_zeta.gamma import gamma_tail_bound
     calls = []
@@ -243,9 +244,14 @@ def test_scan_computes_each_tail_bound_once(monkeypatch):
         return gamma_tail_bound(n, b)
 
     monkeypatch.setattr(eta_core, "gamma_tail_bound", counting)
+    eta_core.tail_bounds.cache_clear()
     records = scan_records("zeta", 0.5, 35.0, 45.0, 0.5)
     assert {rec.m_used for rec in records} == {40, 50}
     assert sorted(calls) == [81.0] * 14 + [101.0] * 14
+    calls.clear()
+    assert {rec.m_used for rec in scan_records("eta", 0.75, 35.0, 45.0, 0.5)} \
+        == {40, 50}
+    assert calls == []
 
 
 def test_scan_sigma_out_of_range(capsys):

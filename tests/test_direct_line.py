@@ -9,7 +9,8 @@ import pytest
 
 from eta_zeta import ComplexPoint, EtaZetaError, ParameterExhaustionError, eta, zeta
 from eta_zeta.cli import record_to_csv, scan_records
-from eta_zeta.eta_core import M_SCHEDULE, TARGET_RATIO, TERMS_KEPT, DirectLine
+from eta_zeta.eta_core import (M_SCHEDULE, TARGET_RATIO, TERMS_KEPT, DirectLine,
+                               tail_bounds)
 
 import reference_loops as ref
 
@@ -67,6 +68,32 @@ def test_select_matches_reference(sigma):
                 line.select(t)
         else:
             assert line.select(t) == expected
+
+
+def test_tail_bounds_shared_across_sigmas():
+    # one line fills the process's tail bounds; lines on other sigmas read
+    # them, compute none, and still match the per-point loops bit for bit
+    cutoffs = set(M_SCHEDULE + MS)
+    tail_bounds.cache_clear()
+    warm = DirectLine(SIGMAS[-1])
+    for m in cutoffs:
+        warm.tail_ratio(14.134725, m)
+    assert tail_bounds.cache_info().misses == len(cutoffs)
+    for sigma in SIGMAS[:-1]:
+        line = DirectLine(sigma)
+        for t in TS + (178.0,):
+            for m in MS:
+                assert line.tail_ratio(t, m).hex() \
+                    == ref.max_tail_ratio(sigma, t, float(2 * m + 1)).hex(), (m, t)
+            expected = next(((m, r) for m in M_SCHEDULE
+                             if (r := ref.max_tail_ratio(sigma, t, float(2 * m + 1)))
+                             <= TARGET_RATIO), None)
+            if expected is None:
+                with pytest.raises(ParameterExhaustionError):
+                    line.select(t)
+            else:
+                assert line.select(t) == expected
+    assert tail_bounds.cache_info().misses == len(cutoffs)
 
 
 def test_large_m_values_unchanged():

@@ -43,9 +43,10 @@ def test_select_params_validates_sigma():
 
 
 def test_each_tail_ratio_computed_once(monkeypatch):
-    # a call is a line of one point: each m tried costs one tail ratio, the
-    # selected m's ratio is reused in the budget, and each ratio costs one
-    # E(n, b) per n
+    # a call is a line of one point: each m tried costs one tail ratio and
+    # the selected m's ratio is reused in the budget.  E(n, b) is kept per
+    # process: the first use of an m computes it once per n, later calls on
+    # fresh lines compute none
     ratios, tails = [], []  # the m of every ratio, the b of every E(n, b)
     ratio = DirectLine._ratio
 
@@ -59,16 +60,20 @@ def test_each_tail_ratio_computed_once(monkeypatch):
 
     monkeypatch.setattr(DirectLine, "_ratio", counting_ratio)
     monkeypatch.setattr(eta_core, "gamma_tail_bound", counting_tail)
+    eta_core.tail_bounds.cache_clear()
     eta(ComplexPoint(0.5, 14.13))
     assert (ratios, tails) == ([40], [81.0] * 14)
     ratios.clear()
     tails.clear()
     assert eta(ComplexPoint(0.5, 45.0)).params.m == 50
-    assert (ratios, tails) == ([40, 50], [81.0] * 14 + [101.0] * 14)
+    assert (ratios, tails) == ([40, 50], [101.0] * 14)
     ratios.clear()
     tails.clear()
     eta(ComplexPoint(0.5, 14.13), m=50)
-    assert (ratios, tails) == ([50], [101.0] * 14)
+    assert (ratios, tails) == ([50], [])
+    ratios.clear()
+    eta(ComplexPoint(0.75, 14.13))
+    assert (ratios, tails) == ([40], [])
 
 
 # ----------------------------------------------------------- partial sum ---
