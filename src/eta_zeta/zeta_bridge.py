@@ -77,8 +77,13 @@ def check_sigma(sigma: float) -> None:
 
 
 def _one_minus_two_pow(w: complex) -> complex:
-    """1 - 2^w."""
-    return 1.0 - cmath.exp(w * LN2)
+    """1 - 2^w = -expm1(w ln 2), without cancelling near w = 0: with
+    w ln 2 = a + ib, 1 - e^a e^(ib) = 2 sin^2(b/2) - expm1(a) cos b
+    - i e^a sin b."""
+    a, b = w.real * LN2, w.imag * LN2
+    half_sin = math.sin(0.5 * b)
+    return complex(2.0 * half_sin * half_sin - math.expm1(a) * math.cos(b),
+                   -math.exp(a) * math.sin(b))
 
 
 def _fe_parts(z: complex) -> tuple[complex, complex]:

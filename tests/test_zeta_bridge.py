@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,7 +96,7 @@ def test_zero_over_zero_routes_are_pinned():
     assert (eta(ComplexPoint(1e-9, 0.0)).value
             == (0.5000000002257904+0j))
     assert (zeta(ComplexPoint(-1e-9, 0.0)).value
-            == (-0.49999999908106324-6.123233984483037e-17j))
+            == (-0.49999999908106324-6.123233984483035e-17j))
     assert (zeta(ComplexPoint(1.0, 9.064720383654388)).value
             == (1.3465795532854368+0.10988311702034802j))
 
@@ -214,6 +215,24 @@ def test_zeta_third_exceptional_point_is_out_of_reach():
         zeta(ComplexPoint(1.0, 3.0 * T1))
 
 
+# next to the pole, where 1 - 2^(1-s) must not cancel: s = 1 +/- 1e-8, the
+# doubles either side of 1, one of them with a tiny imaginary part, and
+# s = 1 + delta e^(i k pi/4) for delta = 1e-4 .. 1e-12
+NEAR_POLE = [(1.0 + 1e-8, 0.0), (1.0 - 1e-8, 0.0), (1.0 + 2.0 ** -52, 0.0),
+             (1.0 - 2.0 ** -53, 0.0), (1.0 - 2.0 ** -53, 1e-308)]
+NEAR_POLE += [(z.real, z.imag) for z in (
+    1.0 + 10.0 ** -e * cmath.exp(0.25j * math.pi * k)
+    for e in range(4, 13) for k in range(8)) if (z.real, z.imag) not in NEAR_POLE]
+
+
+@pytest.mark.parametrize("sigma,t", NEAR_POLE)
+def test_zeta_near_pole_within_budget(sigma, t):
+    # no floor under the budget: it must bound the error by itself
+    result = zeta(ComplexPoint(sigma, t))
+    ref = oracles.zeta_reference(sigma, t)
+    assert oracles.diff(result.value, ref) <= result.budget.total
+
+
 def test_zeta_budget_scaling():
     s = ComplexPoint(0.75, 3.0)
     eta_result = eta(s)
@@ -279,12 +298,18 @@ def test_conversion_identity(sigma, t):
     try:
         zeta_v = zeta(s).value
     except PoleError:
-        # only where 1 - 2^(1-s) rounds to 0: next to s = 1 on sigma = 1, and
-        # at t ~ 0 one ulp off it, where the subtraction cancels
-        assert abs(s.z - 1.0) < (1e-300 if sigma == 1.0 else 2.3e-16)
+        # only where |1 - 2^(1-s)| falls below the double range's reciprocal:
+        # within about 1e-308 of s = 1, so on sigma = 1
+        assert sigma == 1.0 and abs(t) < 1e-300
         return
-    recon = zeta_v * (1.0 - cmath.exp((1.0 - s.z) * math.log(2.0)))
-    assert abs(recon - eta_v) <= 4.0 * 2.3e-16 * abs(eta_v)
+    # rebuild eta with 1 - 2^(1-s) = -expm1(w) to 40 digits, at the double
+    # w = (1 - s) ln 2 the conversion rounds to, not with a double
+    # 1 - exp(w) that cancels next to s = 1
+    w = (1.0 - s.z) * math.log(2.0)
+    with mpmath.workdps(40):
+        factor = -mpmath.expm1(mpmath.mpc(w.real, w.imag))
+        recon = mpmath.mpc(zeta_v.real, zeta_v.imag) * factor
+    assert oracles.diff(eta_v, recon) <= 4.0 * 2.3e-16 * abs(eta_v)
 
 
 @pytest.mark.parametrize("m", [None, 40])
