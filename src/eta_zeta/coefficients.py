@@ -28,12 +28,11 @@ R_MAX_SUPPORTED = 15
 class CoefficientTable:
     """Kernel-series coefficients.
 
-    p[0] is 1/2; p[r] for r >= 1 is P_{2r-1}.  bernoulli[r-1] is B_{2r}.
-    Immutable, safe to share across threads.
+    p[0] is 1/2; p[r] for r >= 1 is P_{2r-1}.  Immutable, safe to share
+    across threads.
     """
 
     p: tuple[float, ...]
-    bernoulli: tuple[float, ...]
 
     @property
     def r_max(self) -> int:
@@ -80,10 +79,7 @@ def p_coefficients(r_max: int) -> CoefficientTable:
     p = [Fraction(1, 2)]
     for r in range(1, r_max + 1):
         p.append((2 ** (2 * r) - 1) * b[2 * r] / Fraction(math.factorial(2 * r)))
-    return CoefficientTable(
-        p=tuple(float(x) for x in p),
-        bernoulli=tuple(float(b[2 * r]) for r in range(1, r_max + 1)),
-    )
+    return CoefficientTable(p=tuple(float(x) for x in p))
 
 
 def p_coefficient_asymptotic(r: int) -> float:
