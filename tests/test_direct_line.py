@@ -3,6 +3,8 @@
 including when a line is reused out of order and when 2m passes 2000."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -56,18 +58,22 @@ def test_tail_ratio_is_infinite_where_stirling_underflows():
             eta(ComplexPoint(sigma, 1e150))
 
 
+def assert_select_matches_reference(line, t):
+    expected = next(((m, r) for m in M_SCHEDULE
+                     if (r := ref.max_tail_ratio(line.sigma, t, float(2 * m + 1)))
+                     <= TARGET_RATIO), None)
+    if expected is None:
+        with pytest.raises(ParameterExhaustionError):
+            line.select(t)
+    else:
+        assert line.select(t) == expected
+
+
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_select_matches_reference(sigma):
     line = DirectLine(sigma)
     for t in TS + (178.0, -300.0):
-        expected = next(((m, r) for m in M_SCHEDULE
-                         if (r := ref.max_tail_ratio(sigma, t, float(2 * m + 1)))
-                         <= TARGET_RATIO), None)
-        if expected is None:
-            with pytest.raises(ParameterExhaustionError):
-                line.select(t)
-        else:
-            assert line.select(t) == expected
+        assert_select_matches_reference(line, t)
 
 
 def test_tail_bounds_shared_across_sigmas():
@@ -85,15 +91,33 @@ def test_tail_bounds_shared_across_sigmas():
             for m in MS:
                 assert line.tail_ratio(t, m).hex() \
                     == ref.max_tail_ratio(sigma, t, float(2 * m + 1)).hex(), (m, t)
-            expected = next(((m, r) for m in M_SCHEDULE
-                             if (r := ref.max_tail_ratio(sigma, t, float(2 * m + 1)))
-                             <= TARGET_RATIO), None)
-            if expected is None:
-                with pytest.raises(ParameterExhaustionError):
-                    line.select(t)
-            else:
-                assert line.select(t) == expected
+            assert_select_matches_reference(line, t)
     assert tail_bounds.cache_info().misses == len(cutoffs)
+
+
+def test_tail_bounds_shared_by_threads():
+    # lines on eight threads fill the shared tail bounds concurrently, with a
+    # short switch interval; every value equals the serial one bit for bit
+    points = [(sigma, t) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)]
+    serial = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
+    results = [None] * 8
+
+    def work(i):
+        results[i] = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
+
+    tail_bounds.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 8
 
 
 def test_large_m_values_unchanged():
