@@ -239,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "m", None) is not None and args.m < 1:
+        parser.error("--m must be >= 1")
     if args.command == "eval":
         return _cmd_eval(args)
     if args.command == "scan":

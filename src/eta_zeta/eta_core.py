@@ -42,27 +42,28 @@ KERNEL_SERIES_ERROR = 2e-8
 SIGMA_DIRECT_MIN = 0.5
 SIGMA_DIRECT_MAX = 3.0
 
-TERMS_KEPT = 4096  # terms a line keeps; further ones are recomputed per point
+TERMS_KEPT = 4096  # terms whose ln n, n^(-sigma) are kept; further ones are recomputed
 TAIL_BOUNDS_KEPT = 32  # cutoffs whose E(n, b) the process keeps: M_SCHEDULE and more
 
 
-def dirichlet_sum(terms: Iterable[tuple[float, float]], t: float) -> complex:
-    """sum of mag (cos(t ln_n) - i sin(t ln_n)) over the (mag, ln_n) pairs,
+def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> complex:
+    """sum of mag e^(-i t ln_n) over mags and lns in step, up to the shorter,
     Kahan-compensated in order: with mag = +/- n^(-sigma), a Dirichlet partial
-    sum at sigma + i t, deterministic and near one ulp even at 2000 terms."""
-    cos, sin = math.cos, math.sin
-    sum_re = sum_im = carry_re = carry_im = 0.0
-    for mag, ln_n in terms:
-        angle = t * ln_n
-        y = mag * cos(angle) - carry_re
-        tmp = sum_re + y
-        carry_re = (tmp - sum_re) - y
-        sum_re = tmp
-        y = -mag * sin(angle) - carry_im
-        tmp = sum_im + y
-        carry_im = (tmp - sum_im) - y
-        sum_im = tmp
-    return complex(sum_re, sum_im)
+    sum at sigma + i t, near one ulp even at 2000 terms.  A term is one
+    cmath.rect; complex + and - act on each part alone: two real Kahan sums."""
+    total = carry = 0j
+    for term in map(cmath.rect, mags, map(operator.mul, repeat(-t), lns)):
+        y = term - carry
+        tmp = total + y
+        carry = (tmp - total) - y
+        total = tmp
+    return total
+
+
+@functools.cache
+def log_table() -> tuple[float, ...]:
+    """ln n for n = 1..TERMS_KEPT, computed once per process, on first use."""
+    return tuple(map(math.log, range(1, TERMS_KEPT + 1)))
 
 
 @functools.lru_cache(maxsize=TAIL_BOUNDS_KEPT)
@@ -122,12 +123,12 @@ class DirectLine:
 
     What depends on sigma alone is computed on first use and kept: the
     sigma-only factors of the Stirling estimates and the signed terms
-    (-1)^(n+1) n^(-sigma) with ln n up to the largest 2m asked for (at most
-    TERMS_KEPT).  The tail bounds E(n, b) depend on m alone and are kept per
-    process (tail_bounds), shared by every line.  A point then pays only for
-    what depends on t, with the same float operations in the same order as a
-    point alone.  A line is mutable: create one per caller, do not share it
-    between threads.
+    (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at most
+    TERMS_KEPT).  ln n and the tail bounds E(n, b) depend on neither sigma
+    nor t and are kept per process (log_table, tail_bounds), shared by every
+    line.  A point then pays only for what depends on t, with the same float
+    operations in the same order as a point alone.  A line is mutable:
+    create one per caller, do not share it between threads.
     """
 
     def __init__(self, sigma: float) -> None:
@@ -137,7 +138,6 @@ class DirectLine:
                 f"{SIGMA_DIRECT_MAX}, got sigma = {sigma:g}")
         self.sigma = sigma
         self._mags: list[float] = []
-        self._lns: list[float] = []
         self._stirling: list[tuple[float, float, float, float]] = []
 
     def stirling_magnitudes(self, t: float) -> list[float]:
@@ -188,18 +188,16 @@ class DirectLine:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t."""
         if m < 1:
             raise DomainError("m must be >= 1")
-        count, mags, lns = 2 * m, self._mags, self._lns
-        start, stop = len(lns) + 1, min(count, TERMS_KEPT) + 1
+        count, mags, lns = 2 * m, self._mags, log_table()
+        start, stop = len(mags) + 1, min(count, TERMS_KEPT) + 1
         if start < stop:
-            lns.extend(map(math.log, range(start, stop)))
-            mags.extend(_signed_powers(self.sigma, start, lns[start - 1:]))
-        terms = (zip(mags, lns) if count >= len(lns)
-                 else zip(islice(mags, count), islice(lns, count)))
-        if count > TERMS_KEPT:  # the further terms are recomputed, not kept
-            far = range(TERMS_KEPT + 1, count + 1)
-            far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
-            terms = chain(terms, zip(far_mags, map(math.log, far)))
-        return dirichlet_sum(terms, t)
+            mags.extend(_signed_powers(self.sigma, start,
+                                       islice(lns, start - 1, stop - 1)))
+        if count <= TERMS_KEPT:
+            return dirichlet_sum(islice(mags, count), lns, t)
+        far = range(TERMS_KEPT + 1, count + 1)  # recomputed per point, not kept
+        far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
+        return dirichlet_sum(chain(mags, far_mags), chain(lns, map(math.log, far)), t)
 
     def eval(self, t: float, m: int | None = None) -> EvalResult:
         """eta(sigma + i t) with 2m terms; m = None selects the cutoff."""

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .coefficients import c_coefficient
 from .errors import (DomainError, GammaOverflowError, NonConvergentTailError,
                      PoleError)
-from .eta_core import DirectLine, dirichlet_sum
+from .eta_core import DirectLine, dirichlet_sum, log_table
 from .gamma import gamma_reflected
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
@@ -50,8 +52,7 @@ STEPWISE_ERR_ENVELOPE = 1e-9
 
 # Inner Dirichlet series cutoff; the two-term tail correction leaves a
 # residual under |z| N^(-sigma-1) / 12 < 1e-11 for sigma >= 2, |t| <= 20.
-_INNER_N = 2000
-_INNER_LOG = [math.log(n) for n in range(1, _INNER_N + 1)]
+_INNER_N = 2000  # at most TERMS_KEPT: its ln n are read from log_table
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,10 @@ def _fe_parts(z: complex) -> tuple[complex, complex]:
 def _zeta_dirichlet_tail(z: complex) -> complex:
     """zeta(z) for Re(z) >= 1.5 by direct summation to N with a two-term
     integral tail: sum_{n<=N} n^(-z) + N^(1-z)/(z-1) - N^(-z)/2."""
-    sigma = z.real
-    mags = [math.exp(-sigma * ln_n) for ln_n in _INNER_LOG]
+    mags = map(math.exp, map(operator.mul, repeat(-z.real, _INNER_N), log_table()))
     big_n = complex(_INNER_N, 0.0)
     tail = big_n ** (1.0 - z) / (z - 1.0) - 0.5 * big_n ** (-z)
-    return dirichlet_sum(zip(mags, _INNER_LOG), z.imag) + tail
+    return dirichlet_sum(mags, log_table(), z.imag) + tail
 
 
 def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:

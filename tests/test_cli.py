@@ -192,6 +192,20 @@ def test_scan_usage_errors(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_m_below_one_is_a_usage_error(capsys):
+    # refused before any point is evaluated: no error records, no traceback
+    scan = ["scan", "eta", "--sigma", "0.5", "--t-min", "0", "--t-max", "1",
+            "--step", "0.5"]
+    for argv in (scan + ["--m", "0"], scan + ["--m", "-2"],
+                 ["table2", "--m", "0"], ["eval", "eta", "0.5", "1", "--m", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "--m must be >= 1" in captured.err, argv
+
+
 def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     # an in-process stand-in for the pool records the worker count it is
     # given, so no process is started

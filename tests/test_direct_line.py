@@ -9,17 +9,20 @@ import tracemalloc
 
 import pytest
 
-from eta_zeta import ComplexPoint, EtaZetaError, ParameterExhaustionError, eta, zeta
+from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
+                      eta, zeta)
 from eta_zeta.cli import record_to_csv, scan_records
 from eta_zeta.eta_core import (M_SCHEDULE, TARGET_RATIO, TERMS_KEPT, DirectLine,
-                               tail_bounds)
+                               log_table, tail_bounds)
 
 import reference_loops as ref
 
 SIGMAS = (0.5, 0.6, 0.75, 1.0, 1.4, 2.5, 3.0)
-# negative t, t = 0, the first critical zero and exceptional point, and the
-# top of the schedule
-TS = (-150.0, -37.5, -1e-3, 0.0, 9.0647202836, 14.134725, 45.0, 120.0, 176.0)
+# negative t, t = -0 and 0 (signed zeros: cmath.rect has its own branch for
+# a zero angle), the first critical zero and exceptional point, and the top
+# of the schedule
+TS = (-150.0, -37.5, -1e-3, -0.0, 0.0, 9.0647202836, 14.134725, 45.0, 120.0,
+      176.0)
 # out of order on purpose, so a line is reused after growing; 1001 needs
 # more than 2000 terms, 2100 more than the TERMS_KEPT a line keeps
 MS = (50, 40, 65, 1, 2100, 1001, 150)
@@ -96,8 +99,9 @@ def test_tail_bounds_shared_across_sigmas():
 
 
 def test_tail_bounds_shared_by_threads():
-    # lines on eight threads fill the shared tail bounds concurrently, with a
-    # short switch interval; every value equals the serial one bit for bit
+    # lines on eight threads fill the shared tail bounds and ln n table
+    # concurrently, with a short switch interval; every value equals the
+    # serial one bit for bit
     points = [(sigma, t) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)]
     serial = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
     results = [None] * 8
@@ -106,6 +110,7 @@ def test_tail_bounds_shared_by_threads():
         results[i] = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
 
     tail_bounds.cache_clear()
+    log_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -120,6 +125,29 @@ def test_tail_bounds_shared_by_threads():
     assert results == [serial] * 8
 
 
+def test_log_table_shared_across_routes():
+    # the first direct call fills the process's ln n table; calls on other
+    # sigmas, a reflected call, a stepwise call and a scan each read it and
+    # compute none
+    log_table.cache_clear()
+    for sigma in SIGMAS:
+        line = DirectLine(sigma)
+        for t in (14.134725, 120.0):
+            assert bits(line.partial_sum(t, 65)) \
+                == bits(ref.alternating_partial_sum(sigma, t, 65)), (sigma, t)
+    routes = (
+        (lambda: eta(ComplexPoint(-0.3, 20.0)).method, MethodTag.REFLECTION27),
+        (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
+        (lambda: {rec.method for rec in scan_records("zeta", 0.25, 0.0, 30.0, 0.5)},
+         {"Reflection27"}))
+    for route, methods in routes:
+        hits = log_table.cache_info().hits
+        assert route() == methods
+        assert log_table.cache_info().hits > hits
+    assert log_table.cache_info().misses == 1
+    assert len(log_table()) == TERMS_KEPT
+
+
 def test_large_m_values_unchanged():
     assert eta(ComplexPoint(0.75, 3.0), m=1001).value \
         == (1.0162861704465986 + 0.452895642561893j)
@@ -129,8 +157,10 @@ def test_large_m_values_unchanged():
 
 def test_large_m_runs_in_bounded_memory():
     # 60000 terms: kept as lists they would take about 4 MB; a line keeps
-    # TERMS_KEPT of them and recomputes the rest
+    # TERMS_KEPT of them and recomputes the rest.  The ln n table is filled
+    # inside the traced region and counts against the same limit
     assert 2 * 30000 > 10 * TERMS_KEPT
+    log_table.cache_clear()
     tracemalloc.start()
     try:
         eta(ComplexPoint(0.75, 3.0), m=30000)

@@ -85,7 +85,7 @@ def test_partial_sum_two_terms():
 def test_partial_sum_cancels_at_s_zero():
     # the shared kernel with the s = 0 terms (-1)^(n+1), n = 1..6
     lns = [math.log(n) for n in range(1, 7)]
-    assert dirichlet_sum(zip([1.0, -1.0] * 3, lns), 0.0) == 0j
+    assert dirichlet_sum([1.0, -1.0] * 3, lns, 0.0) == 0j
 
 
 def test_partial_sum_at_two_against_exact_oracle():
