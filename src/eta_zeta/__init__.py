@@ -10,8 +10,8 @@ from .errors import (DomainError, EtaZetaError, GammaOverflowError,
                      NonConvergentTailError, ParameterExhaustionError,
                      PoleError)
 from .eta_core import M_SCHEDULE
-from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
-from .zeta_bridge import ExceptionalProximity, eta, exceptional_proximity, zeta
+from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
+from .zeta_bridge import eta, exceptional_distance, zeta
 
 __version__ = "0.1.0"
 
@@ -20,9 +20,7 @@ __all__ = [
     "DomainError",
     "ErrorBudget",
     "EtaZetaError",
-    "EvalParams",
     "EvalResult",
-    "ExceptionalProximity",
     "GammaOverflowError",
     "M_SCHEDULE",
     "MethodTag",
@@ -30,6 +28,6 @@ __all__ = [
     "ParameterExhaustionError",
     "PoleError",
     "eta",
-    "exceptional_proximity",
+    "exceptional_distance",
     "zeta",
 ]

@@ -180,15 +180,15 @@ def _tail_ratio_checks() -> list[CheckResult]:
 
 
 def _coefficient_checks() -> list[CheckResult]:
-    table = p_coefficients(7)
+    p = p_coefficients(7)
     worst_rel = 0.0
     for r, ref in enumerate(_P_REFERENCE_RATIONALS):
-        rel = abs(table.p[r] - float(ref)) / abs(float(ref))
+        rel = abs(p[r] - float(ref)) / abs(float(ref))
         worst_rel = max(worst_rel, rel)
     worst_ulp = 0.0
     for r, ref, unit in _P_REFERENCE_DECIMALS:
-        worst_ulp = max(worst_ulp, abs(table.p[r] - ref) / unit)
-    asym_rel = abs(p_coefficient_asymptotic(7) - table.p[7]) / abs(table.p[7])
+        worst_ulp = max(worst_ulp, abs(p[r] - ref) / unit)
+    asym_rel = abs(p_coefficient_asymptotic(7) - p[7]) / abs(p[7])
     return [
         _check("coefficients vs published rationals", worst_rel, 1e-12),
         _check("coefficients vs published decimals", worst_ulp, 1.0,

@@ -45,7 +45,7 @@ def _record(sigma: float, t: float, result: EvalResult) -> OutputRecord:
     return OutputRecord(sigma=sigma, t=t, re=value.real, im=value.imag,
                         abs=abs(value), method=str(result.method),
                         err_bound=result.budget.total,
-                        m_used=result.params.m if result.params else 0)
+                        m_used=0 if result.m is None else result.m)
 
 
 def _scan_range(function: str, sigma: float, t_min: float, step: float,

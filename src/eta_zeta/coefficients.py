@@ -15,33 +15,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .types import ComplexPoint
 
-R_MAX_SUPPORTED = 15
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Kernel-series coefficients.
-
-    p[0] is 1/2; p[r] for r >= 1 is P_{2r-1}.  Immutable, safe to share
-    across threads.
-    """
-
-    p: tuple[float, ...]
-
-    @property
-    def r_max(self) -> int:
-        return len(self.p) - 1
-
 
 def _bernoulli_fractions(n_max: int) -> list[Fraction]:
     """B_0 .. B_n_max as exact rationals, via the defining recurrence
-    sum_k binom(n+1, k) B_k = 0."""
+    sum_k binom(n+1, k) B_k = 0.  The one Bernoulli source: it feeds the
+    P table here and gamma's Stirling series."""
     b = [Fraction(1), Fraction(-1, 2)]
     for n in range(2, n_max + 1):
         if n % 2 == 1:
@@ -54,32 +37,15 @@ def _bernoulli_fractions(n_max: int) -> list[Fraction]:
     return b
 
 
-def _check_r_max(r_max: int) -> None:
-    if r_max < 1:
-        raise DomainError("r_max must be >= 1")
-    if r_max > R_MAX_SUPPORTED:
-        raise DomainError(f"coefficients supported up to r_max = {R_MAX_SUPPORTED}")
-
-
-def bernoulli_numbers(r_max: int) -> list[float]:
-    """Even Bernoulli numbers B_2, B_4, ..., B_{2 r_max} as doubles."""
-    _check_r_max(r_max)
-    b = _bernoulli_fractions(2 * r_max)
-    return [float(b[2 * r]) for r in range(1, r_max + 1)]
-
-
 @functools.cache
-def p_coefficients(r_max: int) -> CoefficientTable:
-    """Coefficient table with p[0] = 1/2 and p[r] = (2^(2r)-1) B_{2r} / (2r)!.
-
-    Each entry is computed as an exact rational and rounded once.
-    """
-    _check_r_max(r_max)
+def p_coefficients(r_max: int) -> tuple[float, ...]:
+    """Kernel-series coefficients p[0] = 1/2, p[r] = P_{2r-1} = (2^(2r)-1)
+    B_{2r} / (2r)! for r = 1..r_max, each an exact rational rounded once."""
     b = _bernoulli_fractions(2 * r_max)
     p = [Fraction(1, 2)]
     for r in range(1, r_max + 1):
         p.append((2 ** (2 * r) - 1) * b[2 * r] / Fraction(math.factorial(2 * r)))
-    return CoefficientTable(p=tuple(float(x) for x in p))
+    return tuple(float(x) for x in p)
 
 
 def p_coefficient_asymptotic(r: int) -> float:

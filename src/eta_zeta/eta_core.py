@@ -25,7 +25,7 @@ from itertools import chain, cycle, islice, repeat
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
 from .gamma import TAIL_N_MAX, gamma_tail_bound
-from .types import ComplexPoint, ErrorBudget, EvalParams, EvalResult, MethodTag
+from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
 # Cutoff schedule: the smallest m whose dropped-tail ratio meets TARGET_RATIO
 # is selected; roughly m = 40 up to t = 40 and m = 50 up to t = 50.
@@ -81,17 +81,17 @@ def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[f
     return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
-def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
+def correction_term(s: ComplexPoint, m: int) -> complex:
     """(2m+1)^(-s) times the bracketed correction polynomial.
 
     The factor product for step r reuses the previous one times two new
     factors; beta powers advance by beta^2 per step.
     """
-    table = p_coefficients(R_MAX)
+    p = p_coefficients(R_MAX)
     z = s.z
-    b = float(params.b)
-    beta = params.beta
-    bracket = complex(table.p[0], 0.0)
+    b = float(2 * m + 1)
+    beta = 1.0 / b
+    bracket = complex(p[0], 0.0)
     prod = z
     beta_pow = beta
     beta2 = beta * beta
@@ -99,13 +99,13 @@ def correction_term(s: ComplexPoint, params: EvalParams) -> complex:
         if r > 1:
             prod *= (z + (2 * r - 3)) * (z + (2 * r - 2))
             beta_pow *= beta2
-        bracket += table.p[r] * beta_pow * prod
+        bracket += p[r] * beta_pow * prod
     return cmath.exp(-z * math.log(b)) * bracket
 
 
-def _assemble_budget(s: ComplexPoint, params: EvalParams,
+def _assemble_budget(s: ComplexPoint, m: int,
                      correction_mag: float, tail_ratio: float) -> ErrorBudget:
-    b = float(params.b)
+    b = float(2 * m + 1)
     integral_tail = math.exp(-b)
     # Envelope for the neglected series terms: the kernel-series error times
     # the magnitude amplification of the highest kept monomial.  Provably
@@ -204,15 +204,13 @@ class DirectLine:
         s = ComplexPoint(self.sigma, t)
         if m is None:
             m, tail_ratio = self.select(t)
-            params = EvalParams(m=m)
         else:
-            params = EvalParams(m=m)
             tail_ratio = self.tail_ratio(t, m)
             if tail_ratio == math.inf:  # as in select: |Gamma| underflows
                 raise ParameterExhaustionError(
                     f"parameter exhaustion: no tail ratio at t = {t:g}, m = {m}")
-        correction = correction_term(s, params)
+        correction = correction_term(s, m)
         value = self.partial_sum(t, m) + correction
-        budget = _assemble_budget(s, params, abs(correction), tail_ratio)
+        budget = _assemble_budget(s, m, abs(correction), tail_ratio)
         return EvalResult(value=value, budget=budget,
-                          method=MethodTag.DIRECT26, params=params)
+                          method=MethodTag.DIRECT26, m=m)

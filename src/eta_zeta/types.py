@@ -1,4 +1,4 @@
-"""Shared value types: evaluation points, method parameters, results, budgets."""
+"""Shared value types: evaluation points, results, budgets."""
 
 from __future__ import annotations
 
@@ -37,25 +37,6 @@ class ComplexPoint:
     @property
     def z(self) -> complex:
         return complex(self.sigma, self.t)
-
-
-@dataclass(frozen=True)
-class EvalParams:
-    """Method parameters: 2*m directly summed terms, cutoff b = 2m+1."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError("m must be a positive integer")
-
-    @property
-    def b(self) -> int:
-        return 2 * self.m + 1
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.b
 
 
 @dataclass(frozen=True)
@@ -106,9 +87,10 @@ class ErrorBudget:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Complex value, its budget, and the code path that produced it."""
+    """Complex value, its budget, the code path that produced it, and the
+    cutoff m of its 2m-term direct sum (None where no direct sum ran)."""
 
     value: complex
     budget: ErrorBudget
     method: MethodTag
-    params: EvalParams | None
+    m: int | None

@@ -17,7 +17,6 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -55,19 +54,11 @@ STEPWISE_ERR_ENVELOPE = 1e-9
 _INNER_N = 2000  # at most TERMS_KEPT: its ln n are read from log_table
 
 
-@dataclass(frozen=True)
-class ExceptionalProximity:
-    """Distance from s to the nearest point 1 +/- 2 pi n i / ln 2."""
-
-    nearest_n: int
-    distance: float
-
-
-def exceptional_proximity(s: ComplexPoint) -> ExceptionalProximity:
+def exceptional_distance(s: ComplexPoint) -> float:
+    """Distance from s to the nearest point 1 +/- 2 pi n i / ln 2, n >= 1."""
     n = max(1, round(abs(s.t) * LN2 / (2.0 * math.pi)))
     t_exc = math.copysign(n * EXCEPTIONAL_SPACING, s.t)
-    return ExceptionalProximity(nearest_n=n,
-                                distance=math.hypot(s.sigma - 1.0, s.t - t_exc))
+    return math.hypot(s.sigma - 1.0, s.t - t_exc)
 
 
 def check_sigma(sigma: float) -> None:
@@ -187,7 +178,7 @@ class Line:
         factor = numerator / (denominator * gap)
         return EvalResult(value=(inner.value * factor).conjugate(),
                           budget=inner.budget.scaled(abs(factor)),
-                          method=method, params=inner.params)
+                          method=method, m=inner.m)
 
     def zeta(self, t: float) -> EvalResult:
         """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), budget scaled alike, or
@@ -198,7 +189,7 @@ class Line:
         if z == 0.0:
             return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
                               MethodTag.SPECIAL_VALUE, None)
-        if exceptional_proximity(s).distance < EXCEPTIONAL_DISTANCE_THRESHOLD:
+        if exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD:
             return zeta_em_stepwise(s)
         denominator = _one_minus_two_pow(1.0 - z)
         if abs(denominator) < POLE_GAP:
@@ -206,7 +197,7 @@ class Line:
         eta_result = self._eta(s)
         return EvalResult(eta_result.value / denominator,
                           eta_result.budget.scaled(1.0 / abs(denominator)),
-                          eta_result.method, eta_result.params)
+                          eta_result.method, eta_result.m)
 
 
 def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eta_zeta import ComplexPoint, DomainError
-from eta_zeta.coefficients import (bernoulli_numbers, c_coefficient,
+from eta_zeta.coefficients import (_bernoulli_fractions, c_coefficient,
                                    p_coefficient_asymptotic, p_coefficients)
 
 # Published table for the kernel-series coefficients: exact rationals and the
@@ -26,51 +26,47 @@ TABLE_DECIMALS = {
 
 
 def test_bernoulli_examples():
-    assert bernoulli_numbers(1) == [float(Fraction(1, 6))]
-    assert bernoulli_numbers(3) == [float(Fraction(1, 6)),
-                                    float(Fraction(-1, 30)),
-                                    float(Fraction(1, 42))]
-    assert bernoulli_numbers(7)[-1] == float(Fraction(7, 6))
+    b = _bernoulli_fractions(14)
+    assert b[:7] == [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0,
+                     Fraction(-1, 30), 0, Fraction(1, 42)]
+    assert b[14] == Fraction(7, 6)
 
 
 def test_bernoulli_against_sympy():
-    # independent oracle for the recurrence
-    values = bernoulli_numbers(15)
-    for r, value in enumerate(values, start=1):
-        assert value == float(sympy.bernoulli(2 * r))
-
-
-@pytest.mark.parametrize("bad", [0, -3, 16])
-def test_bernoulli_rejects_out_of_range(bad):
-    with pytest.raises(DomainError):
-        bernoulli_numbers(bad)
+    # independent oracle for the recurrence that feeds both the P table and
+    # gamma's Stirling series, exact through B_30; sympy's B_1 is +1/2
+    b = _bernoulli_fractions(30)
+    assert len(b) == 31 and b[1] == Fraction(-1, 2)
+    for n, value in enumerate(b):
+        if n != 1:
+            assert value == Fraction(str(sympy.bernoulli(n)))
 
 
 def test_p_table_matches_published_rationals():
-    table = p_coefficients(7)
-    assert table.p[0] == 0.5
+    p = p_coefficients(7)
+    assert p[0] == 0.5
     for r, ref in enumerate(TABLE_RATIONALS):
-        assert table.p[r] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+        assert p[r] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def test_p_table_matches_published_decimals():
-    table = p_coefficients(7)
+    p = p_coefficients(7)
     for r, (ref, unit) in TABLE_DECIMALS.items():
-        assert abs(table.p[r] - ref) <= unit
+        assert abs(p[r] - ref) <= unit
 
 
 def test_p_table_invariants():
-    table = p_coefficients(15)
-    assert table.p[0] == 0.5
+    p = p_coefficients(15)
+    assert p[0] == 0.5
     for r in range(1, 16):
         expected_sign = 1.0 if r % 2 == 1 else -1.0
-        assert math.copysign(1.0, table.p[r]) == expected_sign
+        assert math.copysign(1.0, p[r]) == expected_sign
         if r >= 2:
-            assert abs(table.p[r]) < abs(table.p[r - 1])
+            assert abs(p[r]) < abs(p[r - 1])
 
 
 def test_p_table_r_max():
-    assert p_coefficients(7).r_max == 7
+    assert len(p_coefficients(7)) == 8
 
 
 def test_asymptotic_examples():
@@ -78,15 +74,15 @@ def test_asymptotic_examples():
     assert p_coefficient_asymptotic(1) == pytest.approx(0.202642, abs=5e-7)
     # sign alternation matches the exact coefficients
     assert p_coefficient_asymptotic(2) == pytest.approx(-2.0532e-2, abs=5e-6)
-    assert p_coefficient_asymptotic(2) < 0 and p_coefficients(7).p[2] < 0
+    assert p_coefficient_asymptotic(2) < 0 and p_coefficients(7)[2] < 0
     assert p_coefficient_asymptotic(7) == pytest.approx(2.1925e-7, abs=5e-11)
 
 
 def test_asymptotic_relative_error_decreases():
-    table = p_coefficients(7)
+    p = p_coefficients(7)
     previous = math.inf
     for r in range(1, 8):
-        rel = abs(p_coefficient_asymptotic(r) - table.p[r]) / abs(table.p[r])
+        rel = abs(p_coefficient_asymptotic(r) - p[r]) / abs(p[r])
         assert rel < previous
         if r >= 4:
             assert rel < 2e-3

@@ -193,5 +193,5 @@ def test_scan_matches_pointwise_calls(function, sigma, t_min, t_max, step, m):
         value = result.value
         expected = (f"{sigma!r},{rec.t!r},{value.real!r},{value.imag!r},"
                     f"{abs(value)!r},{result.method},{result.budget.total!r},"
-                    f"{result.params.m if result.params else 0}")
+                    f"{0 if result.m is None else result.m}")
         assert record_to_csv(rec) == expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, EvalParams, MethodTag,
+from eta_zeta import (ComplexPoint, DomainError, MethodTag,
                       ParameterExhaustionError, eta)
 from eta_zeta import eta_core
 from eta_zeta.eta_core import (TARGET_RATIO, DirectLine, correction_term,
@@ -65,7 +65,7 @@ def test_each_tail_ratio_computed_once(monkeypatch):
     assert (ratios, tails) == ([40], [81.0] * 14)
     ratios.clear()
     tails.clear()
-    assert eta(ComplexPoint(0.5, 45.0)).params.m == 50
+    assert eta(ComplexPoint(0.5, 45.0)).m == 50
     assert (ratios, tails) == ([40, 50], [101.0] * 14)
     ratios.clear()
     tails.clear()
@@ -107,7 +107,7 @@ def test_partial_sum_rejects_bad_m():
 def test_correction_reduces_to_half_at_s_zero():
     # every series term carries a factor s, and (2m+1)^0 = 1
     for m in (1, 40, 150):
-        assert correction_term(ComplexPoint(0, 0), EvalParams(m=m)) == 0.5 + 0j
+        assert correction_term(ComplexPoint(0, 0), m) == 0.5 + 0j
 
 
 def test_correction_matches_remainder_oracle_at_one():
@@ -115,7 +115,7 @@ def test_correction_matches_remainder_oracle_at_one():
     # evaluates to 6.2109405508e-3 (leading term alone would be 1/162)
     exact_head = sum(Fraction((-1) ** (n + 1), n) for n in range(1, 81))
     remainder = math.log(2.0) - float(exact_head)
-    corr = correction_term(ComplexPoint(1, 0), EvalParams(m=40))
+    corr = correction_term(ComplexPoint(1, 0), 40)
     assert corr.imag == 0.0
     assert remainder == pytest.approx(6.2109405508e-3, abs=1e-12)
     assert corr.real == pytest.approx(remainder, abs=1e-13)
@@ -150,7 +150,7 @@ def test_eta_raw_at_lowest_critical_zero():
 def test_eta_raw_method_tag_and_params():
     result = DirectLine(0.75).eval(3.0, 40)
     assert result.method is MethodTag.DIRECT26
-    assert result.params == EvalParams(m=40)
+    assert result.m == 40
 
 
 def test_eta_raw_domain():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,25 @@ from hypothesis import strategies as st
 
 from eta_zeta import DomainError, GammaOverflowError, PoleError
 from eta_zeta.eta_core import DirectLine
+from eta_zeta import gamma
 from eta_zeta.gamma import gamma_reflected, gamma_tail_bound, log_gamma
 
 import oracles
+
+
+# B_2 .. B_16, the reference for the Stirling coefficients that gamma derives
+# from the shared Bernoulli recurrence
+EVEN_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+)
+
+
+def test_stirling_coefficients_pinned():
+    # B_{2k} / (2k (2k-1)), k = 1..8, each rounded once: bit for bit
+    assert gamma._STIRLING_COEFFS == tuple(
+        float(b / (2 * k * (2 * k - 1)))
+        for k, b in enumerate(EVEN_BERNOULLI, start=1))
 
 
 def test_log_gamma_closed_forms():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, EtaZetaError, EvalParams,
-                      MethodTag, NonConvergentTailError, PoleError, eta,
-                      exceptional_proximity, zeta)
+from eta_zeta import (ComplexPoint, DomainError, EtaZetaError, MethodTag,
+                      NonConvergentTailError, PoleError, eta,
+                      exceptional_distance, zeta)
 from eta_zeta import zeta_bridge
 from eta_zeta.cli import scan_records
 from eta_zeta.eta_core import DirectLine
@@ -22,27 +22,22 @@ T1 = 2.0 * math.pi / math.log(2.0)  # imaginary part of the first exceptional po
 # ------------------------------------------------------------- proximity ---
 
 def test_proximity_at_an_exceptional_point():
-    prox = exceptional_proximity(ComplexPoint(1.0, 9.0647202836))
-    assert prox.nearest_n == 1
-    assert prox.distance < 1e-9
+    assert exceptional_distance(ComplexPoint(1.0, 9.0647202836)) < 1e-9
 
 
 def test_proximity_from_half():
-    prox = exceptional_proximity(ComplexPoint(0.5, 0.0))
-    assert prox.nearest_n == 1
-    assert prox.distance == pytest.approx(abs(0.5 - 1 - 1j * T1), rel=1e-10)
-    assert prox.distance == pytest.approx(9.0785, abs=1e-4)
+    distance = exceptional_distance(ComplexPoint(0.5, 0.0))
+    assert distance == pytest.approx(abs(0.5 - 1 - 1j * T1), rel=1e-10)
+    assert distance == pytest.approx(9.0785, abs=1e-4)
 
 
 def test_proximity_halfway():
-    prox = exceptional_proximity(ComplexPoint(1.0, 4.5323601418))
-    assert prox.distance == pytest.approx(4.5324, abs=1e-4)
+    distance = exceptional_distance(ComplexPoint(1.0, 4.5323601418))
+    assert distance == pytest.approx(4.5324, abs=1e-4)
 
 
 def test_proximity_negative_t():
-    prox = exceptional_proximity(ComplexPoint(1.0, -T1))
-    assert prox.nearest_n == 1
-    assert prox.distance < 1e-12
+    assert exceptional_distance(ComplexPoint(1.0, -T1)) < 1e-12
 
 
 # --------------------------------------------------- functional equation ---
@@ -138,7 +133,7 @@ def test_eta_stepwise_image_on_the_zero_line():
     # functional equation is 0/0 and the stepwise route takes over
     result = eta(ComplexPoint(0.0, T1))
     assert result.method is MethodTag.STEPWISE3
-    assert result.params is None
+    assert result.m is None
     ref = oracles.eta_reference(0.0, T1)
     assert oracles.diff(result.value, ref) <= 1e-9
 
@@ -158,9 +153,9 @@ def test_eta_domain():
 
 def test_eta_explicit_m_is_honoured():
     result = eta(ComplexPoint(0.5, 1.0), m=65)
-    assert result.params == EvalParams(m=65)
+    assert result.m == 65
     reflected = eta(ComplexPoint(0.25, 1.0), m=65)
-    assert reflected.params == EvalParams(m=65)
+    assert reflected.m == 65
 
 
 # --------------------------------------------------------- zeta dispatch ---
@@ -249,7 +244,7 @@ def test_stepwise_at_two():
     assert abs(result.value - math.pi ** 2 / 6.0) <= 1e-10
     assert result.budget.total == zeta_bridge.STEPWISE_ERR_ENVELOPE
     assert result.method is MethodTag.STEPWISE3
-    assert result.params is None
+    assert result.m is None
 
 
 def test_stepwise_at_zero():
@@ -281,8 +276,8 @@ def test_conjugation_symmetry(sigma, t):
     for evaluate in (line.eta, line.zeta):
         plus, minus = evaluate(t), evaluate(-t)
         assert minus.value == plus.value.conjugate()
-        assert ((minus.budget, minus.method, minus.params)
-                == (plus.budget, plus.method, plus.params))
+        assert ((minus.budget, minus.method, minus.m)
+                == (plus.budget, plus.method, plus.m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,7 +287,7 @@ def test_conjugation_symmetry(sigma, t):
 @example(sigma=math.nextafter(1.0, 0.0), t=0.0)  # 1 - 2^(1-s) rounds to 0
 def test_conversion_identity(sigma, t):
     s = ComplexPoint(sigma, t)
-    if exceptional_proximity(s).distance < 1e-2:
+    if exceptional_distance(s) < 1e-2:
         return
     eta_v = eta(s).value
     try:
