@@ -46,9 +46,11 @@ class ErrorBudget:
     integral_tail      : bound exp(-b) on the kernel integral dropped past y = b
     series_truncation  : envelope for cutting the correction series at r = 7
     dropped_gamma_tail : worst tail-to-gamma ratio times the correction size
-    total              : sum of the three components, finite
+    total              : sum of the four components, finite
     extrapolated       : True when sigma is outside [1/2, 1], where the
                          underlying error analysis was calibrated
+    reflection_factor  : rounding error of the functional-equation factor
+                         times |value|; 0 where no reflection ran
     """
 
     integral_tail: float
@@ -56,9 +58,11 @@ class ErrorBudget:
     dropped_gamma_tail: float
     total: float
     extrapolated: bool = False
+    reflection_factor: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("integral_tail", "series_truncation", "dropped_gamma_tail"):
+        for name in ("integral_tail", "series_truncation", "dropped_gamma_tail",
+                     "reflection_factor"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
         if not self.total < math.inf:  # past the schedule with an explicit m
@@ -67,22 +71,26 @@ class ErrorBudget:
 
     @classmethod
     def assemble(cls, integral_tail: float, series_truncation: float,
-                 dropped_gamma_tail: float, extrapolated: bool = False) -> "ErrorBudget":
-        total = integral_tail + series_truncation + dropped_gamma_tail
+                 dropped_gamma_tail: float, extrapolated: bool = False,
+                 reflection_factor: float = 0.0) -> "ErrorBudget":
+        total = (integral_tail + series_truncation + dropped_gamma_tail
+                 + reflection_factor)
         return cls(integral_tail, series_truncation, dropped_gamma_tail, total,
-                   extrapolated)
+                   extrapolated, reflection_factor)
 
     @classmethod
     def exact(cls) -> "ErrorBudget":
         return cls(0.0, 0.0, 0.0, 0.0)
 
-    def scaled(self, factor: float) -> "ErrorBudget":
-        """Budget after the value is multiplied by a factor of magnitude |factor|."""
+    def scaled(self, factor: float, factor_error: float = 0.0) -> "ErrorBudget":
+        """Budget after the value is multiplied by a factor of magnitude
+        |factor|, plus factor_error for the factor's own rounding."""
         f = abs(factor)
         return ErrorBudget.assemble(self.integral_tail * f,
                                     self.series_truncation * f,
                                     self.dropped_gamma_tail * f,
-                                    self.extrapolated)
+                                    self.extrapolated,
+                                    self.reflection_factor * f + factor_error)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,12 @@ EXCEPTIONAL_DISTANCE_THRESHOLD = 1e-4
 # Guard on |1 - 2^(1-s)| inside the functional equation (the 0/0 zone).
 FE_DENOMINATOR_THRESHOLD = 1e-4
 POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| below it: s = 1 for zeta
+# Relative rounding error of the functional-equation factor per unit of
+# (1 + |t|) / min(1, |gap|): the factor is exp of logs of size up to about
+# |t| ln|t| (log Gamma(1 - s') to 13 digits; near s = 0 it is ln(1/|s|) <= 37),
+# each off by a few ulps, and the gap 1 - 2^(1-s') holds its phase t ln 2 to
+# a few ulps of |t|.  1e-13 is 900 ulps per unit.
+FE_RELATIVE_ERROR = 1e-13
 
 # Stepwise route: term magnitudes peak like e^(e|t|/4); past |t| = 20 the
 # cancellation in double precision is no longer acceptable.
@@ -142,6 +148,8 @@ class Line:
 
     def __init__(self, sigma: float, m: int | None = None) -> None:
         check_sigma(sigma)
+        if m is not None and m < 1:  # refused alike on every route
+            raise DomainError("m must be >= 1")
         self.sigma, self.m = sigma, m
 
     @cached_property
@@ -176,9 +184,10 @@ class Line:
             inner, method = self.direct.eval(s.t, self.m), MethodTag.REFLECTION27
         numerator, denominator = _fe_parts(s_prime.z)
         factor = numerator / (denominator * gap)
-        return EvalResult(value=(inner.value * factor).conjugate(),
-                          budget=inner.budget.scaled(abs(factor)),
-                          method=method, m=inner.m)
+        value = (inner.value * factor).conjugate()
+        rel_error = FE_RELATIVE_ERROR * (1.0 + abs(s.t)) / min(1.0, abs(gap))
+        budget = inner.budget.scaled(abs(factor), rel_error * abs(value))
+        return EvalResult(value, budget, method, inner.m)
 
     def zeta(self, t: float) -> EvalResult:
         """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), budget scaled alike, or

@@ -1,5 +1,7 @@
 import cmath
 import math
+import operator
+import random
 
 import mpmath
 import pytest
@@ -86,7 +88,8 @@ def test_zero_over_zero_routes_are_pinned():
     # of the conversion (an exceptional point), pinned bit for bit
     image = eta(ComplexPoint(0.0, 9.064720283654388))
     assert image.value == (-1.5987345268085638-0.27833866963924203j)
-    assert image.budget.total == 1.20112240878594e-09
+    assert image.budget.series_truncation == 1.20112240878594e-09
+    assert image.budget.total == 1.2027556944330422e-09
     assert image.method is MethodTag.STEPWISE3
     assert (eta(ComplexPoint(1e-9, 0.0)).value
             == (0.5000000002257904+0j))
@@ -156,6 +159,86 @@ def test_eta_explicit_m_is_honoured():
     assert result.m == 65
     reflected = eta(ComplexPoint(0.25, 1.0), m=65)
     assert reflected.m == 65
+
+
+# every route: direct, reflection, the functional equation's 0/0 zone, an
+# exceptional point, and the closed forms
+M_ROUTES = [(zeta, 0.5, 1.0), (eta, 0.25, 5.0), (eta, 1e-9, 0.0),
+            (zeta, 1.0, 9.0647202836), (eta, 0.0, 0.0), (zeta, 0.0, 0.0),
+            (eta, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("m", [0, -3])
+@pytest.mark.parametrize("function,sigma,t", M_ROUTES)
+def test_m_below_one_is_refused_on_every_route(function, sigma, t, m):
+    with pytest.raises(DomainError, match="m must be >= 1"):
+        function(ComplexPoint(sigma, t), m=m)
+
+
+# ------------------------------------------------------ reflection budget ---
+
+def _exact_fe_factor(z, with_gap):
+    # F(s') = pi (1 - 2^s') / [Gamma(1-s') sin(pi s'/2) (2 pi)^s'] at the
+    # double s', divided by 1 - 2^(1-s') off the 0/0 zone, to 40 digits
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.real, z.imag)
+        factor = (mpmath.pi * (1 - mpmath.power(2, w))
+                  / (mpmath.gamma(1 - w) * mpmath.sin(mpmath.pi * w / 2)
+                     * mpmath.power(2 * mpmath.pi, w)))
+        return factor / (1 - mpmath.power(2, 1 - w)) if with_gap else factor
+
+
+def _reflected_points(seed, count):
+    # sigma < 1/2 over |t| <= 177, a third of them within 1e-1 of a zero of
+    # the gap 1 - 2^(1-s') (sigma = 0, t = 2 pi k / ln 2), a third near s = 0
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            yield rng.uniform(-0.5, 0.5), rng.uniform(-177.0, 177.0)
+        else:
+            d = 10.0 ** rng.uniform(-16.0 if i % 3 == 2 else -4.0, -1.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            k = 0 if i % 3 == 2 else rng.randint(-19, 19)
+            yield d * math.cos(angle), k * T1 + d * math.sin(angle)
+
+
+def test_reflection_factor_component_bounds_the_factor_error():
+    # the budget's reflection_factor against the factor's own error, measured
+    # against mpmath on the factor the reflection multiplies by
+    for sigma, t in _reflected_points(3, 300):
+        try:
+            result = eta(ComplexPoint(sigma, t))
+        except EtaZetaError:
+            continue  # the stepwise route's |t| limit
+        if result.method is MethodTag.SPECIAL_VALUE:
+            continue
+        with_gap = result.method is MethodTag.REFLECTION27
+        z = complex(1.0 - sigma, t)
+        factor = (_fe_multiplier(z) if with_gap else
+                  operator.truediv(*zeta_bridge._fe_parts(z)))
+        exact = _exact_fe_factor(z, with_gap)
+        rel = oracles.diff(factor, exact) / float(abs(exact))
+        assert rel * abs(result.value) <= result.budget.reflection_factor, (sigma, t)
+
+
+def test_near_zero_within_budget():
+    # 400 points at 1e-15 .. 1e-8 from s = 0, each through eta and zeta: the
+    # functional equation's 0/0 zone, where the inner budget is near 1e-18
+    # and the factor's rounding dominates.  No floor under the budget
+    rng = random.Random(11)
+    outside = []
+    for _ in range(400):
+        d = 10.0 ** rng.uniform(-15.0, -8.0)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        sigma, t = d * math.cos(angle), d * math.sin(angle)
+        for function, reference in ((eta, oracles.eta_reference),
+                                    (zeta, oracles.zeta_reference)):
+            result = function(ComplexPoint(sigma, t))
+            err = oracles.diff(result.value, reference(sigma, t))
+            if not err <= result.budget.total:
+                outside.append((function.__name__, sigma, t,
+                                err / result.budget.total))
+    assert outside == []
 
 
 # --------------------------------------------------------- zeta dispatch ---
