@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
@@ -92,13 +92,9 @@ _CONVERSION_POINTS = (
 _CROSS_METHOD_POINTS = ((0.8, 3.0), (1.0, 9.0), (0.6, 12.0))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    allowed: float
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed measured allowed detail",
+                             defaults=("",))):
+    __slots__ = ()
 
 
 def _check(name: str, measured: float, allowed: float,

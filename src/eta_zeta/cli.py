@@ -11,8 +11,7 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
@@ -26,18 +25,11 @@ TABLE2_HALF_SPACING = math.pi / LN2  # imaginary gap between table rows
 ZERO_MARKER_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(namedtuple("OutputRecord",
+                              "sigma t re im abs method err_bound m_used")):
     """One evaluated point; numeric fields are None for an error record."""
 
-    sigma: float
-    t: float
-    re: float | None
-    im: float | None
-    abs: float | None
-    method: str
-    err_bound: float | None
-    m_used: int | None
+    __slots__ = ()
 
 
 def _record(sigma: float, t: float, result: EvalResult) -> OutputRecord:
@@ -71,6 +63,11 @@ def grid_count(t_min: float, t_max: float, step: float) -> int:
     return math.floor(ratio + 1e-9 * (1.0 + abs(ratio))) + 1
 
 
+def _pool(workers: int):
+    from concurrent.futures import ProcessPoolExecutor  # loaded by pooled scans only
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def scan_records(function: str, sigma: float, t_min: float, t_max: float,
                  step: float, m: int | None = None,
                  jobs: int = 1) -> list[OutputRecord]:
@@ -85,7 +82,7 @@ def scan_records(function: str, sigma: float, t_min: float, t_max: float,
     bounds = [count * k // n_ranges for k in range(n_ranges + 1)]
     scan_range = functools.partial(_scan_range, function, sigma, t_min, step, m)
     workers = min(jobs, n_ranges, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         chunks = pool.map(scan_range, bounds[:-1], bounds[1:])
         return [rec for chunk in chunks for rec in chunk]
 

@@ -15,37 +15,39 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 from .types import ComplexPoint
 
 
-def _bernoulli_fractions(n_max: int) -> list[Fraction]:
-    """B_0 .. B_n_max as exact rationals, via the defining recurrence
-    sum_k binom(n+1, k) B_k = 0.  The one Bernoulli source: it feeds the
-    P table here and gamma's Stirling series."""
-    b = [Fraction(1), Fraction(-1, 2)]
+def _bernoulli_fractions(n_max: int) -> tuple[list[int], int]:
+    """B_0 .. B_n_max as integer numerators over one common denominator
+    2 (n_max+1)!, via the defining recurrence sum_k binom(n+1, k) B_k = 0.
+    By von Staudt-Clausen each B_n's denominator divides it, so every
+    division by n+1 is exact.  The one Bernoulli source: it feeds the P
+    table here and gamma's Stirling series."""
+    den = 2 * math.factorial(n_max + 1)
+    b = [den, -den // 2]
     for n in range(2, n_max + 1):
         if n % 2 == 1:
-            b.append(Fraction(0))
+            b.append(0)
             continue
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n + 1, k) * b[k]
-        b.append(-acc / (n + 1))
-    return b
+        q, r = divmod(-sum(math.comb(n + 1, k) * b[k] for k in range(n)), n + 1)
+        assert r == 0, "B_n denominator does not divide 2 (n_max+1)!"
+        b.append(q)
+    return b, den
 
 
 @functools.cache
 def p_coefficients(r_max: int) -> tuple[float, ...]:
     """Kernel-series coefficients p[0] = 1/2, p[r] = P_{2r-1} = (2^(2r)-1)
-    B_{2r} / (2r)! for r = 1..r_max, each an exact rational rounded once."""
-    b = _bernoulli_fractions(2 * r_max)
-    p = [Fraction(1, 2)]
+    B_{2r} / (2r)! for r = 1..r_max, each an exact rational rounded once by
+    int/int true division."""
+    b, den = _bernoulli_fractions(2 * r_max)
+    p = [0.5]
     for r in range(1, r_max + 1):
-        p.append((2 ** (2 * r) - 1) * b[2 * r] / Fraction(math.factorial(2 * r)))
-    return tuple(float(x) for x in p)
+        p.append((2 ** (2 * r) - 1) * b[2 * r] / (den * math.factorial(2 * r)))
+    return tuple(p)
 
 
 def p_coefficient_asymptotic(r: int) -> float:

@@ -201,6 +201,8 @@ class DirectLine:
 
     def eval(self, t: float, m: int | None = None) -> EvalResult:
         """eta(sigma + i t) with 2m terms; m = None selects the cutoff."""
+        if m is not None and m < 1:  # before tail_bounds caches an unused cutoff
+            raise DomainError("m must be >= 1")
         s = ComplexPoint(self.sigma, t)
         if m is None:
             m, tail_ratio = self.select(t)

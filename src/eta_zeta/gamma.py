@@ -18,9 +18,9 @@ from .errors import DomainError, GammaOverflowError, PoleError
 # Asymptotic series coefficients B_{2k} / (2k (2k-1)), k = 1..8, each rounded
 # once from its exact rational.  With the argument shifted to Re >= 10 the
 # truncation error sits below 1e-16 relative.
-_STIRLING_COEFFS = tuple(float(b / (n * (n - 1)))
-                         for n, b in enumerate(_bernoulli_fractions(16))
-                         if n >= 2 and n % 2 == 0)
+_BERNOULLI, _BERNOULLI_DEN = _bernoulli_fractions(16)
+_STIRLING_COEFFS = tuple(_BERNOULLI[n] / (_BERNOULLI_DEN * n * (n - 1))
+                         for n in range(2, 17, 2))
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT_THRESHOLD = 10.0
 

@@ -1,10 +1,10 @@
-"""Shared value types: evaluation points, results, budgets."""
+"""Shared value types, as immutable named tuples: points, results, budgets."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ParameterExhaustionError
 
@@ -21,26 +21,31 @@ class MethodTag(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
+def _checked_make(cls, fields):
+    # namedtuple's _make (and with it _replace) skips __new__; keep the checks
+    return cls(*fields)
+
+
+class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
     """An evaluation point s = sigma + i*t, held as two doubles."""
 
-    sigma: float
-    t: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "t", float(self.t))
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
+    def __new__(cls, sigma: float, t: float) -> ComplexPoint:
+        sigma, t = float(sigma), float(t)
+        if not (math.isfinite(sigma) and math.isfinite(t)):
             raise DomainError("evaluation point must be finite")
+        return tuple.__new__(cls, (sigma, t))
 
     @property
     def z(self) -> complex:
         return complex(self.sigma, self.t)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(namedtuple("ErrorBudget", "integral_tail series_truncation "
+                             "dropped_gamma_tail total extrapolated "
+                             "reflection_factor")):
     """A-priori error bound, decomposed by approximation.
 
     integral_tail      : bound exp(-b) on the kernel integral dropped past y = b
@@ -53,36 +58,37 @@ class ErrorBudget:
                          times |value|; 0 where no reflection ran
     """
 
-    integral_tail: float
-    series_truncation: float
-    dropped_gamma_tail: float
-    total: float
-    extrapolated: bool = False
-    reflection_factor: float = 0.0
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, integral_tail: float, series_truncation: float,
+                dropped_gamma_tail: float, total: float, extrapolated: bool = False,
+                reflection_factor: float = 0.0) -> ErrorBudget:
+        self = tuple.__new__(cls, (integral_tail, series_truncation, dropped_gamma_tail,
+                                   total, extrapolated, reflection_factor))
         for name in ("integral_tail", "series_truncation", "dropped_gamma_tail",
                      "reflection_factor"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
-        if not self.total < math.inf:  # past the schedule with an explicit m
+        if not total < math.inf:  # past the schedule with an explicit m
             raise ParameterExhaustionError(
                 "parameter exhaustion: the error budget exceeds double range")
+        return self
 
     @classmethod
     def assemble(cls, integral_tail: float, series_truncation: float,
                  dropped_gamma_tail: float, extrapolated: bool = False,
-                 reflection_factor: float = 0.0) -> "ErrorBudget":
+                 reflection_factor: float = 0.0) -> ErrorBudget:
         total = (integral_tail + series_truncation + dropped_gamma_tail
                  + reflection_factor)
         return cls(integral_tail, series_truncation, dropped_gamma_tail, total,
                    extrapolated, reflection_factor)
 
     @classmethod
-    def exact(cls) -> "ErrorBudget":
+    def exact(cls) -> ErrorBudget:
         return cls(0.0, 0.0, 0.0, 0.0)
 
-    def scaled(self, factor: float, factor_error: float = 0.0) -> "ErrorBudget":
+    def scaled(self, factor: float, factor_error: float = 0.0) -> ErrorBudget:
         """Budget after the value is multiplied by a factor of magnitude
         |factor|, plus factor_error for the factor's own rounding."""
         f = abs(factor)
@@ -93,12 +99,8 @@ class ErrorBudget:
                                     self.reflection_factor * f + factor_error)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value budget method m")):
     """Complex value, its budget, the code path that produced it, and the
     cutoff m of its 2m-term direct sum (None where no direct sum ran)."""
 
-    value: complex
-    budget: ErrorBudget
-    method: MethodTag
-    m: int | None
+    __slots__ = ()

@@ -1,0 +1,84 @@
+"""Time the cold start of eta_zeta in fresh interpreters.
+
+Run from the repository root, naming one or more source directories:
+
+    python tests/cold_start.py [-n RUNS] SRC [SRC ...]
+
+For each directory it starts RUNS fresh `python -I` interpreters for each of
+two measurements, alternating directories and measurements, and prints the
+median and interquartile range of each in seconds:
+
+- setup: wall time from `import eta_zeta` to the first value of
+  eta(0.73 + 100i), the definition bench/run.py uses for `setup_s`;
+- cli: wall time from `import eta_zeta.cli` to the end of
+  `eta-zeta eval zeta 0.5 14.13` run through `cli.main`, output discarded.
+
+Give the parent's and the change's `src/` in one run to compare them under
+the same load.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SETUP_CODE = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import eta_zeta
+eta_zeta.eta(eta_zeta.ComplexPoint(0.73, 100.0))
+print(repr(time.perf_counter() - start), eta_zeta.__file__)
+"""
+
+CLI_CODE = """
+import contextlib, io, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+from eta_zeta import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["eval", "zeta", "0.5", "14.13"])
+elapsed = time.perf_counter() - start
+assert status == 0, status
+print(repr(elapsed), cli.__file__)
+"""
+
+MEASUREMENTS = {"setup": SETUP_CODE, "cli": CLI_CODE}
+
+
+def sample(code: str, src: Path) -> float:
+    """One cold run: the elapsed seconds the child interpreter reports."""
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    elapsed, path = proc.stdout.split()
+    if not Path(path).resolve().is_relative_to(src):
+        raise SystemExit(f"{src}: the interpreter loaded {path}")
+    return float(elapsed)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="+", type=Path,
+                        help="a directory holding the eta_zeta package")
+    parser.add_argument("-n", "--runs", type=int, default=25,
+                        help="cold runs per directory and measurement")
+    args = parser.parse_args()
+    srcs = [src.resolve() for src in args.src]
+    times = {(src, name): [] for src in srcs for name in MEASUREMENTS}
+    for i in range(args.runs):
+        order = srcs[i % len(srcs):] + srcs[:i % len(srcs)]
+        for name, code in MEASUREMENTS.items():
+            for src in order:
+                times[src, name].append(sample(code, src))
+    for (src, name), values in times.items():
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        print(f"{name:5s}  median {median * 1e3:6.2f} ms  "
+              f"[IQR {q1 * 1e3:6.2f} - {q3 * 1e3:6.2f}]  n={len(values)}  {src}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -225,7 +225,7 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_pool", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     args = ("zeta", 0.5, 0.0, 2.0, 0.25)  # 9 points
     serial = records_to_csv(scan_records(*args))

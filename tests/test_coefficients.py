@@ -25,8 +25,13 @@ TABLE_DECIMALS = {
 }
 
 
+def _bernoulli(n_max):
+    nums, den = _bernoulli_fractions(n_max)
+    return [Fraction(num, den) for num in nums]
+
+
 def test_bernoulli_examples():
-    b = _bernoulli_fractions(14)
+    b = _bernoulli(14)
     assert b[:7] == [Fraction(1), Fraction(-1, 2), Fraction(1, 6), 0,
                      Fraction(-1, 30), 0, Fraction(1, 42)]
     assert b[14] == Fraction(7, 6)
@@ -35,7 +40,7 @@ def test_bernoulli_examples():
 def test_bernoulli_against_sympy():
     # independent oracle for the recurrence that feeds both the P table and
     # gamma's Stirling series, exact through B_30; sympy's B_1 is +1/2
-    b = _bernoulli_fractions(30)
+    b = _bernoulli(30)
     assert len(b) == 31 and b[1] == Fraction(-1, 2)
     for n, value in enumerate(b):
         if n != 1:

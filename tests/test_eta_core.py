@@ -102,6 +102,14 @@ def test_partial_sum_rejects_bad_m():
         DirectLine(1.0).partial_sum(0.0, 0)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_eval_names_m_below_one_before_any_table(m):
+    cached = eta_core.tail_bounds.cache_info().currsize
+    with pytest.raises(DomainError, match="^m must be >= 1$"):
+        DirectLine(1.0).eval(0.0, m)
+    assert eta_core.tail_bounds.cache_info().currsize == cached
+
+
 # ------------------------------------------------------- correction term ---
 
 def test_correction_reduces_to_half_at_s_zero():

@@ -1,0 +1,106 @@
+import math
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eta_zeta
+from eta_zeta import (ComplexPoint, DomainError, ErrorBudget, EvalResult,
+                      MethodTag, ParameterExhaustionError, eta)
+from eta_zeta.cli import OutputRecord
+
+SRC = Path(eta_zeta.__file__).resolve().parent.parent
+
+# Modules a fresh interpreter must not load for import eta_zeta plus a value;
+# the first seven must stay out of import eta_zeta.cli as well.
+HEAVY = ("dataclasses", "fractions", "decimal", "inspect", "ast",
+         "concurrent.futures", "multiprocessing")
+FOOTPRINT_CODE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import eta_zeta
+eta_zeta.eta(eta_zeta.ComplexPoint(0.73, 100.0))
+eta_zeta.zeta(eta_zeta.ComplexPoint(0.5, 14.13))
+print(" ".join(sorted(set(sys.modules) - before)))
+import eta_zeta.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_and_first_values_load_no_heavy_module():
+    proc = subprocess.run([sys.executable, "-I", "-c", FOOTPRINT_CODE, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    library, with_cli = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "eta_zeta.zeta_bridge" in library
+    assert library & {*HEAVY, "argparse"} == set()
+    assert "eta_zeta.cli" in with_cli
+    assert with_cli & set(HEAVY) == set()
+
+
+def _result():
+    return eta(ComplexPoint(-0.3, 20.0))  # reflected: every budget field set
+
+
+def test_fields_cannot_be_set():
+    result = _result()
+    record = OutputRecord(0.5, 1.0, 0.1, 0.2, 0.3, "Direct26", 1e-9, 40)
+    for obj, name in ((ComplexPoint(0.5, 1.0), "sigma"), (result, "value"),
+                      (result.budget, "total"), (record, "err_bound")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+        with pytest.raises(AttributeError):
+            obj.extra = 0.0  # no per-instance dict
+
+
+def test_pickle_round_trips():
+    result = _result()
+    record = OutputRecord(0.5, 1.0, None, None, None, "error", None, None)
+    for obj in (result, result.budget, ComplexPoint(0.5, 1.0), record):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj)
+    assert pickle.loads(pickle.dumps(result)).method is result.method
+
+
+def test_named_fields_unpack_and_compare_as_tuples():
+    result = _result()
+    value, budget, method, m = result
+    assert (value, budget, method, m) == result == tuple(result)
+    assert result[0] == result.value and budget is result.budget
+    assert method is MethodTag.REFLECTION27 and m == result.m
+    assert ComplexPoint(0.5, 1) == (0.5, 1.0) and ComplexPoint(0.5, 1).z == 0.5 + 1j
+    assert hash(ComplexPoint(0.5, 1.0)) == hash((0.5, 1.0))
+    assert repr(ComplexPoint(0.5, 1.0)) == "ComplexPoint(sigma=0.5, t=1.0)"
+    assert EvalResult(value=1j, budget=ErrorBudget.exact(), method=MethodTag.DIRECT26,
+                      m=None).m is None
+    assert ErrorBudget(1.0, 2.0, 3.0, 6.0) == ErrorBudget.assemble(1.0, 2.0, 3.0)
+    assert ErrorBudget.exact() == (0.0, 0.0, 0.0, 0.0, False, 0.0)
+
+
+@pytest.mark.parametrize("sigma, t", [(math.inf, 0.0), (0.5, -math.inf),
+                                      (math.nan, 1.0)])
+def test_point_must_be_finite(sigma, t):
+    with pytest.raises(DomainError, match="^evaluation point must be finite$"):
+        ComplexPoint(sigma, t)
+    with pytest.raises(DomainError, match="^evaluation point must be finite$"):
+        ComplexPoint(0.5, 1.0)._replace(sigma=sigma, t=t)
+
+
+@pytest.mark.parametrize("index, name", [(0, "integral_tail"),
+                                         (1, "series_truncation"),
+                                         (2, "dropped_gamma_tail"),
+                                         (5, "reflection_factor")])
+def test_budget_component_must_be_nonnegative(index, name):
+    fields = [1e-9, 1e-9, 1e-9, 4e-9, False, 1e-9]
+    fields[index] = -1e-300
+    with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+        ErrorBudget(*fields)
+    with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+        ErrorBudget.exact()._replace(**{name: -1.0})
+    fields[index] = math.inf
+    with pytest.raises(ParameterExhaustionError,
+                       match="^parameter exhaustion: the error budget exceeds "
+                             "double range$"):
+        ErrorBudget.assemble(*fields[:3], False, fields[5])
