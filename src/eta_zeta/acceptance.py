@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import DirectLine
+from .eta_core import TAIL_TOLERANCE, DirectLine, kernel_tail
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -167,12 +167,11 @@ def _critical_zero_checks() -> list[CheckResult]:
     ]
 
 
-def _tail_ratio_checks() -> list[CheckResult]:
-    line = DirectLine(1.0)
-    return [
-        _check("tail ratio b=81 sigma=1 t=40", line.tail_ratio(40.0, 40), 1e-5),
-        _check("tail ratio b=101 sigma=1 t=50", line.tail_ratio(50.0, 50), 1e-7),
-    ]
+def _kernel_tail_checks() -> list[CheckResult]:
+    # the cutoff rule at sigma = 1: m = 50 still reaches t = 50, m = 40 t = 36
+    return [_check(f"kernel tail b={2 * m + 1} sigma=1 t={t}",
+                   kernel_tail(1.0, float(t), m), TAIL_TOLERANCE)
+            for m, t in ((50, 50), (40, 36))]
 
 
 def _coefficient_checks() -> list[CheckResult]:
@@ -232,10 +231,10 @@ def _oracle_checks() -> list[CheckResult]:
     for (sigma, t), (re_str, im_str) in _ORACLE_GRID.items():
         result = _eta_value(sigma, t)
         ref = complex(float(re_str), float(im_str))
-        allowed = max(result.budget.total, 5e-12)
-        worst = max(worst, abs(result.value - ref) / allowed)
+        err = abs(result.value - ref)  # 0 at s = 1, whose budget is 0
+        worst = max(worst, err / result.budget.total if err else 0.0)
     return [_check("oracle agreement (15-pt grid)", worst, 1.0,
-                   "fraction of max(budget, 5e-12)")]
+                   "fraction of the budget")]
 
 
 def _determinism_checks() -> list[CheckResult]:
@@ -257,7 +256,7 @@ def run_checks() -> list[CheckResult]:
     checks.extend(_special_value_checks())
     checks.extend(_table2_checks())
     checks.extend(_critical_zero_checks())
-    checks.extend(_tail_ratio_checks())
+    checks.extend(_kernel_tail_checks())
     checks.extend(_coefficient_checks())
     checks.extend(_conjugation_checks())
     checks.extend(_conversion_checks())

@@ -7,10 +7,10 @@ eta(s) is approximated by
                             prod_{k=0}^{2(r-1)} (s+k) ]
 
 with beta = 1/(2m+1).  The correction term is the closed form of the kernel
-integral left over after 2m direct terms, after three approximations whose
-residuals make up the ErrorBudget: the kernel series is cut at r = 7, the
-kernel integral past y = b is dropped, and the remaining integrals are
-extended from [0, b] to [0, inf).
+integral left over after 2m direct terms, after two approximations whose
+residuals make up the ErrorBudget: the kernel series is cut at r = 7
+(series_truncation), and the integral past y = b is taken from the series
+instead of the kernel (kernel_tail).
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from itertools import chain, cycle, islice, repeat
 
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
-from .gamma import TAIL_N_MAX, gamma_tail_bound
+from .gamma import log_abs_gamma_lower, upper_gamma_factor
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
-# Cutoff schedule: the smallest m whose dropped-tail ratio meets TARGET_RATIO
-# is selected; roughly m = 40 up to t = 40 and m = 50 up to t = 50.
+# Cutoff schedule: the smallest m whose kernel tail is at most TAIL_TOLERANCE
+# is selected; roughly m = 40 up to t = 37 and m = 50 up to t = 50.
 M_SCHEDULE = (40, 50, 65, 80, 100, 125, 150)
-TARGET_RATIO = 1e-7
+TAIL_TOLERANCE = 2e-13
 
 # Depth of the correction polynomial.  The budget's series-truncation
 # envelope (exponent 2 R_MAX - 1 = 13, KERNEL_SERIES_ERROR) assumes it.
@@ -38,12 +38,16 @@ R_MAX = 7
 # Accuracy of the truncated kernel series itself: below 2e-8 for beta*y <= 1,
 # independent of beta.
 KERNEL_SERIES_ERROR = 2e-8
+# (w_k, k) of kernel_tail's terms w_k b^-k Gamma(sigma + k, b): 1.5 and |P_k|
+_TAIL_TERMS = tuple(zip((1.5, *map(abs, p_coefficients(R_MAX)[1:])),
+                        (0, *range(1, 2 * R_MAX, 2))))
 
 SIGMA_DIRECT_MIN = 0.5
 SIGMA_DIRECT_MAX = 3.0
 
 TERMS_KEPT = 4096  # terms whose ln n, n^(-sigma) are kept; further ones are recomputed
-TAIL_BOUNDS_KEPT = 32  # cutoffs whose E(n, b) the process keeps: M_SCHEDULE and more
+_LN_DOUBLE_MAX = 709.78  # ln of the largest double, rounded down
+_LN_TAIL_TOLERANCE = math.log(TAIL_TOLERANCE)
 
 
 def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> complex:
@@ -64,15 +68,6 @@ def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> comp
 def log_table() -> tuple[float, ...]:
     """ln n for n = 1..TERMS_KEPT, computed once per process, on first use."""
     return tuple(map(math.log, range(1, TERMS_KEPT + 1)))
-
-
-@functools.lru_cache(maxsize=TAIL_BOUNDS_KEPT)
-def tail_bounds(m: int) -> tuple[float, ...]:
-    """E(n, 2m+1) for n = 0..13: the dropped kernel integrals of cutoff m.
-    They depend on m alone, so the process computes them once per m, on
-    first use, and every line shares the immutable tuple."""
-    b = float(2 * m + 1)
-    return tuple(gamma_tail_bound(n, b) for n in range(TAIL_N_MAX + 1))
 
 
 def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[float]:
@@ -103,32 +98,44 @@ def correction_term(s: ComplexPoint, m: int) -> complex:
     return cmath.exp(-z * math.log(b)) * bracket
 
 
-def _assemble_budget(s: ComplexPoint, m: int,
-                     correction_mag: float, tail_ratio: float) -> ErrorBudget:
+def kernel_tail(sigma: float, t: float, m: int) -> float:
+    """Bound on the error of dropping the kernel integral past y = b = 2m+1.
+
+    After 2m terms the remainder is (b^-s / Gamma(s)) int_0^inf y^(s-1)
+    e^(-y) K(y/b) dy, K(x) = 1/(1 + e^(-x)); the correction term puts the
+    series 1/2 + sum_{r<=7} P_{2r-1} x^(2r-1) in place of K.  Past y = b the
+    two differ by at most |K| <= 1 plus 1/2 + sum |P_{2r-1}| (y/b)^(2r-1), so
+    that part is at most
+
+        T = (b^-sigma / |Gamma(s)|) [1.5 Gamma(sigma, b)
+              + sum_{r=1}^{7} |P_{2r-1}| b^-(2r-1) Gamma(sigma + 2r - 1, b)].
+
+    With Gamma(a, b) <= b^(a-1) e^(-b) F(a, b) (gamma.upper_gamma_factor),
+    T <= e^(-b) / (b |Gamma(s)|) [1.5 F(sigma, b) + sum |P_k| F(sigma + k, b)]
+    over odd k <= 13, with |Gamma(s)| from below (gamma.log_abs_gamma_lower).
+    In logs nothing underflows; only a T past the double range is refused.
+    """
     b = float(2 * m + 1)
-    integral_tail = math.exp(-b)
-    # Envelope for the neglected series terms: the kernel-series error times
-    # the magnitude amplification of the highest kept monomial.  Provably
-    # above the dominant neglected (r = 8) term on the supported range.
-    mod_s = abs(s.z)
-    series_truncation = (KERNEL_SERIES_ERROR * b ** (-s.sigma)
-                         * (1.0 + mod_s / b) ** (2 * R_MAX - 1))
-    dropped = tail_ratio * correction_mag
-    return ErrorBudget.assemble(integral_tail, series_truncation, dropped,
-                                extrapolated=s.sigma > 1.0)
+    ln_lead = -b - math.log(b) - log_abs_gamma_lower(sigma, t)
+    bracket = sum(w * upper_gamma_factor(sigma + k, b) for w, k in _TAIL_TERMS)
+    # a lead clamped to the double range overflows times the bracket (>= 1.5)
+    tail = math.exp(min(ln_lead, _LN_DOUBLE_MAX)) * bracket
+    if tail == math.inf:  # far past the schedule, explicit m
+        raise ParameterExhaustionError(f"parameter exhaustion: the kernel tail at "
+                                       f"t = {t:g}, m = {m} exceeds double range")
+    return tail
 
 
 class DirectLine:
     """Direct evaluation of eta along the vertical line Re s = sigma.
 
     What depends on sigma alone is computed on first use and kept: the
-    sigma-only factors of the Stirling estimates and the signed terms
-    (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at most
-    TERMS_KEPT).  ln n and the tail bounds E(n, b) depend on neither sigma
-    nor t and are kept per process (log_table, tail_bounds), shared by every
-    line.  A point then pays only for what depends on t, with the same float
-    operations in the same order as a point alone.  A line is mutable:
-    create one per caller, do not share it between threads.
+    signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
+    most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
+    process (log_table), shared by every line.  A point then pays only for
+    what depends on t, with the same float operations in the same order as
+    a point alone.  A line is mutable: create one per caller, do not share
+    it between threads.
     """
 
     def __init__(self, sigma: float) -> None:
@@ -138,51 +145,22 @@ class DirectLine:
                 f"{SIGMA_DIRECT_MAX}, got sigma = {sigma:g}")
         self.sigma = sigma
         self._mags: list[float] = []
-        self._stirling: list[tuple[float, float, float, float]] = []
-
-    def stirling_magnitudes(self, t: float) -> list[float]:
-        """Leading-order Stirling estimates of |Gamma(x + i t)|, x = n + sigma
-        for n = 0..13, up to the first that underflows to 0:
-        sqrt(2 pi) e^(-x) (x^2 + t^2)^((2x-1)/4) e^(-t arctan(t/x)).
-        Error estimation only (2% at x = 4, under 1% by x = 14)."""
-        if not self._stirling:
-            xs = [n + self.sigma for n in range(TAIL_N_MAX + 1)]
-            self._stirling = [(x, math.sqrt(2.0 * math.pi) * math.exp(-x),
-                               x * x, (2.0 * x - 1.0) / 4.0) for x in xs]
-        atan2, exp = math.atan2, math.exp
-        t2, minus_t = t * t, -t
-        estimates = []
-        for x, front, x2, power in self._stirling:
-            # decay underflows past t ~ 500, before the power overflows (~1e19)
-            decay = exp(minus_t * atan2(t, x))
-            estimates.append(front * (x2 + t2) ** power * decay
-                             if decay > 0.0 else 0.0)
-            if not estimates[-1] > 0.0:
-                break
-        return estimates
-
-    def _ratio(self, gamma_mags: list[float], m: int) -> float:
-        if not gamma_mags[-1] > 0.0:
-            return math.inf  # no cutoff can satisfy the ratio
-        return max(map(operator.truediv, tail_bounds(m), gamma_mags))
-
-    def tail_ratio(self, t: float, m: int) -> float:
-        """Worst E(n, 2m+1) / |Gamma(n + sigma + i t)| over n = 0..13: the
-        dropped-tail relative error fed into the error budget."""
-        return self._ratio(self.stirling_magnitudes(t), m)
 
     def select(self, t: float) -> tuple[int, float]:
-        """Smallest scheduled m whose tail ratio stays below TARGET_RATIO,
-        with that ratio; ParameterExhaustionError when none does (t is too
+        """Smallest scheduled m whose kernel tail is at most TAIL_TOLERANCE,
+        with that tail; ParameterExhaustionError when none is (t is too
         large for the schedule)."""
-        gamma_mags = self.stirling_magnitudes(t)
+        ln_gamma = log_abs_gamma_lower(self.sigma, t)
         for m in M_SCHEDULE:
-            ratio = self._ratio(gamma_mags, m)
-            if ratio <= TARGET_RATIO:
-                return m, ratio
+            b = float(2 * m + 1)
+            # T > e^(-b) / (b |Gamma(s)|): skip an m whose lead alone misses
+            if -b - math.log(b) - ln_gamma < _LN_TAIL_TOLERANCE:
+                tail = kernel_tail(self.sigma, t, m)
+                if tail <= TAIL_TOLERANCE:
+                    return m, tail
         raise ParameterExhaustionError(
-            f"parameter exhaustion: no scheduled m reaches ratio "
-            f"{TARGET_RATIO:g} at t = {t:g} (schedule max m = {M_SCHEDULE[-1]})")
+            f"parameter exhaustion: no scheduled m reaches kernel tail "
+            f"{TAIL_TOLERANCE:g} at t = {t:g} (schedule max m = {M_SCHEDULE[-1]})")
 
     def partial_sum(self, t: float, m: int) -> complex:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t."""
@@ -201,18 +179,20 @@ class DirectLine:
 
     def eval(self, t: float, m: int | None = None) -> EvalResult:
         """eta(sigma + i t) with 2m terms; m = None selects the cutoff."""
-        if m is not None and m < 1:  # before tail_bounds caches an unused cutoff
+        if m is not None and m < 1:  # before any tail or term is computed
             raise DomainError("m must be >= 1")
         s = ComplexPoint(self.sigma, t)
         if m is None:
-            m, tail_ratio = self.select(t)
+            m, tail = self.select(t)
         else:
-            tail_ratio = self.tail_ratio(t, m)
-            if tail_ratio == math.inf:  # as in select: |Gamma| underflows
-                raise ParameterExhaustionError(
-                    f"parameter exhaustion: no tail ratio at t = {t:g}, m = {m}")
-        correction = correction_term(s, m)
-        value = self.partial_sum(t, m) + correction
-        budget = _assemble_budget(s, m, abs(correction), tail_ratio)
-        return EvalResult(value=value, budget=budget,
-                          method=MethodTag.DIRECT26, m=m)
+            tail = kernel_tail(self.sigma, t, m)
+        value = self.partial_sum(t, m) + correction_term(s, m)
+        # Envelope for the neglected series terms: the kernel-series error
+        # times the magnitude amplification of the highest kept monomial.
+        # Provably above the dominant neglected (r = 8) term on the strip.
+        b = float(2 * m + 1)
+        series_truncation = (KERNEL_SERIES_ERROR * b ** (-s.sigma)
+                             * (1.0 + abs(s.z) / b) ** (2 * R_MAX - 1))
+        budget = ErrorBudget.assemble(tail, series_truncation,
+                                      extrapolated=s.sigma > 1.0)
+        return EvalResult(value=value, budget=budget, method=MethodTag.DIRECT26, m=m)

@@ -1,10 +1,8 @@
-"""Complex gamma machinery and the dropped-tail integral.
+"""Complex gamma machinery, and the two gamma bounds of eta_core.kernel_tail.
 
 log_gamma / gamma_reflected provide user-facing gamma values (13+ significant
-digits on the supported strip).  gamma_tail_bound E(n, b) feeds the
-cutoff-selection ratio of eta_core only: eta_core.tail_bounds keeps its
-values once per process, and each eta_core.DirectLine sets them against a
-leading-order Stirling estimate of |Gamma(n + sigma + i t)|.
+digits on the supported strip).  log_abs_gamma_lower bounds |Gamma(s)| from
+below, upper_gamma_factor the incomplete gamma Gamma(a, b) from above.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ _STIRLING_COEFFS = tuple(_BERNOULLI[n] / (_BERNOULLI_DEN * n * (n - 1))
                          for n in range(2, 17, 2))
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SHIFT_THRESHOLD = 10.0
-
-TAIL_N_MAX = 13
 
 
 def log_gamma(z: complex) -> complex:
@@ -90,18 +86,26 @@ def gamma_reflected(z: complex) -> complex:
     return _bounded_exp(lg, z)
 
 
-def gamma_tail_bound(n: int, b: float) -> float:
-    """Closed form of the dropped integral int_b^inf y^n e^(-y) dy:
+def log_abs_gamma_lower(sigma: float, t: float) -> float:
+    """A lower bound on ln|Gamma(sigma + i t)|, sigma > 0: at least 0.94 of
+    |Gamma| on the strip.  With z = sigma + k + i t, the least k >= 0 with
+    x = Re z >= 3, ln|Gamma(s)| = ln|Gamma(z)| - sum_{j<k} ln|s + j|, and
+    ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + R(z) with
+    |R(z)| <= 1/(12 |z| cos^2(arg z / 2)) = 1/(6 (|z| + x)) (DLMF 5.11(ii))."""
+    shift, x = 0.0, sigma
+    while x < 3.0:
+        shift += math.log(math.hypot(x, t))
+        x += 1.0
+    r = math.hypot(x, t)
+    return ((x - 0.5) * math.log(r) - t * math.atan2(t, x) - x + _HALF_LOG_TWO_PI
+            - 1.0 / (6.0 * (r + x)) - shift)
 
-        E(n, b) = e^(-b) n! sum_{k=0}^{n} b^k / k!
 
-    All terms are positive; the sum runs from k = n down to 0.
-    """
-    if not 0 <= n <= TAIL_N_MAX:
-        raise DomainError(f"n supported in 0..{TAIL_N_MAX}")
-    if b <= 0.0:
-        raise DomainError("b must be positive")
-    total = 0.0
-    for k in range(n, -1, -1):
-        total += b ** k / math.factorial(k)
-    return math.exp(-b) * math.factorial(n) * total
+def upper_gamma_factor(a: float, b: float) -> float:
+    """F with Gamma(a, b) = int_b^inf y^(a-1) e^(-y) dy <= b^(a-1) e^(-b) F,
+    a, b > 0.  With y = b + u and c = max(a - 1, 0), (1 + u/b)^(a-1) <=
+    e^(c u/b): F = 1 / (1 - c/b) for b > a - 1 (DLMF 8.10; c = a - 1 < 0
+    would bound from below), else F = Gamma(a) e^b b^(1-a) from Gamma(a)."""
+    if b > a - 1.0:
+        return b / (b - max(a - 1.0, 0.0))
+    return math.exp(math.lgamma(a) + b - (a - 1.0) * math.log(b))

@@ -43,17 +43,16 @@ class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
         return complex(self.sigma, self.t)
 
 
-class ErrorBudget(namedtuple("ErrorBudget", "integral_tail series_truncation "
-                             "dropped_gamma_tail total extrapolated "
-                             "reflection_factor")):
+class ErrorBudget(namedtuple("ErrorBudget", "kernel_tail series_truncation total "
+                             "extrapolated reflection_factor")):
     """A-priori error bound, decomposed by approximation.
 
-    integral_tail      : bound exp(-b) on the kernel integral dropped past y = b
+    kernel_tail        : bound on the kernel integral dropped past y = b
+                         (eta_core.kernel_tail)
     series_truncation  : envelope for cutting the correction series at r = 7
-    dropped_gamma_tail : worst tail-to-gamma ratio times the correction size
-    total              : sum of the four components, finite
+    total              : sum of the three components, finite
     extrapolated       : True when sigma is outside [1/2, 1], where the
-                         underlying error analysis was calibrated
+                         series envelope was calibrated
     reflection_factor  : rounding error of the functional-equation factor
                          times |value|; 0 where no reflection ran
     """
@@ -61,13 +60,11 @@ class ErrorBudget(namedtuple("ErrorBudget", "integral_tail series_truncation "
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, integral_tail: float, series_truncation: float,
-                dropped_gamma_tail: float, total: float, extrapolated: bool = False,
-                reflection_factor: float = 0.0) -> ErrorBudget:
-        self = tuple.__new__(cls, (integral_tail, series_truncation, dropped_gamma_tail,
-                                   total, extrapolated, reflection_factor))
-        for name in ("integral_tail", "series_truncation", "dropped_gamma_tail",
-                     "reflection_factor"):
+    def __new__(cls, kernel_tail: float, series_truncation: float, total: float,
+                extrapolated: bool = False, reflection_factor: float = 0.0) -> ErrorBudget:
+        self = tuple.__new__(cls, (kernel_tail, series_truncation, total,
+                                   extrapolated, reflection_factor))
+        for name in ("kernel_tail", "series_truncation", "reflection_factor"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
         if not total < math.inf:  # past the schedule with an explicit m
@@ -76,25 +73,20 @@ class ErrorBudget(namedtuple("ErrorBudget", "integral_tail series_truncation "
         return self
 
     @classmethod
-    def assemble(cls, integral_tail: float, series_truncation: float,
-                 dropped_gamma_tail: float, extrapolated: bool = False,
-                 reflection_factor: float = 0.0) -> ErrorBudget:
-        total = (integral_tail + series_truncation + dropped_gamma_tail
-                 + reflection_factor)
-        return cls(integral_tail, series_truncation, dropped_gamma_tail, total,
-                   extrapolated, reflection_factor)
+    def assemble(cls, kernel_tail: float, series_truncation: float,
+                 extrapolated: bool = False, reflection_factor: float = 0.0) -> ErrorBudget:
+        total = kernel_tail + series_truncation + reflection_factor
+        return cls(kernel_tail, series_truncation, total, extrapolated, reflection_factor)
 
     @classmethod
     def exact(cls) -> ErrorBudget:
-        return cls(0.0, 0.0, 0.0, 0.0)
+        return cls(0.0, 0.0, 0.0)
 
     def scaled(self, factor: float, factor_error: float = 0.0) -> ErrorBudget:
         """Budget after the value is multiplied by a factor of magnitude
         |factor|, plus factor_error for the factor's own rounding."""
         f = abs(factor)
-        return ErrorBudget.assemble(self.integral_tail * f,
-                                    self.series_truncation * f,
-                                    self.dropped_gamma_tail * f,
+        return ErrorBudget.assemble(self.kernel_tail * f, self.series_truncation * f,
                                     self.extrapolated,
                                     self.reflection_factor * f + factor_error)
 

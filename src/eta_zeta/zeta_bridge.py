@@ -130,7 +130,7 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
         if abs(term) < STEPWISE_TOL * abs(acc):
             consecutive_small += 1
             if consecutive_small >= 2:
-                budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE, 0.0)
+                budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE)
                 return EvalResult(acc, budget, MethodTag.STEPWISE3, None)
         else:
             consecutive_small = 0

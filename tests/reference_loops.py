@@ -1,11 +1,18 @@
-"""The direct evaluator's per-point loops as they were before the line
-evaluator (eta_core.DirectLine) took them over, kept as references: the line
-must reproduce them bit for bit, because it performs the same float
-operations in the same order."""
+"""References kept outside the library.
+
+alternating_partial_sum is the direct evaluator's per-point loop as it was
+before the line evaluator (eta_core.DirectLine) took it over: the line must
+reproduce it bit for bit, because it performs the same float operations in
+the same order.  gamma_tail_bound and max_tail_ratio are the paper's
+dropped-tail ratio E(n, b) / |Gamma(n + s)|, which chose the cutoff before
+eta_core.kernel_tail replaced it; they keep the paper's design pairs.
+"""
 
 import math
 
-from eta_zeta.gamma import TAIL_N_MAX, gamma_tail_bound
+from eta_zeta import DomainError
+
+TAIL_N_MAX = 13
 
 
 def alternating_partial_sum(sigma, t, m):
@@ -28,6 +35,23 @@ def alternating_partial_sum(sigma, t, m):
         sum_im = tmp
         sign = -sign
     return complex(sum_re, sum_im)
+
+
+def gamma_tail_bound(n, b):
+    """Closed form of the dropped integral int_b^inf y^n e^(-y) dy:
+
+        E(n, b) = e^(-b) n! sum_{k=0}^{n} b^k / k!
+
+    All terms are positive; the sum runs from k = n down to 0.
+    """
+    if not 0 <= n <= TAIL_N_MAX:
+        raise DomainError(f"n supported in 0..{TAIL_N_MAX}")
+    if b <= 0.0:
+        raise DomainError("b must be positive")
+    total = 0.0
+    for k in range(n, -1, -1):
+        total += b ** k / math.factorial(k)
+    return math.exp(-b) * math.factorial(n) * total
 
 
 def stirling_magnitude(x, t):

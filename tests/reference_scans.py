@@ -1,23 +1,35 @@
-"""Hash the reference scans, once with --jobs 1 and once with --jobs 2.
+"""Hash the reference scans, once with --jobs 1 and once with --jobs 2, or
+compare them row by row with another source tree.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/reference_scans.py
+    PYTHONPATH=src python tests/reference_scans.py --against OTHER/src
 
-Each line prints the first eight hex digits of the sha256 of the scan's
-stdout, then the command.  The script exits 1 if a scan's bytes differ
-between the two job counts.  Compare the printed prefixes with the ones
-recorded in CHANGES.md to see whether a change moved any scan byte.  pytest
-does not collect this file.
+Without --against, each line prints the first eight hex digits of the
+sha256 of the scan's stdout, then the command.  The script exits 1 if a
+scan's bytes differ between the two job counts.  Compare the printed
+prefixes with the ones recorded in CHANGES.md to see whether a change moved
+any scan byte.
+
+With --against, each scan runs in a fresh interpreter on this tree and on
+OTHER/src, and each line prints how many rows differ in m_used, in value
+(re, im or abs), in err_bound and in method.  The script exits 1 if the two
+trees give a different grid or different error records.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 from eta_zeta import cli
 
@@ -45,7 +57,48 @@ def scan_digest(args: list[str]) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+FIELDS = ("sigma", "t", "re", "im", "abs", "method", "err_bound", "m_used")
+RUN_SCAN = ("import sys; sys.path.insert(0, sys.argv[1]); from eta_zeta import cli; "
+            "sys.exit(cli.main(sys.argv[2:]))")
+
+
+def scan_rows(src: str, args: list[str]) -> list[tuple]:
+    """The records `eta-zeta scan ARGS` writes with the package under src,
+    as tuples in FIELDS order."""
+    out = subprocess.run([sys.executable, "-c", RUN_SCAN, src, "scan", *args],
+                         capture_output=True, text=True, check=True).stdout
+    if "json" in args:
+        return [tuple(map(json.loads(line).get, FIELDS)) for line in out.splitlines()]
+    return [tuple(line.split(",")) for line in out.splitlines()[1:]]
+
+
+def compare(other: str) -> int:
+    here = str(Path(cli.__file__).resolve().parents[1])
+    differs = 0
+    for scan in SCANS:
+        ours, theirs = (scan_rows(src, shlex.split(scan)) for src in (here, other))
+        grid = [row[:2] for row in ours] != [row[:2] for row in theirs]
+        errors = not grid and any((a[5] == "error") != (b[5] == "error")
+                                  for a, b in zip(ours, theirs))
+        pairs = list(zip(ours, theirs))
+        counts = {name: sum(a[i] != b[i] for a, b in pairs) for name, i in
+                  (("m_used", 7), ("err_bound", 6), ("method", 5))}
+        counts["value"] = sum(a[2:5] != b[2:5] for a, b in pairs)
+        note = "  GRID DIFFERS" if grid else "  ERROR RECORDS DIFFER" if errors else ""
+        differs += grid or errors
+        print(f"{len(ours)} rows, m_used {counts['m_used']}, value {counts['value']}, "
+              f"err_bound {counts['err_bound']}, method {counts['method']}  "
+              f"scan {scan}{note}")
+    return 1 if differs else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare row by row with the package under OTHER_SRC")
+    args = parser.parse_args()
+    if args.against:
+        return compare(args.against)
     mismatches = 0
     for scan in SCANS:
         args = shlex.split(scan)

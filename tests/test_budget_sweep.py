@@ -1,0 +1,68 @@
+"""The budget as a checked bound: |value - mpmath| <= budget.total, with no
+floor under the budget, for eta and zeta over the whole strip and its hard
+spots, on every route."""
+
+import cmath
+import math
+import random
+
+import mpmath
+
+from eta_zeta import (ComplexPoint, DomainError, MethodTag, eta,
+                      exceptional_distance, zeta)
+
+T1 = 2.0 * math.pi / math.log(2.0)  # imaginary part of the first exceptional point
+
+
+def _near(rng, center, count):
+    # count points 1e-12 .. 1e-8 from center, in seeded directions
+    for _ in range(count):
+        d = 10.0 ** rng.uniform(-12.0, -8.0)
+        point = center + cmath.rect(d, rng.uniform(0.0, 2.0 * math.pi))
+        yield point.real, point.imag
+
+
+def _sweep_points():
+    rng = random.Random(17)
+    points = [(rng.uniform(-0.5, 3.0), rng.uniform(-176.0, 176.0)) for _ in range(300)]
+    # s = 0 and s = 1, the exceptional points 1 + 2 pi i n / ln 2 for
+    # n = +/-1, +/-2, and their sigma = 0 images, where the functional
+    # equation is 0/0
+    for center in (0j, 1 + 0j, *(complex(sigma, n * T1) for sigma in (1.0, 0.0)
+                                  for n in (1, -1, 2, -2))):
+        points.extend(_near(rng, center, 3))
+    points += [(0.0, 0.0), (0.5, 0.0), (1.0, 176.0), (3.0, -176.0)]
+    return points
+
+
+def _documented_refusal(sigma, t, exc):
+    # README: the stepwise route, which an exceptional point and the
+    # functional equation's 0/0 zone at its sigma = 0 image need, is refused
+    # past |t| = 20
+    near = min(exceptional_distance(ComplexPoint(sigma, t)),
+               exceptional_distance(ComplexPoint(1.0 - sigma, t)))
+    return (isinstance(exc, DomainError) and "stepwise path beyond" in str(exc)
+            and abs(t) > 20.0 and near < 1e-3)
+
+
+def test_sweep_within_budget():
+    methods, outside = set(), []
+    with mpmath.workdps(30):
+        for sigma, t in _sweep_points():
+            s = mpmath.mpc(sigma, t)
+            exact_zeta = mpmath.zeta(s)
+            exact_eta = (1 - mpmath.power(2, 1 - s)) * exact_zeta
+            for function, exact in ((eta, exact_eta), (zeta, exact_zeta)):
+                try:
+                    result = function(ComplexPoint(sigma, t))
+                except DomainError as exc:
+                    assert _documented_refusal(sigma, t, exc), (function, sigma, t)
+                    continue
+                methods.add(result.method)
+                value = mpmath.mpc(result.value.real, result.value.imag)
+                err = float(abs(value - exact))
+                if not err <= result.budget.total:
+                    outside.append((function.__name__, sigma, t,
+                                    err, result.budget.total))
+    assert outside == []
+    assert methods == set(MethodTag)

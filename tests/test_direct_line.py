@@ -1,6 +1,7 @@
 """The line evaluator against the per-point loops it replaced
-(reference_loops) and against per-point eta/zeta: equal to the last bit,
-including when a line is reused out of order and when 2m passes 2000."""
+(reference_loops), against the per-point kernel tail and against per-point
+eta/zeta: equal to the last bit, including when a line is reused out of
+order and when 2m passes 2000."""
 
 import math
 import sys
@@ -12,8 +13,8 @@ import pytest
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
                       eta, zeta)
 from eta_zeta.cli import record_to_csv, scan_records
-from eta_zeta.eta_core import (M_SCHEDULE, TARGET_RATIO, TERMS_KEPT, DirectLine,
-                               log_table, tail_bounds)
+from eta_zeta.eta_core import (M_SCHEDULE, TAIL_TOLERANCE, TERMS_KEPT, DirectLine,
+                               kernel_tail, log_table)
 
 import reference_loops as ref
 
@@ -42,29 +43,41 @@ def test_partial_sum_matches_reference(sigma):
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
-def test_tail_ratio_matches_reference(sigma):
+def test_kernel_tail_matches_pointwise(sigma):
+    # an explicit m's budget carries the per-point kernel tail, bit for bit,
+    # on a line reused out of order
     line = DirectLine(sigma)
     for m in MS:
-        for t in TS + (600.0, -600.0):
-            assert line.tail_ratio(t, m).hex() \
-                == ref.max_tail_ratio(sigma, t, float(2 * m + 1)).hex(), (m, t)
+        for t in TS:
+            assert line.eval(t, m).budget.kernel_tail.hex() \
+                == kernel_tail(sigma, t, m).hex(), (m, t)
 
 
-def test_tail_ratio_is_infinite_where_stirling_underflows():
-    assert DirectLine(0.5).tail_ratio(600.0, 40) == math.inf
-    with pytest.raises(ParameterExhaustionError):
-        DirectLine(0.5).select(600.0)
-    # at t = 1e150 the Stirling power alone would overflow a double
-    assert DirectLine(3.0).tail_ratio(1e150, 40) == math.inf
+def test_kernel_tail_refuses_where_it_overflows():
+    # no scheduled m reaches the tolerance; with an explicit m the tail is
+    # finite while it fits a double, past that a typed refusal
     for sigma in (0.5, 3.0):
-        with pytest.raises(ParameterExhaustionError):
-            eta(ComplexPoint(sigma, 1e150))
+        for t in (600.0, 1e150):
+            with pytest.raises(ParameterExhaustionError):
+                DirectLine(sigma).select(t)
+            with pytest.raises(ParameterExhaustionError):
+                eta(ComplexPoint(sigma, t))
+    assert 1e250 < kernel_tail(0.5, 450.0, 40) < math.inf
+    for t in (600.0, 1e150, 1.7e308):
+        with pytest.raises(ParameterExhaustionError, match="kernel tail"):
+            kernel_tail(0.5, t, 40)
+        with pytest.raises(ParameterExhaustionError, match="kernel tail"):
+            DirectLine(3.0).eval(t, 40)
+    # the smallest cutoffs still get a finite bound
+    for m in (1, 2):
+        assert math.isfinite(DirectLine(3.0).eval(10.0, m).budget.total)
 
 
 def assert_select_matches_reference(line, t):
-    expected = next(((m, r) for m in M_SCHEDULE
-                     if (r := ref.max_tail_ratio(line.sigma, t, float(2 * m + 1)))
-                     <= TARGET_RATIO), None)
+    # the smallest scheduled m whose per-point kernel tail meets the tolerance
+    expected = next(((m, tail) for m in M_SCHEDULE
+                     if (tail := kernel_tail(line.sigma, t, m)) <= TAIL_TOLERANCE),
+                    None)
     if expected is None:
         with pytest.raises(ParameterExhaustionError):
             line.select(t)
@@ -79,29 +92,9 @@ def test_select_matches_reference(sigma):
         assert_select_matches_reference(line, t)
 
 
-def test_tail_bounds_shared_across_sigmas():
-    # one line fills the process's tail bounds; lines on other sigmas read
-    # them, compute none, and still match the per-point loops bit for bit
-    cutoffs = set(M_SCHEDULE + MS)
-    tail_bounds.cache_clear()
-    warm = DirectLine(SIGMAS[-1])
-    for m in cutoffs:
-        warm.tail_ratio(14.134725, m)
-    assert tail_bounds.cache_info().misses == len(cutoffs)
-    for sigma in SIGMAS[:-1]:
-        line = DirectLine(sigma)
-        for t in TS + (178.0,):
-            for m in MS:
-                assert line.tail_ratio(t, m).hex() \
-                    == ref.max_tail_ratio(sigma, t, float(2 * m + 1)).hex(), (m, t)
-            assert_select_matches_reference(line, t)
-    assert tail_bounds.cache_info().misses == len(cutoffs)
-
-
-def test_tail_bounds_shared_by_threads():
-    # lines on eight threads fill the shared tail bounds and ln n table
-    # concurrently, with a short switch interval; every value equals the
-    # serial one bit for bit
+def test_lines_on_threads_match_serial():
+    # lines on eight threads fill the shared ln n table concurrently, with a
+    # short switch interval; every value equals the serial one bit for bit
     points = [(sigma, t) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)]
     serial = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
     results = [None] * 8
@@ -109,7 +102,6 @@ def test_tail_bounds_shared_by_threads():
     def work(i):
         results[i] = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
 
-    tail_bounds.cache_clear()
     log_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from eta_zeta import (ComplexPoint, DomainError, MethodTag,
                       ParameterExhaustionError, eta)
 from eta_zeta import eta_core
-from eta_zeta.eta_core import (TARGET_RATIO, DirectLine, correction_term,
-                               dirichlet_sum)
-from eta_zeta.gamma import gamma_tail_bound
+from eta_zeta.eta_core import (TAIL_TOLERANCE, DirectLine, correction_term,
+                               dirichlet_sum, kernel_tail)
 
 import oracles
 
@@ -21,13 +20,14 @@ GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
 # ---------------------------------------------------------------- params ---
 
 def test_select_params_reproduces_design_pairs():
-    # the b = 81, t = 40 pair at ratio 1e-5 is the acceptance check
-    # "tail ratio b=81 sigma=1 t=40"
+    # b = 101 still reaches t = 50 on sigma = 1: the acceptance check
+    # "kernel tail b=101 sigma=1 t=50"
     line = DirectLine(1.0)
-    m, ratio = line.select(50.0)
+    m, tail = line.select(50.0)
     assert m == 50
-    assert ratio == line.tail_ratio(50.0, 50) <= TARGET_RATIO
-    # at t = 0 the ratios are astronomically small: schedule minimum
+    assert tail == kernel_tail(1.0, 50.0, 50) <= TAIL_TOLERANCE
+    assert line.eval(50.0).budget.kernel_tail == tail
+    # at t = 0 the tails are astronomically small: schedule minimum
     assert DirectLine(0.5).select(0.0)[0] == 40
 
 
@@ -42,38 +42,26 @@ def test_select_params_validates_sigma():
         DirectLine(0.3).select(0.0)
 
 
-def test_each_tail_ratio_computed_once(monkeypatch):
-    # a call is a line of one point: each m tried costs one tail ratio and
-    # the selected m's ratio is reused in the budget.  E(n, b) is kept per
-    # process: the first use of an m computes it once per n, later calls on
-    # fresh lines compute none
-    ratios, tails = [], []  # the m of every ratio, the b of every E(n, b)
-    ratio = DirectLine._ratio
+def test_each_kernel_tail_computed_once(monkeypatch):
+    # selection computes a kernel tail only for an m whose leading factor
+    # e^(-b) / (b |Gamma(s)|) meets the tolerance, and the budget reuses the
+    # selected m's tail
+    tails = []
+    tail = eta_core.kernel_tail
 
-    def counting_ratio(line, gamma_mags, m):
-        ratios.append(m)
-        return ratio(line, gamma_mags, m)
+    def counting(sigma, t, m):
+        tails.append((t, m))
+        return tail(sigma, t, m)
 
-    def counting_tail(n, b):
-        tails.append(b)
-        return gamma_tail_bound(n, b)
-
-    monkeypatch.setattr(DirectLine, "_ratio", counting_ratio)
-    monkeypatch.setattr(eta_core, "gamma_tail_bound", counting_tail)
-    eta_core.tail_bounds.cache_clear()
+    monkeypatch.setattr(eta_core, "kernel_tail", counting)
     eta(ComplexPoint(0.5, 14.13))
-    assert (ratios, tails) == ([40], [81.0] * 14)
-    ratios.clear()
+    assert tails == [(14.13, 40)]
     tails.clear()
     assert eta(ComplexPoint(0.5, 45.0)).m == 50
-    assert (ratios, tails) == ([40, 50], [101.0] * 14)
-    ratios.clear()
+    assert tails == [(45.0, 50)]  # m = 40 fails on its lead
     tails.clear()
     eta(ComplexPoint(0.5, 14.13), m=50)
-    assert (ratios, tails) == ([50], [])
-    ratios.clear()
-    eta(ComplexPoint(0.75, 14.13))
-    assert (ratios, tails) == ([40], [])
+    assert tails == [(14.13, 50)]
 
 
 # ----------------------------------------------------------- partial sum ---
@@ -103,11 +91,15 @@ def test_partial_sum_rejects_bad_m():
 
 
 @pytest.mark.parametrize("m", [0, -3])
-def test_eval_names_m_below_one_before_any_table(m):
-    cached = eta_core.tail_bounds.cache_info().currsize
+def test_eval_names_m_below_one_before_any_table(m, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a tail was computed for m < 1")
+
+    monkeypatch.setattr(eta_core, "kernel_tail", unreachable)
+    line = DirectLine(1.0)
     with pytest.raises(DomainError, match="^m must be >= 1$"):
-        DirectLine(1.0).eval(0.0, m)
-    assert eta_core.tail_bounds.cache_info().currsize == cached
+        line.eval(0.0, m)
+    assert line._mags == []
 
 
 # ------------------------------------------------------- correction term ---
@@ -190,8 +182,7 @@ def test_oracle_agreement_on_grid():
     for sigma, t in GRID:
         result = DirectLine(sigma).eval(t, 50 if t >= 40 else 40)
         ref = oracles.eta_reference(sigma, t)
-        allowed = max(result.budget.total, 5e-12)
-        assert oracles.diff(result.value, ref) <= allowed, (sigma, t)
+        assert oracles.diff(result.value, ref) <= result.budget.total, (sigma, t)
 
 
 def test_oracle_agreement_against_accelerated_series():
@@ -199,8 +190,7 @@ def test_oracle_agreement_against_accelerated_series():
     for sigma, t in ((0.5, 0.0), (0.75, 14.1), (1.0, 40.0)):
         result = DirectLine(sigma).eval(t, 50)
         ref = oracles.eta_alternating_accelerated(sigma, t)
-        allowed = max(result.budget.total, 5e-12)
-        assert oracles.diff(result.value, ref) <= allowed
+        assert oracles.diff(result.value, ref) <= result.budget.total
 
 
 # ----------------------------------------------------------------- budget ---
@@ -208,14 +198,12 @@ def test_oracle_agreement_against_accelerated_series():
 def test_budget_structure():
     result = DirectLine(0.75).eval(14.1, 40)
     budget = result.budget
-    assert budget.integral_tail == math.exp(-81.0)
-    for part in (budget.integral_tail, budget.series_truncation,
-                 budget.dropped_gamma_tail):
+    assert budget.kernel_tail == kernel_tail(0.75, 14.1, 40)
+    for part in (budget.kernel_tail, budget.series_truncation):
         assert part >= 0.0
         assert budget.total >= part
-    assert budget.total == pytest.approx(
-        budget.integral_tail + budget.series_truncation
-        + budget.dropped_gamma_tail, rel=1e-15)
+    assert budget.total == budget.kernel_tail + budget.series_truncation
+    assert budget.reflection_factor == 0.0
 
 
 def test_budget_extrapolation_flag():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from eta_zeta import DomainError, GammaOverflowError, PoleError
 from eta_zeta.eta_core import DirectLine
 from eta_zeta import gamma
-from eta_zeta.gamma import gamma_reflected, gamma_tail_bound, log_gamma
+from eta_zeta.gamma import gamma_reflected, log_gamma
 
 import oracles
+from reference_loops import gamma_tail_bound, max_tail_ratio, stirling_magnitude
 
 
 # B_2 .. B_16, the reference for the Stirling coefficients that gamma derives
@@ -89,9 +90,12 @@ def test_gamma_recurrence(re, im):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+# The paper's dropped-tail ratio E(n, b) / |Gamma(n + s)|, with |Gamma| from
+# leading-order Stirling, kept in reference_loops for its design pairs.
+
 def test_stirling_magnitude_examples():
-    # the line at sigma = 1 estimates |Gamma(n + 1 + i t)| for n = 0..13
-    estimates = DirectLine(1.0).stirling_magnitudes(0.0)
+    # estimates of |Gamma(n + 1 + i t)| for n = 0..13 at t = 0
+    estimates = [stirling_magnitude(n + 1.0, 0.0) for n in range(14)]
     est = estimates[3]
     # closed form of the leading-order estimate at x = 4
     assert est == pytest.approx(128.0 * math.sqrt(2.0 * math.pi) / math.exp(4.0),
@@ -104,15 +108,14 @@ def test_stirling_magnitude_examples():
 
 
 def test_stirling_magnitude_decays_in_t():
-    line = DirectLine(1.0)
-    values = [line.stirling_magnitudes(float(t))[0] for t in range(0, 11)]
+    values = [stirling_magnitude(1.0, float(t)) for t in range(0, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v < 1.0 for v in values[1:])
 
 
 def test_stirling_magnitude_domain():
-    # the estimate needs x = n + sigma >= 0.5, which the line's sigma check
-    # guarantees
+    # the estimate needs x = n + sigma >= 0.5, which the direct route's sigma
+    # check guarantees
     with pytest.raises(DomainError):
         DirectLine(0.25)
 
@@ -155,11 +158,19 @@ def test_max_tail_ratio_at_t_zero():
     # only by the leading-order Stirling error
     exact = max(gamma_tail_bound(n, 81.0) / math.factorial(n)
                 for n in range(14))
-    assert DirectLine(1.0).tail_ratio(0.0, 40) == pytest.approx(exact, rel=0.10)
+    assert max_tail_ratio(1.0, 0.0, 81.0) == pytest.approx(exact, rel=0.10)
 
 
 def test_max_tail_ratio_decreasing_in_b():
-    # a larger cutoff always meets a tighter ratio, which selection relies on
-    line = DirectLine(1.0)
-    r81, r101, r131 = (line.tail_ratio(10.0, m) for m in (40, 50, 65))
+    # a larger cutoff always meets a tighter ratio
+    r81, r101, r131 = (max_tail_ratio(1.0, 10.0, b) for b in (81.0, 101.0, 131.0))
     assert r81 > r101 > r131
+
+
+def test_paper_design_pairs():
+    # the paper's cutoff pairs at sigma = 1: b = 81 reaches ratio 1e-5 at
+    # t = 40, b = 101 ratio 1e-7 at t = 50
+    assert max_tail_ratio(1.0, 40.0, 81.0) == pytest.approx(7.25e-6, rel=1e-3)
+    assert max_tail_ratio(1.0, 40.0, 81.0) <= 1e-5
+    assert max_tail_ratio(1.0, 50.0, 101.0) == pytest.approx(9.04e-8, rel=1e-3)
+    assert max_tail_ratio(1.0, 50.0, 101.0) <= 1e-7

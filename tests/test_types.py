@@ -75,8 +75,9 @@ def test_named_fields_unpack_and_compare_as_tuples():
     assert repr(ComplexPoint(0.5, 1.0)) == "ComplexPoint(sigma=0.5, t=1.0)"
     assert EvalResult(value=1j, budget=ErrorBudget.exact(), method=MethodTag.DIRECT26,
                       m=None).m is None
-    assert ErrorBudget(1.0, 2.0, 3.0, 6.0) == ErrorBudget.assemble(1.0, 2.0, 3.0)
-    assert ErrorBudget.exact() == (0.0, 0.0, 0.0, 0.0, False, 0.0)
+    assert ErrorBudget(1.0, 2.0, 6.0, False, 3.0) \
+        == ErrorBudget.assemble(1.0, 2.0, reflection_factor=3.0)
+    assert ErrorBudget.exact() == (0.0, 0.0, 0.0, False, 0.0)
 
 
 @pytest.mark.parametrize("sigma, t", [(math.inf, 0.0), (0.5, -math.inf),
@@ -88,12 +89,11 @@ def test_point_must_be_finite(sigma, t):
         ComplexPoint(0.5, 1.0)._replace(sigma=sigma, t=t)
 
 
-@pytest.mark.parametrize("index, name", [(0, "integral_tail"),
+@pytest.mark.parametrize("index, name", [(0, "kernel_tail"),
                                          (1, "series_truncation"),
-                                         (2, "dropped_gamma_tail"),
-                                         (5, "reflection_factor")])
+                                         (4, "reflection_factor")])
 def test_budget_component_must_be_nonnegative(index, name):
-    fields = [1e-9, 1e-9, 1e-9, 4e-9, False, 1e-9]
+    fields = [1e-9, 1e-9, 3e-9, False, 1e-9]
     fields[index] = -1e-300
     with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
         ErrorBudget(*fields)
@@ -103,4 +103,4 @@ def test_budget_component_must_be_nonnegative(index, name):
     with pytest.raises(ParameterExhaustionError,
                        match="^parameter exhaustion: the error budget exceeds "
                              "double range$"):
-        ErrorBudget.assemble(*fields[:3], False, fields[5])
+        ErrorBudget.assemble(*fields[:2], False, fields[4])

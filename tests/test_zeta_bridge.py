@@ -120,7 +120,7 @@ def test_eta_reflection_region():
     result = eta(ComplexPoint(0.25, 5.0))
     assert result.method is MethodTag.REFLECTION27
     ref = oracles.eta_reference(0.25, 5.0)
-    assert oracles.diff(result.value, ref) <= max(result.budget.total, 5e-12)
+    assert oracles.diff(result.value, ref) <= result.budget.total
 
 
 @pytest.mark.parametrize("sigma,t", [(-0.5, 2.0), (-0.25, -7.0), (0.0, 1.0),
@@ -128,7 +128,7 @@ def test_eta_reflection_region():
 def test_eta_reflection_against_oracle(sigma, t):
     result = eta(ComplexPoint(sigma, t))
     ref = oracles.eta_reference(sigma, t)
-    assert oracles.diff(result.value, ref) <= max(result.budget.total, 5e-12)
+    assert oracles.diff(result.value, ref) <= result.budget.total
 
 
 def test_eta_stepwise_image_on_the_zero_line():
@@ -260,8 +260,7 @@ def test_zeta_special_value_at_zero():
 
 def test_zeta_at_two():
     result = zeta(ComplexPoint(2, 0))
-    assert abs(result.value - math.pi ** 2 / 6.0) <= max(result.budget.total,
-                                                         5e-12)
+    assert abs(result.value - math.pi ** 2 / 6.0) <= result.budget.total
 
 
 def test_zeta_pole():
@@ -285,7 +284,7 @@ def test_zeta_near_exceptional_point_uses_conversion():
     result = zeta(s)
     assert result.method is MethodTag.DIRECT26
     ref = oracles.zeta_reference(1.0, T1 + 1e-3)
-    assert oracles.diff(result.value, ref) <= max(result.budget.total, 5e-12)
+    assert oracles.diff(result.value, ref) <= result.budget.total
 
 
 def test_zeta_third_exceptional_point_is_out_of_reach():
@@ -393,8 +392,8 @@ def test_conversion_identity(sigma, t):
 @pytest.mark.parametrize("m", [None, 40])
 @pytest.mark.parametrize("sigma", [-0.5, 0.25, 0.75, 3.0])
 def test_extreme_points_are_refused_or_finite(sigma, m):
-    # far past the schedule: with m = 40 the tail ratio stays finite to
-    # t ~ 475, the reflection's sin(pi s/2) overflows past t ~ 452, and the
+    # far past the schedule: with m = 40 the kernel tail stays finite to
+    # t ~ 505, the reflection's sin(pi s/2) overflows past t ~ 452, and the
     # budget can overflow before either
     points = [(sigma, t) for t in (460.0, -460.0, 500.0, -500.0, 1000.0,
                                    -1000.0, 1e150)]
