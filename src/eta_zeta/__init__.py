@@ -6,9 +6,8 @@ See eta() and zeta() in this namespace for the user-facing entry points;
 the building blocks stay importable from their own modules.
 """
 
-from .errors import (DomainError, EtaZetaError, GammaOverflowError,
-                     NonConvergentTailError, ParameterExhaustionError,
-                     PoleError)
+from .errors import (DomainError, EtaZetaError, NonConvergentTailError,
+                     ParameterExhaustionError, PoleError)
 from .eta_core import M_SCHEDULE
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 from .zeta_bridge import eta, exceptional_distance, zeta
@@ -21,7 +20,6 @@ __all__ = [
     "ErrorBudget",
     "EtaZetaError",
     "EvalResult",
-    "GammaOverflowError",
     "M_SCHEDULE",
     "MethodTag",
     "NonConvergentTailError",

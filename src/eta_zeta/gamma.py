@@ -1,6 +1,6 @@
 """Complex gamma machinery, and the two gamma bounds of eta_core.kernel_tail.
 
-log_gamma / gamma_reflected provide user-facing gamma values (13+ significant
+log_gamma gives the functional-equation factor its Gamma (13+ significant
 digits on the supported strip).  log_abs_gamma_lower bounds |Gamma(s)| from
 below, upper_gamma_factor the incomplete gamma Gamma(a, b) from above.
 """
@@ -11,7 +11,7 @@ import cmath
 import math
 
 from .coefficients import _bernoulli_fractions
-from .errors import DomainError, GammaOverflowError, PoleError
+from .errors import DomainError
 
 # Asymptotic series coefficients B_{2k} / (2k (2k-1)), k = 1..8, each rounded
 # once from its exact rational.  With the argument shifted to Re >= 10 the
@@ -30,7 +30,10 @@ def log_gamma(z: complex) -> complex:
     Re >= 10 through log Gamma(z) = log Gamma(z+1) - log z, which is exact for
     the principal branch on the right half-plane.  Accurate to 13+ significant
     digits for 0 < Re(z) <= 60, |Im(z)| <= 180, which covers every t the
-    cutoff schedule admits (about 177).
+    cutoff schedule admits (about 177).  The functional-equation factor calls
+    it only at 3/2 <= Re(z) <= 5/2, but at every |Im(z)| an explicit m
+    reaches; there the absolute error of the log stays below
+    1e-14 (1 + |Im(z)|) up to |Im(z)| = 1500 (1.8e-12 at 2 + 1500i).
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -49,41 +52,6 @@ def log_gamma(z: complex) -> complex:
         series += c * power
         power *= inv_w2
     return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series - shift
-
-
-def _log_sin(w: complex) -> complex:
-    # log(sin(w)) without overflowing for large |Im(w)|; any 2*pi*i ambiguity
-    # is irrelevant because the result is only ever exponentiated.
-    if w.imag > 20.0:
-        return complex(0.0, -1.0) * w + complex(-math.log(2.0), 0.5 * math.pi)
-    if w.imag < -20.0:
-        return complex(0.0, 1.0) * w + complex(-math.log(2.0), -0.5 * math.pi)
-    return cmath.log(cmath.sin(w))
-
-
-def _bounded_exp(w: complex, z: complex) -> complex:
-    try:
-        result = cmath.exp(w)
-    except OverflowError as exc:
-        raise GammaOverflowError(f"|gamma({z})| exceeds double range") from exc
-    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
-        raise GammaOverflowError(f"|gamma({z})| exceeds double range")
-    return result
-
-
-def gamma_reflected(z: complex) -> complex:
-    """Gamma(z) anywhere except the poles at 0, -1, -2, ...
-
-    Right half-plane via exp(log_gamma); otherwise the reflection formula
-    Gamma(z) Gamma(1-z) = pi / sin(pi z), evaluated in log form for stability.
-    """
-    z = complex(z)
-    if z.real > 0.0:
-        return _bounded_exp(log_gamma(z), z)
-    if z.imag == 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"gamma pole at z = {z.real:g}")
-    lg = math.log(math.pi) - _log_sin(math.pi * z) - log_gamma(1.0 - z)
-    return _bounded_exp(lg, z)
 
 
 def log_abs_gamma_lower(sigma: float, t: float) -> float:

@@ -14,7 +14,7 @@ class MethodTag(str, enum.Enum):
 
     DIRECT26 = "Direct26"          # partial sum plus correction term
     REFLECTION27 = "Reflection27"  # functional-equation image of a direct result
-    SPECIAL_VALUE = "SpecialValue"  # closed-form value (s = 0 or s = 1)
+    SPECIAL_VALUE = "SpecialValue"  # closed-form value at s = 0
     STEPWISE3 = "Stepwise3"        # stepwise continuation through s + 2k
 
     def __str__(self) -> str:

@@ -21,10 +21,9 @@ from functools import cached_property
 from itertools import repeat
 
 from .coefficients import c_coefficient
-from .errors import (DomainError, GammaOverflowError, NonConvergentTailError,
-                     PoleError)
+from .errors import DomainError, NonConvergentTailError, PoleError
 from .eta_core import DirectLine, dirichlet_sum, log_table
-from .gamma import gamma_reflected
+from .gamma import log_gamma
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
 LN2 = math.log(2.0)
@@ -38,12 +37,12 @@ SIGMA_MAX = 3.0
 EXCEPTIONAL_DISTANCE_THRESHOLD = 1e-4
 # Guard on |1 - 2^(1-s)| inside the functional equation (the 0/0 zone).
 FE_DENOMINATOR_THRESHOLD = 1e-4
-POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| below it: s = 1 for zeta
+POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| or |s - 1| below it: s = 1
 # Relative rounding error of the functional-equation factor per unit of
 # (1 + |t|) / min(1, |gap|): the factor is exp of logs of size up to about
-# |t| ln|t| (log Gamma(1 - s') to 13 digits; near s = 0 it is ln(1/|s|) <= 37),
-# each off by a few ulps, and the gap 1 - 2^(1-s') holds its phase t ln 2 to
-# a few ulps of |t|.  1e-13 is 900 ulps per unit.
+# |t| ln|t| (log Gamma(3 - s') to 13 digits), each off by a few ulps, and the
+# gap 1 - 2^(1-s') holds its phase t ln 2 to a few ulps of |t|.  1e-13 is
+# 900 ulps per unit.
 FE_RELATIVE_ERROR = 1e-13
 
 # Stepwise route: term magnitudes peak like e^(e|t|/4); past |t| = 20 the
@@ -84,16 +83,26 @@ def _one_minus_two_pow(w: complex) -> complex:
                    -math.exp(a) * math.sin(b))
 
 
-def _fe_parts(z: complex) -> tuple[complex, complex]:
-    """Numerator pi (1 - 2^z) and denominator Gamma(1-z) sin(pi z/2) (2 pi)^z
-    of the multiplier G(s) with eta(1-s) = G(s) * zeta(s)."""
-    try:  # sin overflows past |t| ~ 452, reachable only with an explicit m
-        sine = cmath.sin(0.5 * math.pi * z)
-    except OverflowError:
-        raise GammaOverflowError(f"sin(pi s/2) overflows at s = {z}") from None
-    return (math.pi * _one_minus_two_pow(z),
-            gamma_reflected(1.0 - z) * sine
-            * cmath.exp(z * math.log(2.0 * math.pi)))
+def _log_sin(w: complex) -> complex:
+    # log(sin(w)) without overflowing for large |Im(w)|; any 2*pi*i ambiguity
+    # is irrelevant because the result is only ever exponentiated.
+    if w.imag > 20.0:
+        return complex(0.0, -1.0) * w + complex(-LN2, 0.5 * math.pi)
+    if w.imag < -20.0:
+        return complex(0.0, 1.0) * w + complex(-LN2, -0.5 * math.pi)
+    return cmath.log(cmath.sin(w))
+
+
+def _fe_factor(z: complex) -> complex:
+    """The multiplier G(s) = pi (1 - 2^s) / [Gamma(1-s) sin(pi s/2) (2 pi)^s]
+    with eta(1-s) = G(s) * zeta(s), for 1/2 < Re s <= 3/2.  With w = 1 - s,
+    1/Gamma(w) = w (w+1) / Gamma(w+2) (DLMF 5.5.1), so Gamma is taken only at
+    Re >= 3/2, and Gamma, the sine and (2 pi)^s meet as one exp of logs whose
+    real parts cancel: no part overflows, however large |t|."""
+    w = 1.0 - z
+    return (math.pi * _one_minus_two_pow(z) * w * (w + 1.0)
+            * cmath.exp(-log_gamma(w + 2.0) - _log_sin(0.5 * math.pi * z)
+                        - z * math.log(2.0 * math.pi)))
 
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
@@ -116,7 +125,7 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
     STEPWISE_K_MAX terms.  The budget is the flat STEPWISE_ERR_ENVELOPE.
     """
     z = s.z
-    if z == 1.0:
+    if abs(z - 1.0) < POLE_GAP:  # 1 / (s - 1) would leave the double range
         raise PoleError("pole at s=1")
     if abs(s.t) > STEPWISE_T_MAX:
         raise DomainError("exceptional point requires stepwise path beyond "
@@ -160,15 +169,11 @@ class Line:
     def eta(self, t: float) -> EvalResult:
         """eta(sigma + i t): direct for sigma >= 1/2, else reflected through
         the functional equation from eta(s'), s' = conj(1 - s), or from the
-        stepwise zeta(s') inside its 0/0 zone; closed forms at s = 0, 1."""
+        stepwise zeta(s') inside its 0/0 zone; the closed form at s = 0."""
         return self._eta(ComplexPoint(self.sigma, t))
 
     def _eta(self, s: ComplexPoint) -> EvalResult:
-        z = s.z
-        if z == 1.0:
-            return EvalResult(complex(LN2, 0.0), ErrorBudget.exact(),
-                              MethodTag.SPECIAL_VALUE, None)
-        if z == 0.0:
+        if s.z == 0.0:
             return EvalResult(complex(0.5, 0.0), ErrorBudget.exact(),
                               MethodTag.SPECIAL_VALUE, None)
         if s.sigma >= 0.5:
@@ -182,8 +187,7 @@ class Line:
             inner, gap, method = zeta_em_stepwise(s_prime), 1.0, MethodTag.STEPWISE3
         else:
             inner, method = self.direct.eval(s.t, self.m), MethodTag.REFLECTION27
-        numerator, denominator = _fe_parts(s_prime.z)
-        factor = numerator / (denominator * gap)
+        factor = _fe_factor(s_prime.z) / gap
         value = (inner.value * factor).conjugate()
         rel_error = FE_RELATIVE_ERROR * (1.0 + abs(s.t)) / min(1.0, abs(gap))
         budget = inner.budget.scaled(abs(factor), rel_error * abs(value))

@@ -7,8 +7,9 @@ import math
 import random
 
 import mpmath
+import pytest
 
-from eta_zeta import (ComplexPoint, DomainError, MethodTag, eta,
+from eta_zeta import (ComplexPoint, DomainError, MethodTag, PoleError, eta,
                       exceptional_distance, zeta)
 
 T1 = 2.0 * math.pi / math.log(2.0)  # imaginary part of the first exceptional point
@@ -31,7 +32,7 @@ def _sweep_points():
     for center in (0j, 1 + 0j, *(complex(sigma, n * T1) for sigma in (1.0, 0.0)
                                   for n in (1, -1, 2, -2))):
         points.extend(_near(rng, center, 3))
-    points += [(0.0, 0.0), (0.5, 0.0), (1.0, 176.0), (3.0, -176.0)]
+    points += [(0.0, 0.0), (0.5, 0.0), (1.0, 176.0), (3.0, -176.0), (1.0, 0.0)]
     return points
 
 
@@ -50,9 +51,15 @@ def test_sweep_within_budget():
     with mpmath.workdps(30):
         for sigma, t in _sweep_points():
             s = mpmath.mpc(sigma, t)
-            exact_zeta = mpmath.zeta(s)
-            exact_eta = (1 - mpmath.power(2, 1 - s)) * exact_zeta
-            for function, exact in ((eta, exact_eta), (zeta, exact_zeta)):
+            if s == 1:  # zeta's pole: zeta refuses, eta(1) = ln 2
+                with pytest.raises(PoleError):
+                    zeta(ComplexPoint(sigma, t))
+                cases = ((eta, mpmath.log(2)),)
+            else:
+                exact_zeta = mpmath.zeta(s)
+                exact_eta = (1 - mpmath.power(2, 1 - s)) * exact_zeta
+                cases = ((eta, exact_eta), (zeta, exact_zeta))
+            for function, exact in cases:
                 try:
                     result = function(ComplexPoint(sigma, t))
                 except DomainError as exc:

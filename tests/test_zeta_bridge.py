@@ -1,6 +1,5 @@
 import cmath
 import math
-import operator
 import random
 
 import mpmath
@@ -69,9 +68,8 @@ def test_functional_equation_limit_towards_one():
 
 
 def _fe_multiplier(z):
-    # F(s) with eta(1-s) = F(s) eta(s), from the parts Line.eta reflects with
-    numerator, denominator = zeta_bridge._fe_parts(z)
-    return numerator / (denominator * zeta_bridge._one_minus_two_pow(1.0 - z))
+    # F(s) with eta(1-s) = F(s) eta(s), from the factor Line.eta reflects with
+    return zeta_bridge._fe_factor(z) / zeta_bridge._one_minus_two_pow(1.0 - z)
 
 
 def test_functional_equation_round_trip():
@@ -87,14 +85,14 @@ def test_zero_over_zero_routes_are_pinned():
     # the routes around the 0/0 of the functional equation (sigma near 0) and
     # of the conversion (an exceptional point), pinned bit for bit
     image = eta(ComplexPoint(0.0, 9.064720283654388))
-    assert image.value == (-1.5987345268085638-0.27833866963924203j)
-    assert image.budget.series_truncation == 1.20112240878594e-09
-    assert image.budget.total == 1.2027556944330422e-09
+    assert image.value == (-1.5987345268085538-0.2783386696392418j)
+    assert image.budget.series_truncation == 1.2011224087859326e-09
+    assert image.budget.total == 1.2027556944330347e-09
     assert image.method is MethodTag.STEPWISE3
     assert (eta(ComplexPoint(1e-9, 0.0)).value
-            == (0.5000000002257904+0j))
+            == (0.5000000002257899+0j))
     assert (zeta(ComplexPoint(-1e-9, 0.0)).value
-            == (-0.49999999908106324-6.123233984483035e-17j))
+            == (-0.49999999908106035+0j))
     assert (zeta(ComplexPoint(1.0, 9.064720383654388)).value
             == (1.3465795532854368+0.10988311702034802j))
 
@@ -102,10 +100,12 @@ def test_zero_over_zero_routes_are_pinned():
 # ---------------------------------------------------------- eta dispatch ---
 
 def test_eta_special_values():
+    # s = 1 takes the direct route, whose budget bounds the rounding of ln 2
     r1 = eta(ComplexPoint(1, 0))
     assert r1.value == complex(math.log(2.0), 0.0)
-    assert r1.method is MethodTag.SPECIAL_VALUE
-    assert r1.budget.total == 0.0
+    assert (r1.method, r1.m) == (MethodTag.DIRECT26, 40)
+    assert oracles.diff(r1.value, oracles.eta_reference(1.0, 0.0)) \
+        <= r1.budget.total < 1e-9
     r0 = eta(ComplexPoint(0, 0))
     assert r0.value == 0.5 + 0j
     assert r0.method is MethodTag.SPECIAL_VALUE
@@ -162,7 +162,7 @@ def test_eta_explicit_m_is_honoured():
 
 
 # every route: direct, reflection, the functional equation's 0/0 zone, an
-# exceptional point, and the closed forms
+# exceptional point, the closed forms at s = 0, and s = 1 on the direct route
 M_ROUTES = [(zeta, 0.5, 1.0), (eta, 0.25, 5.0), (eta, 1e-9, 0.0),
             (zeta, 1.0, 9.0647202836), (eta, 0.0, 0.0), (zeta, 0.0, 0.0),
             (eta, 1.0, 0.0)]
@@ -214,8 +214,7 @@ def test_reflection_factor_component_bounds_the_factor_error():
             continue
         with_gap = result.method is MethodTag.REFLECTION27
         z = complex(1.0 - sigma, t)
-        factor = (_fe_multiplier(z) if with_gap else
-                  operator.truediv(*zeta_bridge._fe_parts(z)))
+        factor = _fe_multiplier(z) if with_gap else zeta_bridge._fe_factor(z)
         exact = _exact_fe_factor(z, with_gap)
         rel = oracles.diff(factor, exact) / float(abs(exact))
         assert rel * abs(result.value) <= result.budget.reflection_factor, (sigma, t)
@@ -389,12 +388,45 @@ def test_conversion_identity(sigma, t):
     assert oracles.diff(eta_v, recon) <= 4.0 * 2.3e-16 * abs(eta_v)
 
 
+# s != 0 within about 1e-16 of 0, with t subnormal or 0: the reflected point
+# conj(1 - s) rounds to within 1/DBL_MAX of s = 1
+ROUNDS_ONTO_POLE = [(0.0, 5e-324), (0.0, 1e-310), (1e-320, 0.0), (-1e-17, 0.0),
+                    (1e-300, 0.0)]
+
+
+@pytest.mark.parametrize("sigma,t", ROUNDS_ONTO_POLE)
+def test_points_rounding_onto_the_pole_raise_pole_error(sigma, t):
+    # PoleError and nothing else: any other exception fails the test
+    for function in (eta, zeta):
+        with pytest.raises(PoleError):
+            function(ComplexPoint(sigma, t))
+
+
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_stepwise_refuses_within_the_pole_gap(t):
+    # 1 / (s - 1) would leave the double range
+    with pytest.raises(PoleError):
+        zeta_em_stepwise(ComplexPoint(1.0, t))
+
+
+@pytest.mark.parametrize("sigma,t,m", [
+    (0.0, 6e-309, None), (-3e-308, 2e-308, None),  # just outside the pole gap
+    # past the schedule with an explicit m, where sin(pi s'/2) and
+    # |Gamma(1 - s')| leave the double range on their own
+    (-0.3, 480.0, 150), (0.2, 460.0, 200), (-0.5, 1000.0, 1000)])
+def test_reflection_returns_finite_values_within_budget(sigma, t, m):
+    for function, reference in ((eta, oracles.eta_reference),
+                                (zeta, oracles.zeta_reference)):
+        result = function(ComplexPoint(sigma, t), m=m)
+        assert cmath.isfinite(result.value), (function, sigma, t)
+        assert oracles.diff(result.value, reference(sigma, t)) <= result.budget.total
+
+
 @pytest.mark.parametrize("m", [None, 40])
 @pytest.mark.parametrize("sigma", [-0.5, 0.25, 0.75, 3.0])
 def test_extreme_points_are_refused_or_finite(sigma, m):
     # far past the schedule: with m = 40 the kernel tail stays finite to
-    # t ~ 505, the reflection's sin(pi s/2) overflows past t ~ 452, and the
-    # budget can overflow before either
+    # t ~ 505, and the budget can overflow before it
     points = [(sigma, t) for t in (460.0, -460.0, 500.0, -500.0, 1000.0,
                                    -1000.0, 1e150)]
     points += [(1.0, 5e-324), (math.nextafter(1.0, 0.0), 0.0)]
