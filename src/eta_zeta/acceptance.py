@@ -128,9 +128,9 @@ def _special_value_checks() -> list[CheckResult]:
             detail=f"printed {printed}"))
     z = zeta(ComplexPoint(0.5, 0.0)).value
     checks.append(_check("zeta(0.5) vs -1.4603545", abs(z - (-1.4603545)), 5e-8))
-    checks.append(_check("eta(0) special value",
+    checks.append(_check("eta(0) = 1/2",
                          abs(_eta_value(0.0, 0.0).value - 0.5), 1e-9))
-    checks.append(_check("zeta(0) special value",
+    checks.append(_check("zeta(0) = -1/2",
                          abs(zeta(ComplexPoint(0.0, 0.0)).value + 0.5), 1e-9))
     return checks
 

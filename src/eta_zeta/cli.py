@@ -15,7 +15,8 @@ from collections import namedtuple
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
-from .zeta_bridge import LN2, Line, check_sigma, eta, zeta
+from .eta_core import check_sigma
+from .zeta_bridge import LN2, Line, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6

@@ -24,8 +24,7 @@ def _bernoulli_fractions(n_max: int) -> tuple[list[int], int]:
     """B_0 .. B_n_max as integer numerators over one common denominator
     2 (n_max+1)!, via the defining recurrence sum_k binom(n+1, k) B_k = 0.
     By von Staudt-Clausen each B_n's denominator divides it, so every
-    division by n+1 is exact.  The one Bernoulli source: it feeds the P
-    table here and gamma's Stirling series."""
+    division by n+1 is exact."""
     den = 2 * math.factorial(n_max + 1)
     b = [den, -den // 2]
     for n in range(2, n_max + 1):

@@ -11,14 +11,13 @@ class DomainError(EtaZetaError, ValueError):
 
 class PoleError(EtaZetaError, ArithmeticError):
     """A pole was hit: s = 1, or |s - 1| or |1 - 2^(1-s)| below 1/DBL_MAX
-    where it divides.  eta and zeta raise it also at s != 0 within about
-    1e-16 of 0 with subnormal t, whose reflected point rounds that close to 1."""
+    where it divides."""
 
 
 class ParameterExhaustionError(EtaZetaError, RuntimeError):
     """t is too large to bound the error: no scheduled cutoff meets the kernel
-    tail tolerance, or at an explicit m the kernel tail or the budget exceeds
-    the double range."""
+    tail tolerance, or at an explicit m the truncation bound or the budget
+    exceeds the double range."""
 
 
 class NonConvergentTailError(EtaZetaError, RuntimeError):

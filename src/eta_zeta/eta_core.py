@@ -1,16 +1,16 @@
-"""Core evaluator: truncated alternating sum plus a correction term.
+"""Core evaluator: the paper's truncated alternating sum plus its correction term.
 
 eta(s) is approximated by
 
     sum_{n=1}^{2m} (-1)^(n+1) n^(-s)
-      + (2m+1)^(-s) [ 1/2 + sum_{r=1}^{7} P_{2r-1} beta^(2r-1)
-                            prod_{k=0}^{2(r-1)} (s+k) ]
+      + N^(-s) [ 1/2 + sum_{r=1}^{7} P_{2r-1} (s)_{2r-1} N^-(2r-1) ],  N = 2m + 1,
 
-with beta = 1/(2m+1).  The correction term is the closed form of the kernel
-integral left over after 2m direct terms, after two approximations whose
-residuals make up the ErrorBudget: the kernel series is cut at r = 7
-(series_truncation), and the integral past y = b is taken from the series
-instead of the kernel (kernel_tail).
+with (s)_k = s (s+1) ... (s+k-1).  The correction term is Boole's summation
+formula (DLMF 24.17.2) for the alternating tail past n = 2m, so the formula
+holds on the whole strip and carries two bounds: Boole's remainder for what
+it leaves out (correction_term) and the rounding of the float evaluation
+(DirectLine.eval).  The cutoff m is chosen by kernel_tail, the dropped part
+of the paper's kernel integral.
 """
 
 from __future__ import annotations
@@ -32,22 +32,31 @@ from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 M_SCHEDULE = (40, 50, 65, 80, 100, 125, 150)
 TAIL_TOLERANCE = 2e-13
 
-# Depth of the correction polynomial.  The budget's series-truncation
-# envelope (exponent 2 R_MAX - 1 = 13, KERNEL_SERIES_ERROR) assumes it.
+# Depth of the correction polynomial: P_1 .. P_13, Boole's terms k <= 14.
 R_MAX = 7
-# Accuracy of the truncated kernel series itself: below 2e-8 for beta*y <= 1,
-# independent of beta.
-KERNEL_SERIES_ERROR = 2e-8
+# Boole's remainder constants C_n = sup |E_n(x)| / (2 n!) over [0, 1]: for
+# even n at x = 1/2, |E_n| / 2^n with the Euler number E_14 = -199360981;
+# for odd n at the ends, where E_n(0) / n! = -2 P_n, so C_15 = |P_15|.
+C14 = 199360981 / (2 ** 14 * 2 * math.factorial(14))
+C15 = abs(p_coefficients(R_MAX + 1)[R_MAX + 1])
 # (w_k, k) of kernel_tail's terms w_k b^-k Gamma(sigma + k, b): 1.5 and |P_k|
 _TAIL_TERMS = tuple(zip((1.5, *map(abs, p_coefficients(R_MAX)[1:])),
                         (0, *range(1, 2 * R_MAX, 2))))
 
-SIGMA_DIRECT_MIN = 0.5
-SIGMA_DIRECT_MAX = 3.0
+SIGMA_MIN = -0.5
+SIGMA_MAX = 3.0
+UNIT_ROUNDOFF = 2.0 ** -53
 
 TERMS_KEPT = 4096  # terms whose ln n, n^(-sigma) are kept; further ones are recomputed
 _LN_DOUBLE_MAX = 709.78  # ln of the largest double, rounded down
 _LN_TAIL_TOLERANCE = math.log(TAIL_TOLERANCE)
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise DomainError unless SIGMA_MIN <= sigma <= SIGMA_MAX."""
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+        raise DomainError(
+            f"outside supported sigma range [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
 
 
 def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> complex:
@@ -76,11 +85,44 @@ def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[f
     return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
-def correction_term(s: ComplexPoint, m: int) -> complex:
-    """(2m+1)^(-s) times the bracketed correction polynomial.
+def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
+    """The correction c = N^(-s) [1/2 + sum_{r<=7} P_{2r-1} (s)_{2r-1}
+    N^-(2r-1)], N = 2m + 1, a bound on the truncation error of the formula
+    (sum plus correction against eta(s)), and a bound on the rounding of c.
+
+    The tail past n = 2m is sum_{j>=0} (-1)^j f(j), f(x) = (N + x)^(-s).
+    Boole's summation formula (DLMF 24.17.2, h = 0, from 0 to infinity)
+    writes it as (1/2) sum_{k<l} E_k(0)/k! f^(k)(0) plus the remainder
+
+        R_l = 1/(2 (l-1)!) int_0^inf f^(l)(x) E~_{l-1}(-x) dx,
+
+    E~ the periodic Euler functions.  With f^(k)(0) = (-1)^k (s)_k N^(-s-k),
+    E_0(0) = 1, E_k(0) = 0 for even k >= 2 and E_k(0)/k! = -2 P_k for odd k,
+    term k is P_k (s)_k N^(-s-k): the bracket holds the terms k <= 14, and
+    the error is R_15.  As |E~_n| <= 2 n! C_n and int_0^inf (N+x)^(-sigma-l)
+    dx = N^(1-sigma-l) / (sigma+l-1),
+
+        |R_15| <= C14 |(s)_15| N^(-sigma-14) / (sigma + 14),
+
+    and, as the term k = 15 plus R_16 with C15 = |P_15|,
+
+        |R_15| <= |P_15| |(s)_15| N^(-sigma-15) (1 + |s + 15| / (sigma + 15)).
+
+    The bound is the smaller.  For sigma > 0, where the series converges,
+    eta equals the formula plus R_15.  Both sides are analytic in s for
+    sigma > -14, where the integral converges, so the identity and the
+    bound hold there too: on the whole strip, sigma <= 0 included.
+
+    The rounding of c: term r of the bracket carries at most 8r - 4 <= 52
+    roundings (coefficient, beta powers, factor products), their sum 7 more,
+    each of u times B = 1/2 + sum |terms|.  N^(-s) = exp(-s ln N) is off by
+    2u (|t| + |sigma|) ln N from rounding ln N and the product, and by a
+    few u from exp and the last product: in all at most
+    u N^-sigma B (64 + 2 (|t| + |sigma|) ln N).  Where |s| is large against
+    N, B is ruled by the last terms; elsewhere it is near 1/2.
 
     The factor product for step r reuses the previous one times two new
-    factors; beta powers advance by beta^2 per step.
+    factors, and |(s)_15| reuses the last; beta powers advance by beta^2.
     """
     p = p_coefficients(R_MAX)
     z = s.z
@@ -90,12 +132,26 @@ def correction_term(s: ComplexPoint, m: int) -> complex:
     prod = z
     beta_pow = beta
     beta2 = beta * beta
+    size = 0.5
     for r in range(1, R_MAX + 1):
         if r > 1:
             prod *= (z + (2 * r - 3)) * (z + (2 * r - 2))
             beta_pow *= beta2
-        bracket += p[r] * beta_pow * prod
-    return cmath.exp(-z * math.log(b)) * bracket
+        term = p[r] * beta_pow * prod
+        bracket += term
+        size += abs(term)
+    ln_b = math.log(b)
+    sigma = s.sigma
+    scale = math.exp(-sigma * ln_b)  # |N^-s|
+    truncation = (abs(prod) * abs(z + 13.0) * abs(z + 14.0) * scale * beta_pow * beta
+                  * min(C14 / (sigma + 14.0),
+                        C15 * beta * (1.0 + abs(z + 15.0) / (sigma + 15.0))))
+    if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln b) fails
+        raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
+                                       f"at t = {s.t:g}, m = {m} exceeds double range")
+    rounding = (UNIT_ROUNDOFF * scale * size
+                * (64.0 + 2.0 * (abs(s.t) + abs(sigma)) * ln_b))
+    return cmath.exp(-z * ln_b) * bracket, truncation, rounding
 
 
 def kernel_tail(sigma: float, t: float, m: int) -> float:
@@ -139,25 +195,25 @@ class DirectLine:
     """
 
     def __init__(self, sigma: float) -> None:
-        if not SIGMA_DIRECT_MIN <= sigma <= SIGMA_DIRECT_MAX:
-            raise DomainError(
-                f"direct evaluation supports {SIGMA_DIRECT_MIN} <= sigma <= "
-                f"{SIGMA_DIRECT_MAX}, got sigma = {sigma:g}")
+        check_sigma(sigma)
         self.sigma = sigma
+        # the cutoff is chosen as on the mirror line 1 - sigma for sigma < 1/2,
+        # where the kernel integral that kernel_tail bounds converges
+        self._tail_sigma = max(sigma, 1.0 - sigma)
         self._mags: list[float] = []
 
-    def select(self, t: float) -> tuple[int, float]:
-        """Smallest scheduled m whose kernel tail is at most TAIL_TOLERANCE,
-        with that tail; ParameterExhaustionError when none is (t is too
-        large for the schedule)."""
-        ln_gamma = log_abs_gamma_lower(self.sigma, t)
+    def select(self, t: float) -> int:
+        """Smallest scheduled m whose kernel tail at max(sigma, 1 - sigma) is
+        at most TAIL_TOLERANCE; ParameterExhaustionError when none is (t is
+        too large for the schedule)."""
+        sigma = self._tail_sigma
+        ln_gamma = log_abs_gamma_lower(sigma, t)
         for m in M_SCHEDULE:
             b = float(2 * m + 1)
             # T > e^(-b) / (b |Gamma(s)|): skip an m whose lead alone misses
-            if -b - math.log(b) - ln_gamma < _LN_TAIL_TOLERANCE:
-                tail = kernel_tail(self.sigma, t, m)
-                if tail <= TAIL_TOLERANCE:
-                    return m, tail
+            if (-b - math.log(b) - ln_gamma < _LN_TAIL_TOLERANCE
+                    and kernel_tail(sigma, t, m) <= TAIL_TOLERANCE):
+                return m
         raise ParameterExhaustionError(
             f"parameter exhaustion: no scheduled m reaches kernel tail "
             f"{TAIL_TOLERANCE:g} at t = {t:g} (schedule max m = {M_SCHEDULE[-1]})")
@@ -178,21 +234,28 @@ class DirectLine:
         return dirichlet_sum(chain(mags, far_mags), chain(lns, map(math.log, far)), t)
 
     def eval(self, t: float, m: int | None = None) -> EvalResult:
-        """eta(sigma + i t) with 2m terms; m = None selects the cutoff."""
+        """eta(sigma + i t) with 2m terms; m = None selects the cutoff.
+
+        The budget is Boole's truncation bound plus a rounding bound: the
+        correction term's (correction_term), and the partial sum's.  Each
+        of its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from
+        the rounding of its phase (up to twice that where both roundings
+        align, which the sum of many terms averages out) and by a few u from
+        its magnitude, cosine, sine and the compensated sum.  S = 1 +
+        int_1^N x^-sigma dx bounds sum_{n<=2m} n^-sigma for either sign of
+        sigma, so the sum is off by at most u S (8 + |t| ln N); 8 u |value|
+        more covers the last sum and a later division by 1 - 2^(1-s).
+        """
         if m is not None and m < 1:  # before any tail or term is computed
             raise DomainError("m must be >= 1")
         s = ComplexPoint(self.sigma, t)
         if m is None:
-            m, tail = self.select(t)
-        else:
-            tail = kernel_tail(self.sigma, t, m)
-        value = self.partial_sum(t, m) + correction_term(s, m)
-        # Envelope for the neglected series terms: the kernel-series error
-        # times the magnitude amplification of the highest kept monomial.
-        # Provably above the dominant neglected (r = 8) term on the strip.
-        b = float(2 * m + 1)
-        series_truncation = (KERNEL_SERIES_ERROR * b ** (-s.sigma)
-                             * (1.0 + abs(s.z) / b) ** (2 * R_MAX - 1))
-        budget = ErrorBudget.assemble(tail, series_truncation,
-                                      extrapolated=s.sigma > 1.0)
-        return EvalResult(value=value, budget=budget, method=MethodTag.DIRECT26, m=m)
+            m = self.select(t)
+        correction, truncation, rounding = correction_term(s, m)
+        value = self.partial_sum(t, m) + correction
+        ln_b = math.log(2 * m + 1)
+        x = (1.0 - self.sigma) * ln_b  # int_1^N x^-sigma dx = expm1(x) / (1 - sigma)
+        power_sum = 1.0 + (math.expm1(x) / (1.0 - self.sigma) if x else ln_b)  # S
+        rounding += UNIT_ROUNDOFF * (power_sum * (8.0 + abs(t) * ln_b) + 8.0 * abs(value))
+        return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
+                          MethodTag.DIRECT26, m)

@@ -12,10 +12,8 @@ from .errors import DomainError, ParameterExhaustionError
 class MethodTag(str, enum.Enum):
     """Which code path produced a result."""
 
-    DIRECT26 = "Direct26"          # partial sum plus correction term
-    REFLECTION27 = "Reflection27"  # functional-equation image of a direct result
-    SPECIAL_VALUE = "SpecialValue"  # closed-form value at s = 0
-    STEPWISE3 = "Stepwise3"        # stepwise continuation through s + 2k
+    DIRECT26 = "Direct26"    # partial sum plus correction term
+    STEPWISE3 = "Stepwise3"  # stepwise continuation through s + 2k
 
     def __str__(self) -> str:
         return self.value
@@ -43,52 +41,38 @@ class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
         return complex(self.sigma, self.t)
 
 
-class ErrorBudget(namedtuple("ErrorBudget", "kernel_tail series_truncation total "
-                             "extrapolated reflection_factor")):
-    """A-priori error bound, decomposed by approximation.
+class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
+    """A-priori error bound, in two parts.
 
-    kernel_tail        : bound on the kernel integral dropped past y = b
-                         (eta_core.kernel_tail)
-    series_truncation  : envelope for cutting the correction series at r = 7
-    total              : sum of the three components, finite
-    extrapolated       : True when sigma is outside [1/2, 1], where the
-                         series envelope was calibrated
-    reflection_factor  : rounding error of the functional-equation factor
-                         times |value|; 0 where no reflection ran
+    truncation : bound on what the formula leaves out: Boole's remainder on
+                 the direct route (eta_core.correction_term), the flat
+                 envelope on the stepwise route
+    rounding   : bound on the floating-point error of the value as computed
+    total      : truncation + rounding, finite
     """
 
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, kernel_tail: float, series_truncation: float, total: float,
-                extrapolated: bool = False, reflection_factor: float = 0.0) -> ErrorBudget:
-        self = tuple.__new__(cls, (kernel_tail, series_truncation, total,
-                                   extrapolated, reflection_factor))
-        for name in ("kernel_tail", "series_truncation", "reflection_factor"):
+    def __new__(cls, truncation: float, rounding: float, total: float) -> ErrorBudget:
+        self = tuple.__new__(cls, (truncation, rounding, total))
+        for name in ("truncation", "rounding"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
-        if not total < math.inf:  # past the schedule with an explicit m
+        if not total < math.inf:  # far past the schedule with an explicit m
             raise ParameterExhaustionError(
                 "parameter exhaustion: the error budget exceeds double range")
         return self
 
     @classmethod
-    def assemble(cls, kernel_tail: float, series_truncation: float,
-                 extrapolated: bool = False, reflection_factor: float = 0.0) -> ErrorBudget:
-        total = kernel_tail + series_truncation + reflection_factor
-        return cls(kernel_tail, series_truncation, total, extrapolated, reflection_factor)
+    def assemble(cls, truncation: float, rounding: float) -> ErrorBudget:
+        return cls(truncation, rounding, truncation + rounding)
 
-    @classmethod
-    def exact(cls) -> ErrorBudget:
-        return cls(0.0, 0.0, 0.0)
-
-    def scaled(self, factor: float, factor_error: float = 0.0) -> ErrorBudget:
+    def scaled(self, factor: float) -> ErrorBudget:
         """Budget after the value is multiplied by a factor of magnitude
-        |factor|, plus factor_error for the factor's own rounding."""
+        |factor|."""
         f = abs(factor)
-        return ErrorBudget.assemble(self.kernel_tail * f, self.series_truncation * f,
-                                    self.extrapolated,
-                                    self.reflection_factor * f + factor_error)
+        return ErrorBudget.assemble(self.truncation * f, self.rounding * f)
 
 
 class EvalResult(namedtuple("EvalResult", "value budget method m")):

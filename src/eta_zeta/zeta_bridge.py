@@ -1,14 +1,9 @@
 """User-facing eta and zeta over the strip -0.5 <= sigma <= 3.
 
+eta(s) comes from the paper's formula on the whole strip (eta_core).
 zeta(s) = eta(s) / (1 - 2^(1-s)) away from the exceptional points
 s = 1 +/- 2 pi n i / ln 2, where that quotient is 0/0 and a stepwise
-continuation through zeta(s + 2k) takes over.  Points with sigma < 1/2 are
-reached by reflecting sigma' = 1 - sigma through the functional equation
-
-    eta(1-s) = pi eta(s) (1 - 2^s)
-               / [ Gamma(1-s) sin(pi s / 2) (2 pi)^s (1 - 2^(1-s)) ]
-
-applied at s' = conj(1 - s), conjugating the result back.
+continuation through zeta(s + 2k) takes over.
 """
 
 from __future__ import annotations
@@ -17,33 +12,20 @@ import cmath
 import math
 import operator
 import sys
-from functools import cached_property
 from itertools import repeat
 
 from .coefficients import c_coefficient
 from .errors import DomainError, NonConvergentTailError, PoleError
-from .eta_core import DirectLine, dirichlet_sum, log_table
-from .gamma import log_gamma
+from .eta_core import UNIT_ROUNDOFF, DirectLine, dirichlet_sum, log_table
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
 LN2 = math.log(2.0)
 EXCEPTIONAL_SPACING = 2.0 * math.pi / LN2  # imaginary gap between zeros of 1 - 2^(1-s)
 
-SIGMA_MIN = -0.5
-SIGMA_MAX = 3.0
-
 # Below this distance from an exceptional point the conversion denominator
 # amplifies the eta budget past what the stepwise route delivers.
 EXCEPTIONAL_DISTANCE_THRESHOLD = 1e-4
-# Guard on |1 - 2^(1-s)| inside the functional equation (the 0/0 zone).
-FE_DENOMINATOR_THRESHOLD = 1e-4
 POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| or |s - 1| below it: s = 1
-# Relative rounding error of the functional-equation factor per unit of
-# (1 + |t|) / min(1, |gap|): the factor is exp of logs of size up to about
-# |t| ln|t| (log Gamma(3 - s') to 13 digits), each off by a few ulps, and the
-# gap 1 - 2^(1-s') holds its phase t ln 2 to a few ulps of |t|.  1e-13 is
-# 900 ulps per unit.
-FE_RELATIVE_ERROR = 1e-13
 
 # Stepwise route: term magnitudes peak like e^(e|t|/4); past |t| = 20 the
 # cancellation in double precision is no longer acceptable.
@@ -51,7 +33,8 @@ STEPWISE_T_MAX = 20.0
 STEPWISE_K_MAX = 30
 STEPWISE_TOL = 1e-13
 # Conservative flat error envelope for a stepwise zeta value at |t| <= 20
-# (inner-series residual below 1e-11 plus the cancellation floor).
+# (inner-series residual below 1e-11 plus the cancellation floor), to which
+# the budget adds 8 u |value| for values that grow like 1/(s - 1).
 STEPWISE_ERR_ENVELOPE = 1e-9
 
 # Inner Dirichlet series cutoff; the two-term tail correction leaves a
@@ -66,13 +49,6 @@ def exceptional_distance(s: ComplexPoint) -> float:
     return math.hypot(s.sigma - 1.0, s.t - t_exc)
 
 
-def check_sigma(sigma: float) -> None:
-    """Raise DomainError unless SIGMA_MIN <= sigma <= SIGMA_MAX."""
-    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
-        raise DomainError(
-            f"outside supported sigma range [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
-
-
 def _one_minus_two_pow(w: complex) -> complex:
     """1 - 2^w = -expm1(w ln 2), without cancelling near w = 0: with
     w ln 2 = a + ib, 1 - e^a e^(ib) = 2 sin^2(b/2) - expm1(a) cos b
@@ -81,28 +57,6 @@ def _one_minus_two_pow(w: complex) -> complex:
     half_sin = math.sin(0.5 * b)
     return complex(2.0 * half_sin * half_sin - math.expm1(a) * math.cos(b),
                    -math.exp(a) * math.sin(b))
-
-
-def _log_sin(w: complex) -> complex:
-    # log(sin(w)) without overflowing for large |Im(w)|; any 2*pi*i ambiguity
-    # is irrelevant because the result is only ever exponentiated.
-    if w.imag > 20.0:
-        return complex(0.0, -1.0) * w + complex(-LN2, 0.5 * math.pi)
-    if w.imag < -20.0:
-        return complex(0.0, 1.0) * w + complex(-LN2, -0.5 * math.pi)
-    return cmath.log(cmath.sin(w))
-
-
-def _fe_factor(z: complex) -> complex:
-    """The multiplier G(s) = pi (1 - 2^s) / [Gamma(1-s) sin(pi s/2) (2 pi)^s]
-    with eta(1-s) = G(s) * zeta(s), for 1/2 < Re s <= 3/2.  With w = 1 - s,
-    1/Gamma(w) = w (w+1) / Gamma(w+2) (DLMF 5.5.1), so Gamma is taken only at
-    Re >= 3/2, and Gamma, the sine and (2 pi)^s meet as one exp of logs whose
-    real parts cancel: no part overflows, however large |t|."""
-    w = 1.0 - z
-    return (math.pi * _one_minus_two_pow(z) * w * (w + 1.0)
-            * cmath.exp(-log_gamma(w + 2.0) - _log_sin(0.5 * math.pi * z)
-                        - z * math.log(2.0 * math.pi)))
 
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
@@ -122,7 +76,8 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
     The inner zeta values sit at Re >= sigma + 2 and come from the direct
     series with an integral tail.  Terms are added until two consecutive ones
     fall below STEPWISE_TOL relative to the running value, for at most
-    STEPWISE_K_MAX terms.  The budget is the flat STEPWISE_ERR_ENVELOPE.
+    STEPWISE_K_MAX terms.  The budget is the flat STEPWISE_ERR_ENVELOPE plus
+    the rounding 8 u |value|, which dominates next to s = 1.
     """
     z = s.z
     if abs(z - 1.0) < POLE_GAP:  # 1 / (s - 1) would leave the double range
@@ -139,7 +94,8 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
         if abs(term) < STEPWISE_TOL * abs(acc):
             consecutive_small += 1
             if consecutive_small >= 2:
-                budget = ErrorBudget.assemble(0.0, STEPWISE_ERR_ENVELOPE)
+                budget = ErrorBudget.assemble(STEPWISE_ERR_ENVELOPE,
+                                              8.0 * UNIT_ROUNDOFF * abs(acc))
                 return EvalResult(acc, budget, MethodTag.STEPWISE3, None)
         else:
             consecutive_small = 0
@@ -150,64 +106,32 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
 
 class Line:
     """eta and zeta along the vertical line Re s = sigma, each point routed
-    here, once.  All points share one DirectLine at max(sigma, 1 - sigma),
-    where the direct route evaluates and from where the reflection route
-    reflects; m = None selects the cutoff per point.  Mutable: create one per
-    caller, do not share between threads."""
+    here, once: every point to the line's DirectLine, except zeta within
+    EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point, which takes the
+    stepwise route.  m = None selects the cutoff per point.  Mutable: create
+    one per caller, do not share between threads."""
 
     def __init__(self, sigma: float, m: int | None = None) -> None:
-        check_sigma(sigma)
+        self.direct = DirectLine(sigma)  # checks sigma; builds no table yet
         if m is not None and m < 1:  # refused alike on every route
             raise DomainError("m must be >= 1")
-        self.sigma, self.m = sigma, m
-
-    @cached_property
-    def direct(self) -> DirectLine:
-        # built on first use: a call refused before the direct route makes none
-        return DirectLine(max(self.sigma, 1.0 - self.sigma))
+        self.m = m
 
     def eta(self, t: float) -> EvalResult:
-        """eta(sigma + i t): direct for sigma >= 1/2, else reflected through
-        the functional equation from eta(s'), s' = conj(1 - s), or from the
-        stepwise zeta(s') inside its 0/0 zone; the closed form at s = 0."""
-        return self._eta(ComplexPoint(self.sigma, t))
-
-    def _eta(self, s: ComplexPoint) -> EvalResult:
-        if s.z == 0.0:
-            return EvalResult(complex(0.5, 0.0), ErrorBudget.exact(),
-                              MethodTag.SPECIAL_VALUE, None)
-        if s.sigma >= 0.5:
-            return self.direct.eval(s.t, self.m)
-
-        # eta(s') with s' = conj(1 - s), or inside the 0/0 zone of the
-        # functional equation zeta(s'), whose conversion gap then cancels
-        s_prime = ComplexPoint(1.0 - s.sigma, s.t)
-        gap = _one_minus_two_pow(1.0 - s_prime.z)
-        if abs(gap) < FE_DENOMINATOR_THRESHOLD:
-            inner, gap, method = zeta_em_stepwise(s_prime), 1.0, MethodTag.STEPWISE3
-        else:
-            inner, method = self.direct.eval(s.t, self.m), MethodTag.REFLECTION27
-        factor = _fe_factor(s_prime.z) / gap
-        value = (inner.value * factor).conjugate()
-        rel_error = FE_RELATIVE_ERROR * (1.0 + abs(s.t)) / min(1.0, abs(gap))
-        budget = inner.budget.scaled(abs(factor), rel_error * abs(value))
-        return EvalResult(value, budget, method, inner.m)
+        """eta(sigma + i t) on the direct route."""
+        return self.direct.eval(t, self.m)
 
     def zeta(self, t: float) -> EvalResult:
         """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), budget scaled alike, or
         the stepwise continuation (|t| <= 20 only) within
         EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point."""
-        s = ComplexPoint(self.sigma, t)
-        z = s.z
-        if z == 0.0:
-            return EvalResult(complex(-0.5, 0.0), ErrorBudget.exact(),
-                              MethodTag.SPECIAL_VALUE, None)
+        s = ComplexPoint(self.direct.sigma, t)
         if exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD:
             return zeta_em_stepwise(s)
-        denominator = _one_minus_two_pow(1.0 - z)
+        denominator = _one_minus_two_pow(1.0 - s.z)
         if abs(denominator) < POLE_GAP:
             raise PoleError("pole at s=1")
-        eta_result = self._eta(s)
+        eta_result = self.direct.eval(t, self.m)
         return EvalResult(eta_result.value / denominator,
                           eta_result.budget.scaled(1.0 / abs(denominator)),
                           eta_result.method, eta_result.m)

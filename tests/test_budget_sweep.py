@@ -9,8 +9,8 @@ import random
 import mpmath
 import pytest
 
-from eta_zeta import (ComplexPoint, DomainError, MethodTag, PoleError, eta,
-                      exceptional_distance, zeta)
+from eta_zeta import (M_SCHEDULE, ComplexPoint, DomainError, MethodTag, PoleError,
+                      eta, exceptional_distance, zeta)
 
 T1 = 2.0 * math.pi / math.log(2.0)  # imaginary part of the first exceptional point
 
@@ -33,17 +33,20 @@ def _sweep_points():
                                   for n in (1, -1, 2, -2))):
         points.extend(_near(rng, center, 3))
     points += [(0.0, 0.0), (0.5, 0.0), (1.0, 176.0), (3.0, -176.0), (1.0, 0.0)]
+    # next to s = 0, where the reflected point once rounded onto s = 1, and
+    # sigma = 0 images past the stepwise route's |t| <= 20; n = 25, past the
+    # schedule's reach, with its largest m
+    points += [(1e-320, 0.0), (-1e-17, 0.0), (0.0, 5e-324), (0.0, 1e-310)]
+    points += [(0.0, n * T1) for n in (3, 10, 19, 25)]
     return points
 
 
-def _documented_refusal(sigma, t, exc):
-    # README: the stepwise route, which an exceptional point and the
-    # functional equation's 0/0 zone at its sigma = 0 image need, is refused
-    # past |t| = 20
-    near = min(exceptional_distance(ComplexPoint(sigma, t)),
-               exceptional_distance(ComplexPoint(1.0 - sigma, t)))
-    return (isinstance(exc, DomainError) and "stepwise path beyond" in str(exc)
-            and abs(t) > 20.0 and near < 1e-3)
+def _documented_refusal(function, sigma, t, exc):
+    # README: the stepwise route, which zeta needs next to an exceptional
+    # point, is refused past |t| = 20
+    return (function is zeta and isinstance(exc, DomainError)
+            and "stepwise path beyond" in str(exc) and abs(t) > 20.0
+            and exceptional_distance(ComplexPoint(sigma, t)) < 1e-3)
 
 
 def test_sweep_within_budget():
@@ -61,9 +64,10 @@ def test_sweep_within_budget():
                 cases = ((eta, exact_eta), (zeta, exact_zeta))
             for function, exact in cases:
                 try:
-                    result = function(ComplexPoint(sigma, t))
+                    result = function(ComplexPoint(sigma, t),
+                                      m=M_SCHEDULE[-1] if abs(t) > 177.0 else None)
                 except DomainError as exc:
-                    assert _documented_refusal(sigma, t, exc), (function, sigma, t)
+                    assert _documented_refusal(function, sigma, t, exc), (function, sigma, t)
                     continue
                 methods.add(result.method)
                 value = mpmath.mpc(result.value.real, result.value.imag)

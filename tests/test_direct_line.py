@@ -1,7 +1,7 @@
 """The line evaluator against the per-point loops it replaced
-(reference_loops), against the per-point kernel tail and against per-point
-eta/zeta: equal to the last bit, including when a line is reused out of
-order and when 2m passes 2000."""
+(reference_loops), against the per-point kernel tail and budget and against
+per-point eta/zeta: equal to the last bit, including when a line is reused
+out of order and when 2m passes 2000."""
 
 import math
 import sys
@@ -14,7 +14,7 @@ from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustion
                       eta, zeta)
 from eta_zeta.cli import record_to_csv, scan_records
 from eta_zeta.eta_core import (M_SCHEDULE, TAIL_TOLERANCE, TERMS_KEPT, DirectLine,
-                               kernel_tail, log_table)
+                               correction_term, kernel_tail, log_table)
 
 import reference_loops as ref
 
@@ -44,18 +44,23 @@ def test_partial_sum_matches_reference(sigma):
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_kernel_tail_matches_pointwise(sigma):
-    # an explicit m's budget carries the per-point kernel tail, bit for bit,
-    # on a line reused out of order
-    line = DirectLine(sigma)
+    # a line picks its cutoff from the per-point kernel tail at
+    # max(sigma, 1 - sigma): the line at 1 - sigma, inside the strip, takes
+    # the same m at every t; an explicit m's truncation bound is the
+    # per-point one, bit for bit, on a line reused out of order
+    lines = [DirectLine(sigma)] + ([DirectLine(1.0 - sigma)] if sigma <= 1.5 else [])
+    for t in TS:
+        m = next(m for m in M_SCHEDULE if kernel_tail(sigma, t, m) <= TAIL_TOLERANCE)
+        assert [line.select(t) for line in lines] == [m] * len(lines), t
     for m in MS:
         for t in TS:
-            assert line.eval(t, m).budget.kernel_tail.hex() \
-                == kernel_tail(sigma, t, m).hex(), (m, t)
+            assert lines[0].eval(t, m).budget.truncation.hex() \
+                == correction_term(ComplexPoint(sigma, t), m)[1].hex(), (m, t)
 
 
 def test_kernel_tail_refuses_where_it_overflows():
-    # no scheduled m reaches the tolerance; with an explicit m the tail is
-    # finite while it fits a double, past that a typed refusal
+    # no scheduled m reaches the tolerance; the kernel tail is finite while
+    # it fits a double, past that a typed refusal
     for sigma in (0.5, 3.0):
         for t in (600.0, 1e150):
             with pytest.raises(ParameterExhaustionError):
@@ -66,7 +71,11 @@ def test_kernel_tail_refuses_where_it_overflows():
     for t in (600.0, 1e150, 1.7e308):
         with pytest.raises(ParameterExhaustionError, match="kernel tail"):
             kernel_tail(0.5, t, 40)
-        with pytest.raises(ParameterExhaustionError, match="kernel tail"):
+    # an explicit m computes no kernel tail: its truncation bound is finite
+    # at t = 600 and refused once |(s)_15| leaves the double range
+    assert math.isfinite(DirectLine(3.0).eval(600.0, 40).budget.total)
+    for t in (1e150, 1.7e308):
+        with pytest.raises(ParameterExhaustionError, match="truncation bound"):
             DirectLine(3.0).eval(t, 40)
     # the smallest cutoffs still get a finite bound
     for m in (1, 2):
@@ -75,9 +84,8 @@ def test_kernel_tail_refuses_where_it_overflows():
 
 def assert_select_matches_reference(line, t):
     # the smallest scheduled m whose per-point kernel tail meets the tolerance
-    expected = next(((m, tail) for m in M_SCHEDULE
-                     if (tail := kernel_tail(line.sigma, t, m)) <= TAIL_TOLERANCE),
-                    None)
+    expected = next((m for m in M_SCHEDULE
+                     if kernel_tail(line.sigma, t, m) <= TAIL_TOLERANCE), None)
     if expected is None:
         with pytest.raises(ParameterExhaustionError):
             line.select(t)
@@ -119,8 +127,8 @@ def test_lines_on_threads_match_serial():
 
 def test_log_table_shared_across_routes():
     # the first direct call fills the process's ln n table; calls on other
-    # sigmas, a reflected call, a stepwise call and a scan each read it and
-    # compute none
+    # sigmas, a call at sigma < 1/2, a stepwise call and a scan each read it
+    # and compute none
     log_table.cache_clear()
     for sigma in SIGMAS:
         line = DirectLine(sigma)
@@ -128,10 +136,10 @@ def test_log_table_shared_across_routes():
             assert bits(line.partial_sum(t, 65)) \
                 == bits(ref.alternating_partial_sum(sigma, t, 65)), (sigma, t)
     routes = (
-        (lambda: eta(ComplexPoint(-0.3, 20.0)).method, MethodTag.REFLECTION27),
+        (lambda: eta(ComplexPoint(-0.3, 20.0)).method, MethodTag.DIRECT26),
         (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
         (lambda: {rec.method for rec in scan_records("zeta", 0.25, 0.0, 30.0, 0.5)},
-         {"Reflection27"}))
+         {"Direct26"}))
     for route, methods in routes:
         hits = log_table.cache_info().hits
         assert route() == methods
@@ -143,8 +151,9 @@ def test_log_table_shared_across_routes():
 def test_large_m_values_unchanged():
     assert eta(ComplexPoint(0.75, 3.0), m=1001).value \
         == (1.0162861704465986 + 0.452895642561893j)
+    # sigma = 0.3 on the direct route too, with 2400 terms
     assert zeta(ComplexPoint(0.3, 3.0), m=1200).value \
-        == (0.49469031977981864 - 0.06320843421161947j)
+        == (0.4946903197798155 - 0.0632084342116146j)
 
 
 def test_large_m_runs_in_bounded_memory():

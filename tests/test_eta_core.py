@@ -23,12 +23,10 @@ def test_select_params_reproduces_design_pairs():
     # b = 101 still reaches t = 50 on sigma = 1: the acceptance check
     # "kernel tail b=101 sigma=1 t=50"
     line = DirectLine(1.0)
-    m, tail = line.select(50.0)
-    assert m == 50
-    assert tail == kernel_tail(1.0, 50.0, 50) <= TAIL_TOLERANCE
-    assert line.eval(50.0).budget.kernel_tail == tail
+    assert line.select(50.0) == line.eval(50.0).m == 50
+    assert kernel_tail(1.0, 50.0, 50) <= TAIL_TOLERANCE < kernel_tail(1.0, 50.0, 40)
     # at t = 0 the tails are astronomically small: schedule minimum
-    assert DirectLine(0.5).select(0.0)[0] == 40
+    assert DirectLine(0.5).select(0.0) == 40
 
 
 def test_select_params_exhaustion():
@@ -38,14 +36,13 @@ def test_select_params_exhaustion():
 
 def test_select_params_validates_sigma():
     # selection runs on a DirectLine, behind its sigma check
-    with pytest.raises(DomainError, match="direct evaluation"):
-        DirectLine(0.3).select(0.0)
+    with pytest.raises(DomainError, match="sigma range"):
+        DirectLine(-0.6).select(0.0)
 
 
 def test_each_kernel_tail_computed_once(monkeypatch):
     # selection computes a kernel tail only for an m whose leading factor
-    # e^(-b) / (b |Gamma(s)|) meets the tolerance, and the budget reuses the
-    # selected m's tail
+    # e^(-b) / (b |Gamma(s)|) meets the tolerance; the budget needs none
     tails = []
     tail = eta_core.kernel_tail
 
@@ -61,7 +58,7 @@ def test_each_kernel_tail_computed_once(monkeypatch):
     assert tails == [(45.0, 50)]  # m = 40 fails on its lead
     tails.clear()
     eta(ComplexPoint(0.5, 14.13), m=50)
-    assert tails == [(14.13, 50)]
+    assert tails == []
 
 
 # ----------------------------------------------------------- partial sum ---
@@ -106,8 +103,9 @@ def test_eval_names_m_below_one_before_any_table(m, monkeypatch):
 
 def test_correction_reduces_to_half_at_s_zero():
     # every series term carries a factor s, and (2m+1)^0 = 1
+    # and Boole's remainder vanishes with (s)_15
     for m in (1, 40, 150):
-        assert correction_term(ComplexPoint(0, 0), m) == 0.5 + 0j
+        assert correction_term(ComplexPoint(0, 0), m)[:2] == (0.5 + 0j, 0.0)
 
 
 def test_correction_matches_remainder_oracle_at_one():
@@ -115,8 +113,9 @@ def test_correction_matches_remainder_oracle_at_one():
     # evaluates to 6.2109405508e-3 (leading term alone would be 1/162)
     exact_head = sum(Fraction((-1) ** (n + 1), n) for n in range(1, 81))
     remainder = math.log(2.0) - float(exact_head)
-    corr = correction_term(ComplexPoint(1, 0), 40)
+    corr, truncation, rounding = correction_term(ComplexPoint(1, 0), 40)
     assert corr.imag == 0.0
+    assert truncation < 1e-25 and rounding < 1e-16
     assert remainder == pytest.approx(6.2109405508e-3, abs=1e-12)
     assert corr.real == pytest.approx(remainder, abs=1e-13)
 
@@ -154,7 +153,7 @@ def test_eta_raw_method_tag_and_params():
 
 
 def test_eta_raw_domain():
-    for sigma in (0.49, 3.01, -1.0):
+    for sigma in (-0.51, 3.01, -1.0):
         with pytest.raises(DomainError):
             DirectLine(sigma).eval(0.0, 40)
 
@@ -198,30 +197,28 @@ def test_oracle_agreement_against_accelerated_series():
 def test_budget_structure():
     result = DirectLine(0.75).eval(14.1, 40)
     budget = result.budget
-    assert budget.kernel_tail == kernel_tail(0.75, 14.1, 40)
-    for part in (budget.kernel_tail, budget.series_truncation):
-        assert part >= 0.0
+    assert budget.truncation == correction_term(ComplexPoint(0.75, 14.1), 40)[1]
+    for part in (budget.truncation, budget.rounding):
+        assert part > 0.0
         assert budget.total >= part
-    assert budget.total == budget.kernel_tail + budget.series_truncation
-    assert budget.reflection_factor == 0.0
-
-
-def test_budget_extrapolation_flag():
-    assert DirectLine(2.0).eval(1.0, 40).budget.extrapolated
-    assert not DirectLine(0.9).eval(1.0, 40).budget.extrapolated
+    assert budget.total == budget.truncation + budget.rounding
 
 
 def test_budget_shrinks_with_m():
+    # the truncation bound does; the rounding bound grows with the terms
     for sigma, t in GRID:
         line = DirectLine(sigma)
-        assert line.eval(t, 50).budget.total < line.eval(t, 40).budget.total
+        assert line.eval(t, 50).budget.truncation < line.eval(t, 40).budget.truncation
+        assert line.eval(t, 50).budget.rounding > line.eval(t, 40).budget.rounding
 
 
 def test_budget_envelope_levels():
-    # the a-priori envelope is deliberately conservative: near t = 40 it
-    # reaches the 1e-6 scale while the observed error stays around 1e-13
+    # inside m = 40's reach (t < 36) Boole's remainder is far below the
+    # rounding bound, and the total stays near the rounding of t ln n
     for sigma, t in GRID:
-        total = DirectLine(sigma).eval(t, 40).budget.total
-        assert total < 1e-5
+        budget = DirectLine(sigma).eval(t, 40).budget
+        assert budget.total < 1e-12
+        if t <= 25.0:
+            assert budget.truncation < 1e-2 * budget.rounding
         if t <= 5.0:
-            assert total < 1e-8
+            assert budget.total < 1e-13

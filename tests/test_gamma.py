@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from eta_zeta import DomainError
 from eta_zeta.eta_core import DirectLine
-from eta_zeta import gamma
-from eta_zeta.gamma import log_gamma
+from eta_zeta.gamma import log_abs_gamma_lower
 
 import oracles
-from reference_loops import gamma_tail_bound, max_tail_ratio, stirling_magnitude
+from reference_loops import (STIRLING_COEFFS, gamma_tail_bound, log_gamma,
+                             max_tail_ratio, stirling_magnitude)
 
+# The complex log-gamma that the functional-equation route used, kept as a
+# reference in reference_loops (the library's paper formula covers the whole
+# strip and needs no Gamma of s); the library's lower bound on ln|Gamma|,
+# which picks the cutoff, is checked against mpmath at the same points.
 
-# B_2 .. B_16, the reference for the Stirling coefficients that gamma derives
-# from the shared Bernoulli recurrence
+# B_2 .. B_16, the reference for the Stirling coefficients that the log-gamma
+# derives from the shared Bernoulli recurrence
 EVEN_BERNOULLI = (
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
@@ -25,7 +29,7 @@ EVEN_BERNOULLI = (
 
 def test_stirling_coefficients_pinned():
     # B_{2k} / (2k (2k-1)), k = 1..8, each rounded once: bit for bit
-    assert gamma._STIRLING_COEFFS == tuple(
+    assert STIRLING_COEFFS == tuple(
         float(b / (2 * k * (2 * k - 1)))
         for k, b in enumerate(EVEN_BERNOULLI, start=1))
 
@@ -44,15 +48,15 @@ def test_log_gamma_thirteen_digits(re, im):
     z = complex(re, im)
     ref = oracles.loggamma_reference(re, im)
     assert oracles.diff(log_gamma(z), ref) <= 1e-13 * max(1.0, float(abs(ref)))
+    assert log_abs_gamma_lower(re, im) <= ref.real
 
 
 @pytest.mark.parametrize("re", [1.5, 2.0, 2.5])
 @pytest.mark.parametrize("im", [0.0, 177.0, 460.0, -480.0, 1000.0, 1500.0, -1500.0])
 def test_log_gamma_on_the_reflection_strip(re, im):
-    # the functional-equation factor takes Gamma only at 3/2 <= Re <= 5/2,
-    # at any |t| an explicit m reaches; the log's absolute error is what the
-    # factor's relative error inherits, a tenth of FE_RELATIVE_ERROR per unit
-    # of 1 + |t| (exp of values this size would underflow)
+    # the functional-equation factor took Gamma only at 3/2 <= Re <= 5/2, at
+    # any |t| an explicit m reached; the log's absolute error stays below
+    # 1e-14 per unit of 1 + |t| (exp of values this size would underflow)
     ref = oracles.loggamma_reference(re, im)
     assert oracles.diff(log_gamma(complex(re, im)), ref) <= 1e-14 * (1.0 + abs(im))
 
@@ -105,10 +109,11 @@ def test_stirling_magnitude_decays_in_t():
 
 
 def test_stirling_magnitude_domain():
-    # the estimate needs x = n + sigma >= 0.5, which the direct route's sigma
-    # check guarantees
+    # the estimate needs x = n + sigma >= 0.5: a line picks its cutoff at
+    # max(sigma, 1 - sigma), inside the strip's sigma check
     with pytest.raises(DomainError):
-        DirectLine(0.25)
+        DirectLine(-0.6)
+    assert DirectLine(0.25)._tail_sigma == 0.75
 
 
 def test_gamma_tail_bound_examples():

@@ -41,7 +41,7 @@ def test_import_and_first_values_load_no_heavy_module():
 
 
 def _result():
-    return eta(ComplexPoint(-0.3, 20.0))  # reflected: every budget field set
+    return eta(ComplexPoint(-0.3, 20.0))  # every budget field nonzero
 
 
 def test_fields_cannot_be_set():
@@ -69,15 +69,14 @@ def test_named_fields_unpack_and_compare_as_tuples():
     value, budget, method, m = result
     assert (value, budget, method, m) == result == tuple(result)
     assert result[0] == result.value and budget is result.budget
-    assert method is MethodTag.REFLECTION27 and m == result.m
+    assert method is MethodTag.DIRECT26 and m == result.m == 40
     assert ComplexPoint(0.5, 1) == (0.5, 1.0) and ComplexPoint(0.5, 1).z == 0.5 + 1j
     assert hash(ComplexPoint(0.5, 1.0)) == hash((0.5, 1.0))
     assert repr(ComplexPoint(0.5, 1.0)) == "ComplexPoint(sigma=0.5, t=1.0)"
-    assert EvalResult(value=1j, budget=ErrorBudget.exact(), method=MethodTag.DIRECT26,
-                      m=None).m is None
-    assert ErrorBudget(1.0, 2.0, 6.0, False, 3.0) \
-        == ErrorBudget.assemble(1.0, 2.0, reflection_factor=3.0)
-    assert ErrorBudget.exact() == (0.0, 0.0, 0.0, False, 0.0)
+    assert EvalResult(value=1j, budget=ErrorBudget(0.0, 0.0, 0.0),
+                      method=MethodTag.STEPWISE3, m=None).m is None
+    assert ErrorBudget(1.0, 2.0, 3.0) == ErrorBudget.assemble(1.0, 2.0) == (1.0, 2.0, 3.0)
+    assert ErrorBudget.assemble(1.0, 2.0).scaled(-0.5) == (0.5, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("sigma, t", [(math.inf, 0.0), (0.5, -math.inf),
@@ -89,18 +88,16 @@ def test_point_must_be_finite(sigma, t):
         ComplexPoint(0.5, 1.0)._replace(sigma=sigma, t=t)
 
 
-@pytest.mark.parametrize("index, name", [(0, "kernel_tail"),
-                                         (1, "series_truncation"),
-                                         (4, "reflection_factor")])
+@pytest.mark.parametrize("index, name", [(0, "truncation"), (1, "rounding")])
 def test_budget_component_must_be_nonnegative(index, name):
-    fields = [1e-9, 1e-9, 3e-9, False, 1e-9]
+    fields = [1e-9, 1e-9, 2e-9]
     fields[index] = -1e-300
     with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
         ErrorBudget(*fields)
     with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
-        ErrorBudget.exact()._replace(**{name: -1.0})
+        ErrorBudget(0.0, 0.0, 0.0)._replace(**{name: -1.0})
     fields[index] = math.inf
     with pytest.raises(ParameterExhaustionError,
                        match="^parameter exhaustion: the error budget exceeds "
                              "double range$"):
-        ErrorBudget.assemble(*fields[:2], False, fields[4])
+        ErrorBudget.assemble(*fields[:2])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, EtaZetaError, MethodTag,
-                      NonConvergentTailError, PoleError, eta,
+from eta_zeta import (ComplexPoint, DomainError, ErrorBudget, EtaZetaError,
+                      MethodTag, NonConvergentTailError, PoleError, eta,
                       exceptional_distance, zeta)
 from eta_zeta import zeta_bridge
 from eta_zeta.cli import scan_records
@@ -42,57 +42,77 @@ def test_proximity_negative_t():
 
 
 # --------------------------------------------------- functional equation ---
+# The paper's formula serves both sides of sigma = 1/2, where a reflection
+# through the functional equation once served sigma < 1/2: its values must
+# satisfy eta(1-s) = F(s) eta(s) within their budgets, F from mpmath.
+
+def _fe_multiplier(z):
+    # F(s) = pi (1 - 2^s) / [Gamma(1-s) sin(pi s/2) (2 pi)^s (1 - 2^(1-s))]
+    # at the double s, to 40 digits
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.real, z.imag)
+        return (mpmath.pi * (1 - mpmath.power(2, w))
+                / (mpmath.gamma(1 - w) * mpmath.sin(mpmath.pi * w / 2)
+                   * mpmath.power(2 * mpmath.pi, w) * (1 - mpmath.power(2, 1 - w))))
+
+
+def assert_functional_equation(s, image):
+    # image = eta(1 - s) against F(s) eta(s), both from the library
+    source = eta(s, m=image.m)
+    factor = _fe_multiplier(s.z)
+    reflected = factor * mpmath.mpc(source.value.real, source.value.imag)
+    assert oracles.diff(image.value, reflected) \
+        <= image.budget.total + float(abs(factor)) * source.budget.total
+
 
 def test_functional_equation_reaches_quarter():
-    # eta(1/4) reflected from the direct value at 3/4
+    # eta(1/4) directly, against the oracle and the image of eta(3/4)
     image = eta(ComplexPoint(0.25, 0.0), m=50)
-    assert image.method is MethodTag.REFLECTION27
+    assert image.method is MethodTag.DIRECT26
     ref = oracles.eta_reference(0.25, 0.0)
-    assert oracles.diff(image.value, ref) <= 1e-9
+    assert oracles.diff(image.value, ref) <= image.budget.total
+    assert_functional_equation(ComplexPoint(0.75, 0.0), image)
 
 
 def test_functional_equation_maps_zero_to_zero():
-    # one ulp below sigma = 1/2 the reflection runs on the first zero itself
+    # one ulp below sigma = 1/2 the first zero stays a zero
     s = ComplexPoint(math.nextafter(0.5, 0.0), 14.134725)
     image = eta(s, m=40)
-    assert image.method is MethodTag.REFLECTION27
+    assert image.method is MethodTag.DIRECT26
     assert abs(image.value) < 1e-5
+    assert_functional_equation(ComplexPoint(1.0 - s.sigma, -s.t), image)
 
 
 def test_functional_equation_limit_towards_one():
-    # eta(-eps) from eta(1+eps) tends to eta(0) = 1/2
+    # eta(-eps), the image of eta(1+eps), tends to eta(0) = 1/2
     eps = 1e-3
-    image = eta(ComplexPoint(-eps, 0.0), m=50).value
-    assert abs(image - 0.5) < 5e-4
-    assert oracles.diff(image, oracles.eta_reference(-eps, 0.0)) <= 1e-9
-
-
-def _fe_multiplier(z):
-    # F(s) with eta(1-s) = F(s) eta(s), from the factor Line.eta reflects with
-    return zeta_bridge._fe_factor(z) / zeta_bridge._one_minus_two_pow(1.0 - z)
+    image = eta(ComplexPoint(-eps, 0.0), m=50)
+    assert abs(image.value - 0.5) < 5e-4
+    assert oracles.diff(image.value, oracles.eta_reference(-eps, 0.0)) \
+        <= image.budget.total
+    assert_functional_equation(ComplexPoint(1.0 + eps, 0.0), image)
 
 
 def test_functional_equation_round_trip():
-    # the two multipliers F(s) F(1-s) cancel exactly
-    for sigma, t in ((0.6, 2.5), (0.75, 7.0), (0.9, 2.5)):
-        first = DirectLine(sigma).eval(t, 40).value
-        image = first * _fe_multiplier(complex(sigma, t))
-        back = image * _fe_multiplier(complex(1.0 - sigma, -t))
-        assert abs(back - first) <= 1e-9 * abs(first)
+    # s -> 1 - s -> s: each side's value is the other's image
+    for sigma, t in ((0.6, 2.5), (0.75, 7.0), (0.9, 2.5), (-0.4, 30.0)):
+        s, mirror = ComplexPoint(sigma, t), ComplexPoint(1.0 - sigma, -t)
+        assert_functional_equation(s, eta(mirror, m=40))
+        assert_functional_equation(mirror, eta(s, m=40))
 
 
 def test_zero_over_zero_routes_are_pinned():
-    # the routes around the 0/0 of the functional equation (sigma near 0) and
-    # of the conversion (an exceptional point), pinned bit for bit
+    # the points where the functional equation was 0/0 (sigma near 0), now
+    # direct, and the conversion next to an exceptional point, pinned bit
+    # for bit
     image = eta(ComplexPoint(0.0, 9.064720283654388))
-    assert image.value == (-1.5987345268085538-0.2783386696392418j)
-    assert image.budget.series_truncation == 1.2011224087859326e-09
-    assert image.budget.total == 1.2027556944330347e-09
-    assert image.method is MethodTag.STEPWISE3
+    assert image.value == (-1.5987345268086817-0.27833866963908677j)
+    assert image.budget.total == 4.4002926880287607e-13
+    assert (image.method, image.m) == (MethodTag.DIRECT26, 40)
     assert (eta(ComplexPoint(1e-9, 0.0)).value
-            == (0.5000000002257899+0j))
+            == (0.5000000002257916+0j))
     assert (zeta(ComplexPoint(-1e-9, 0.0)).value
-            == (-0.49999999908106035+0j))
+            == (-0.4999999990810614-0j))
     assert (zeta(ComplexPoint(1.0, 9.064720383654388)).value
             == (1.3465795532854368+0.10988311702034802j))
 
@@ -106,9 +126,10 @@ def test_eta_special_values():
     assert (r1.method, r1.m) == (MethodTag.DIRECT26, 40)
     assert oracles.diff(r1.value, oracles.eta_reference(1.0, 0.0)) \
         <= r1.budget.total < 1e-9
+    # s = 0 too: every term past 1/2 carries a factor s, so 1/2 exactly
     r0 = eta(ComplexPoint(0, 0))
     assert r0.value == 0.5 + 0j
-    assert r0.method is MethodTag.SPECIAL_VALUE
+    assert (r0.method, r0.m) == (MethodTag.DIRECT26, 40)
 
 
 def test_eta_direct_region_tag():
@@ -117,8 +138,9 @@ def test_eta_direct_region_tag():
 
 
 def test_eta_reflection_region():
+    # sigma < 1/2, the region a reflection once served, on the direct route
     result = eta(ComplexPoint(0.25, 5.0))
-    assert result.method is MethodTag.REFLECTION27
+    assert result.method is MethodTag.DIRECT26
     ref = oracles.eta_reference(0.25, 5.0)
     assert oracles.diff(result.value, ref) <= result.budget.total
 
@@ -132,20 +154,23 @@ def test_eta_reflection_against_oracle(sigma, t):
 
 
 def test_eta_stepwise_image_on_the_zero_line():
-    # s = i t1 reflects onto the first exceptional point, where the
-    # functional equation is 0/0 and the stepwise route takes over
+    # s = i t1, the image of the first exceptional point, where the
+    # functional equation is 0/0, needs no stepwise route: 1 - 2^(1-s) = -1
     result = eta(ComplexPoint(0.0, T1))
-    assert result.method is MethodTag.STEPWISE3
-    assert result.m is None
+    assert (result.method, result.m) == (MethodTag.DIRECT26, 40)
     ref = oracles.eta_reference(0.0, T1)
-    assert oracles.diff(result.value, ref) <= 1e-9
+    assert oracles.diff(result.value, ref) <= result.budget.total
 
 
 def test_eta_stepwise_image_beyond_reach():
-    with pytest.raises(DomainError, match="stepwise path beyond") as info:
-        eta(ComplexPoint(0.0, 3.0 * T1))
-    # refused where the route is decided, not while handling another error
-    assert info.value.__context__ is None
+    # the image of the third exceptional point, past the stepwise route's
+    # |t| <= 20, is direct as well, for eta and zeta
+    for function, reference in ((eta, oracles.eta_reference),
+                                (zeta, oracles.zeta_reference)):
+        result = function(ComplexPoint(0.0, 3.0 * T1))
+        assert result.method is MethodTag.DIRECT26
+        assert oracles.diff(result.value, reference(0.0, 3.0 * T1)) \
+            <= result.budget.total
 
 
 def test_eta_domain():
@@ -161,8 +186,8 @@ def test_eta_explicit_m_is_honoured():
     assert reflected.m == 65
 
 
-# every route: direct, reflection, the functional equation's 0/0 zone, an
-# exceptional point, the closed forms at s = 0, and s = 1 on the direct route
+# every route and the former ones: direct on both sides of sigma = 1/2, next
+# to s = 0, an exceptional point (stepwise), s = 0 and s = 1
 M_ROUTES = [(zeta, 0.5, 1.0), (eta, 0.25, 5.0), (eta, 1e-9, 0.0),
             (zeta, 1.0, 9.0647202836), (eta, 0.0, 0.0), (zeta, 0.0, 0.0),
             (eta, 1.0, 0.0)]
@@ -175,55 +200,11 @@ def test_m_below_one_is_refused_on_every_route(function, sigma, t, m):
         function(ComplexPoint(sigma, t), m=m)
 
 
-# ------------------------------------------------------ reflection budget ---
-
-def _exact_fe_factor(z, with_gap):
-    # F(s') = pi (1 - 2^s') / [Gamma(1-s') sin(pi s'/2) (2 pi)^s'] at the
-    # double s', divided by 1 - 2^(1-s') off the 0/0 zone, to 40 digits
-    with mpmath.workdps(40):
-        w = mpmath.mpc(z.real, z.imag)
-        factor = (mpmath.pi * (1 - mpmath.power(2, w))
-                  / (mpmath.gamma(1 - w) * mpmath.sin(mpmath.pi * w / 2)
-                     * mpmath.power(2 * mpmath.pi, w)))
-        return factor / (1 - mpmath.power(2, 1 - w)) if with_gap else factor
-
-
-def _reflected_points(seed, count):
-    # sigma < 1/2 over |t| <= 177, a third of them within 1e-1 of a zero of
-    # the gap 1 - 2^(1-s') (sigma = 0, t = 2 pi k / ln 2), a third near s = 0
-    rng = random.Random(seed)
-    for i in range(count):
-        if i % 3 == 0:
-            yield rng.uniform(-0.5, 0.5), rng.uniform(-177.0, 177.0)
-        else:
-            d = 10.0 ** rng.uniform(-16.0 if i % 3 == 2 else -4.0, -1.0)
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            k = 0 if i % 3 == 2 else rng.randint(-19, 19)
-            yield d * math.cos(angle), k * T1 + d * math.sin(angle)
-
-
-def test_reflection_factor_component_bounds_the_factor_error():
-    # the budget's reflection_factor against the factor's own error, measured
-    # against mpmath on the factor the reflection multiplies by
-    for sigma, t in _reflected_points(3, 300):
-        try:
-            result = eta(ComplexPoint(sigma, t))
-        except EtaZetaError:
-            continue  # the stepwise route's |t| limit
-        if result.method is MethodTag.SPECIAL_VALUE:
-            continue
-        with_gap = result.method is MethodTag.REFLECTION27
-        z = complex(1.0 - sigma, t)
-        factor = _fe_multiplier(z) if with_gap else zeta_bridge._fe_factor(z)
-        exact = _exact_fe_factor(z, with_gap)
-        rel = oracles.diff(factor, exact) / float(abs(exact))
-        assert rel * abs(result.value) <= result.budget.reflection_factor, (sigma, t)
-
+# ------------------------------------------------------------ near s = 0 ---
 
 def test_near_zero_within_budget():
-    # 400 points at 1e-15 .. 1e-8 from s = 0, each through eta and zeta: the
-    # functional equation's 0/0 zone, where the inner budget is near 1e-18
-    # and the factor's rounding dominates.  No floor under the budget
+    # 400 points at 1e-15 .. 1e-8 from s = 0, each through eta and zeta, once
+    # the functional equation's 0/0 zone.  No floor under the budget
     rng = random.Random(11)
     outside = []
     for _ in range(400):
@@ -254,7 +235,7 @@ def test_zeta_at_half():
 def test_zeta_special_value_at_zero():
     result = zeta(ComplexPoint(0, 0))
     assert result.value == -0.5 + 0j
-    assert result.method is MethodTag.SPECIAL_VALUE
+    assert (result.method, result.m) == (MethodTag.DIRECT26, 40)
 
 
 def test_zeta_at_two():
@@ -323,7 +304,8 @@ def test_zeta_budget_scaling():
 def test_stepwise_at_two():
     result = zeta_em_stepwise(ComplexPoint(2, 0))
     assert abs(result.value - math.pi ** 2 / 6.0) <= 1e-10
-    assert result.budget.total == zeta_bridge.STEPWISE_ERR_ENVELOPE
+    assert result.budget == ErrorBudget.assemble(zeta_bridge.STEPWISE_ERR_ENVELOPE,
+                                                 8.0 * 2.0 ** -53 * abs(result.value))
     assert result.method is MethodTag.STEPWISE3
     assert result.m is None
 
@@ -388,18 +370,30 @@ def test_conversion_identity(sigma, t):
     assert oracles.diff(eta_v, recon) <= 4.0 * 2.3e-16 * abs(eta_v)
 
 
-# s != 0 within about 1e-16 of 0, with t subnormal or 0: the reflected point
-# conj(1 - s) rounds to within 1/DBL_MAX of s = 1
-ROUNDS_ONTO_POLE = [(0.0, 5e-324), (0.0, 1e-310), (1e-320, 0.0), (-1e-17, 0.0),
-                    (1e-300, 0.0)]
+# s != 0 within about 1e-16 of 0, with t subnormal or 0, where the reflected
+# point conj(1 - s) rounded onto s = 1: the direct route returns values
+NEXT_TO_ZERO = [(0.0, 5e-324), (0.0, 1e-310), (1e-320, 0.0), (-1e-17, 0.0),
+                (1e-300, 0.0)]
 
 
-@pytest.mark.parametrize("sigma,t", ROUNDS_ONTO_POLE)
-def test_points_rounding_onto_the_pole_raise_pole_error(sigma, t):
-    # PoleError and nothing else: any other exception fails the test
-    for function in (eta, zeta):
-        with pytest.raises(PoleError):
-            function(ComplexPoint(sigma, t))
+@pytest.mark.parametrize("sigma,t", NEXT_TO_ZERO)
+def test_points_next_to_zero_within_budget(sigma, t):
+    for function, reference in ((eta, oracles.eta_reference),
+                                (zeta, oracles.zeta_reference)):
+        result = function(ComplexPoint(sigma, t))
+        assert result.method is MethodTag.DIRECT26
+        assert oracles.diff(result.value, reference(sigma, t)) <= result.budget.total
+
+
+# next to s = 1 the stepwise value grows like 1/(s - 1): its rounding, not
+# the flat envelope, bounds the error
+@pytest.mark.parametrize("sigma,t", [(1.0 + 1e-8, 0.0), (1.0 - 1e-9, 0.0),
+                                     (1.0 + 1e-12, 0.0), (1.0, 1e-12),
+                                     (1.0, 6e-309)])
+def test_stepwise_within_budget_next_to_the_pole(sigma, t):
+    result = zeta_em_stepwise(ComplexPoint(sigma, t))
+    assert oracles.diff(result.value, oracles.zeta_reference(sigma, t)) \
+        <= result.budget.total
 
 
 @pytest.mark.parametrize("t", [1e-310, 5e-324])
@@ -410,9 +404,9 @@ def test_stepwise_refuses_within_the_pole_gap(t):
 
 
 @pytest.mark.parametrize("sigma,t,m", [
-    (0.0, 6e-309, None), (-3e-308, 2e-308, None),  # just outside the pole gap
-    # past the schedule with an explicit m, where sin(pi s'/2) and
-    # |Gamma(1 - s')| leave the double range on their own
+    (0.0, 6e-309, None), (-3e-308, 2e-308, None),  # next to s = 0
+    # past the schedule with an explicit m, where the former reflection's
+    # sin(pi s'/2) and |Gamma(1 - s')| left the double range on their own
     (-0.3, 480.0, 150), (0.2, 460.0, 200), (-0.5, 1000.0, 1000)])
 def test_reflection_returns_finite_values_within_budget(sigma, t, m):
     for function, reference in ((eta, oracles.eta_reference),
@@ -425,8 +419,8 @@ def test_reflection_returns_finite_values_within_budget(sigma, t, m):
 @pytest.mark.parametrize("m", [None, 40])
 @pytest.mark.parametrize("sigma", [-0.5, 0.25, 0.75, 3.0])
 def test_extreme_points_are_refused_or_finite(sigma, m):
-    # far past the schedule: with m = 40 the kernel tail stays finite to
-    # t ~ 505, and the budget can overflow before it
+    # far past the schedule: with m = 40 the truncation bound stays finite
+    # until |(s)_15| leaves the double range
     points = [(sigma, t) for t in (460.0, -460.0, 500.0, -500.0, 1000.0,
                                    -1000.0, 1e150)]
     points += [(1.0, 5e-324), (math.nextafter(1.0, 0.0), 0.0)]
