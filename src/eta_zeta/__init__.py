@@ -8,7 +8,6 @@ the building blocks stay importable from their own modules.
 
 from .errors import (DomainError, EtaZetaError, NonConvergentTailError,
                      ParameterExhaustionError, PoleError)
-from .eta_core import M_SCHEDULE
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 from .zeta_bridge import eta, exceptional_distance, zeta
 
@@ -20,7 +19,6 @@ __all__ = [
     "ErrorBudget",
     "EtaZetaError",
     "EvalResult",
-    "M_SCHEDULE",
     "MethodTag",
     "NonConvergentTailError",
     "ParameterExhaustionError",

@@ -20,7 +20,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
-from .eta_core import TAIL_TOLERANCE, kernel_tail
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -165,11 +164,12 @@ def _critical_zero_checks() -> list[CheckResult]:
     ]
 
 
-def _kernel_tail_checks() -> list[CheckResult]:
-    # the cutoff rule at sigma = 1: m = 50 still reaches t = 50, m = 40 t = 36
-    return [_check(f"kernel tail b={2 * m + 1} sigma=1 t={t}",
-                   kernel_tail(1.0, float(t), m), TAIL_TOLERANCE)
-            for m, t in ((50, 50), (40, 36))]
+def _cutoff_checks() -> list[CheckResult]:
+    # the selected cutoff at the paper's design points on sigma = 1 agrees with
+    # m = 1100, far past it, within the sum of the two budgets
+    pairs = [(t, _eta_value(1.0, t), _eta_value(1.0, t, m=1100)) for t in (36, 50)]
+    return [_check(f"selected cutoff sigma=1 t={t} vs m=1100", abs(a.value - b.value),
+                   a.budget.total + b.budget.total) for t, a, b in pairs]
 
 
 def _coefficient_checks() -> list[CheckResult]:
@@ -253,7 +253,7 @@ def run_checks() -> list[CheckResult]:
     checks.extend(_special_value_checks())
     checks.extend(_table2_checks())
     checks.extend(_critical_zero_checks())
-    checks.extend(_kernel_tail_checks())
+    checks.extend(_cutoff_checks())
     checks.extend(_coefficient_checks())
     checks.extend(_conjugation_checks())
     checks.extend(_conversion_checks())

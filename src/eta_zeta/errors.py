@@ -15,9 +15,9 @@ class PoleError(EtaZetaError, ArithmeticError):
 
 
 class ParameterExhaustionError(EtaZetaError, RuntimeError):
-    """t is too large to bound the error: no scheduled cutoff meets the kernel
-    tail tolerance, or at an explicit m the truncation bound or the budget
-    exceeds the double range."""
+    """t is too large to bound the error: |t| > T_MAX where the cutoff is
+    selected, or at an explicit m the truncation bound or the budget exceeds
+    the double range."""
 
 
 class NonConvergentTailError(EtaZetaError, RuntimeError):

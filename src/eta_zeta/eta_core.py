@@ -9,8 +9,8 @@ with (s)_k = s (s+1) ... (s+k-1).  The correction term is Boole's summation
 formula (DLMF 24.17.2) for the alternating tail past n = 2m, so the formula
 holds on the whole strip and carries two bounds: Boole's remainder for what
 it leaves out (correction_term) and the rounding of the float evaluation
-(DirectLine.eval).  The cutoff m is chosen by kernel_tail, the dropped part
-of the paper's kernel integral.
+(DirectLine.eval).  The cutoff m is the smallest whose truncation bound is
+at most CUTOFF_SHARE of the partial sum's rounding bound (DirectLine.select).
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from itertools import chain, cycle, islice, repeat
 
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
-from .gamma import log_abs_gamma_lower, upper_gamma_factor
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
-# Cutoff schedule: the smallest m whose kernel tail is at most TAIL_TOLERANCE
-# is selected; roughly m = 40 up to t = 37 and m = 50 up to t = 50.
-M_SCHEDULE = (40, 50, 65, 80, 100, 125, 150)
-TAIL_TOLERANCE = 2e-13
+# The selected cutoff's share of the rounding bound (see the module docstring);
+# selection refuses |t| > T_MAX (m = 197 at -0.5 + 186i), an explicit m never.
+CUTOFF_SHARE = 0.125
+T_MAX = 186.0
 
 # Depth of the correction polynomial: P_1 .. P_13, Boole's terms k <= 14.
 R_MAX = 7
@@ -39,17 +38,12 @@ R_MAX = 7
 # for odd n at the ends, where E_n(0) / n! = -2 P_n, so C_15 = |P_15|.
 C14 = 199360981 / (2 ** 14 * 2 * math.factorial(14))
 C15 = abs(p_coefficients(R_MAX + 1)[R_MAX + 1])
-# (w_k, k) of kernel_tail's terms w_k b^-k Gamma(sigma + k, b): 1.5 and |P_k|
-_TAIL_TERMS = tuple(zip((1.5, *map(abs, p_coefficients(R_MAX)[1:])),
-                        (0, *range(1, 2 * R_MAX, 2))))
 
 SIGMA_MIN = -0.5
 SIGMA_MAX = 3.0
 UNIT_ROUNDOFF = 2.0 ** -53
 
 TERMS_KEPT = 4096  # terms whose ln n, n^(-sigma) are kept; further ones are recomputed
-_LN_DOUBLE_MAX = 709.78  # ln of the largest double, rounded down
-_LN_TAIL_TOLERANCE = math.log(TAIL_TOLERANCE)
 
 
 def check_sigma(sigma: float) -> None:
@@ -85,6 +79,24 @@ def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[f
     return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
+def boole_bound(poch15: float, sigma: float, shift15: float, b: float) -> float:
+    """correction_term's bound on the truncation error, at N = b, from
+    poch15 = |(s)_15| and shift15 = |s + 15|, with N^-13 formed as there."""
+    beta = 1.0 / b
+    beta2 = beta * beta
+    return (poch15 * math.exp(-sigma * math.log(b))
+            * (beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2) * beta
+            * min(C14 / (sigma + 14.0), C15 * beta * (1.0 + shift15 / (sigma + 15.0))))
+
+
+def sum_rounding(sigma: float, t: float, ln_b: float) -> float:
+    """The partial sum's rounding bound u S (8 + |t| ln N) at N = e^ln_b (see
+    DirectLine.eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m} n^-sigma."""
+    x = (1.0 - sigma) * ln_b  # the integral is expm1(x) / (1 - sigma)
+    power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
+    return UNIT_ROUNDOFF * power_sum * (8.0 + abs(t) * ln_b)
+
+
 def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
     """The correction c = N^(-s) [1/2 + sum_{r<=7} P_{2r-1} (s)_{2r-1}
     N^-(2r-1)], N = 2m + 1, a bound on the truncation error of the formula
@@ -108,9 +120,9 @@ def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
 
         |R_15| <= |P_15| |(s)_15| N^(-sigma-15) (1 + |s + 15| / (sigma + 15)).
 
-    The bound is the smaller.  For sigma > 0, where the series converges,
-    eta equals the formula plus R_15.  Both sides are analytic in s for
-    sigma > -14, where the integral converges, so the identity and the
+    The bound is the smaller (boole_bound).  For sigma > 0, where the series
+    converges, eta equals the formula plus R_15.  Both sides are analytic in
+    s for sigma > -14, where the integral converges, so the identity and the
     bound hold there too: on the whole strip, sigma <= 0 included.
 
     The rounding of c: term r of the bracket carries at most 8r - 4 <= 52
@@ -143,43 +155,14 @@ def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
     ln_b = math.log(b)
     sigma = s.sigma
     scale = math.exp(-sigma * ln_b)  # |N^-s|
-    truncation = (abs(prod) * abs(z + 13.0) * abs(z + 14.0) * scale * beta_pow * beta
-                  * min(C14 / (sigma + 14.0),
-                        C15 * beta * (1.0 + abs(z + 15.0) / (sigma + 15.0))))
+    truncation = boole_bound(abs(prod) * abs(z + 13.0) * abs(z + 14.0), sigma,
+                             abs(z + 15.0), b)
     if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln b) fails
         raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
                                        f"at t = {s.t:g}, m = {m} exceeds double range")
     rounding = (UNIT_ROUNDOFF * scale * size
                 * (64.0 + 2.0 * (abs(s.t) + abs(sigma)) * ln_b))
     return cmath.exp(-z * ln_b) * bracket, truncation, rounding
-
-
-def kernel_tail(sigma: float, t: float, m: int) -> float:
-    """Bound on the error of dropping the kernel integral past y = b = 2m+1.
-
-    After 2m terms the remainder is (b^-s / Gamma(s)) int_0^inf y^(s-1)
-    e^(-y) K(y/b) dy, K(x) = 1/(1 + e^(-x)); the correction term puts the
-    series 1/2 + sum_{r<=7} P_{2r-1} x^(2r-1) in place of K.  Past y = b the
-    two differ by at most |K| <= 1 plus 1/2 + sum |P_{2r-1}| (y/b)^(2r-1), so
-    that part is at most
-
-        T = (b^-sigma / |Gamma(s)|) [1.5 Gamma(sigma, b)
-              + sum_{r=1}^{7} |P_{2r-1}| b^-(2r-1) Gamma(sigma + 2r - 1, b)].
-
-    With Gamma(a, b) <= b^(a-1) e^(-b) F(a, b) (gamma.upper_gamma_factor),
-    T <= e^(-b) / (b |Gamma(s)|) [1.5 F(sigma, b) + sum |P_k| F(sigma + k, b)]
-    over odd k <= 13, with |Gamma(s)| from below (gamma.log_abs_gamma_lower).
-    In logs nothing underflows; only a T past the double range is refused.
-    """
-    b = float(2 * m + 1)
-    ln_lead = -b - math.log(b) - log_abs_gamma_lower(sigma, t)
-    bracket = sum(w * upper_gamma_factor(sigma + k, b) for w, k in _TAIL_TERMS)
-    # a lead clamped to the double range overflows times the bracket (>= 1.5)
-    tail = math.exp(min(ln_lead, _LN_DOUBLE_MAX)) * bracket
-    if tail == math.inf:  # far past the schedule, explicit m
-        raise ParameterExhaustionError(f"parameter exhaustion: the kernel tail at "
-                                       f"t = {t:g}, m = {m} exceeds double range")
-    return tail
 
 
 class DirectLine:
@@ -197,26 +180,32 @@ class DirectLine:
     def __init__(self, sigma: float) -> None:
         check_sigma(sigma)
         self.sigma = sigma
-        # the cutoff is chosen as on the mirror line 1 - sigma for sigma < 1/2,
-        # where the kernel integral that kernel_tail bounds converges
-        self._tail_sigma = max(sigma, 1.0 - sigma)
         self._mags: list[float] = []
 
     def select(self, t: float) -> int:
-        """Smallest scheduled m whose kernel tail at max(sigma, 1 - sigma) is
-        at most TAIL_TOLERANCE; ParameterExhaustionError when none is (t is
-        too large for the schedule)."""
-        sigma = self._tail_sigma
-        ln_gamma = log_abs_gamma_lower(sigma, t)
-        for m in M_SCHEDULE:
-            b = float(2 * m + 1)
-            # T > e^(-b) / (b |Gamma(s)|): skip an m whose lead alone misses
-            if (-b - math.log(b) - ln_gamma < _LN_TAIL_TOLERANCE
-                    and kernel_tail(sigma, t, m) <= TAIL_TOLERANCE):
-                return m
-        raise ParameterExhaustionError(
-            f"parameter exhaustion: no scheduled m reaches kernel tail "
-            f"{TAIL_TOLERANCE:g} at t = {t:g} (schedule max m = {M_SCHEDULE[-1]})")
+        """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
+        partial sum's rounding bound u S (8 + |t| ln N) (eval), stepped to from
+        a guess; ParameterExhaustionError for |t| > T_MAX."""
+        if not abs(t) <= T_MAX:
+            raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
+        sigma, z = self.sigma, complex(self.sigma, t)
+        poch15 = abs(math.prod(map(operator.add, repeat(z, 15), range(15))))
+        shift15 = abs(z + 15.0)
+
+        def excess(b: float) -> float:  # the bound over its share at N = b
+            return (boole_bound(poch15, sigma, shift15, b)
+                    / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
+
+        # the bound falls at least like N^-(sigma + 14), the share grows
+        b = 2.0 * abs(t) + 3.0
+        for _ in range(2):
+            b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
+        m = math.ceil((b - 1.0) / 2.0)
+        while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
+            m -= 1
+        while excess(2.0 * m + 1.0) > 1.0:
+            m += 1
+        return m
 
     def partial_sum(self, t: float, m: int) -> complex:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t."""
@@ -241,12 +230,12 @@ class DirectLine:
         of its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from
         the rounding of its phase (up to twice that where both roundings
         align, which the sum of many terms averages out) and by a few u from
-        its magnitude, cosine, sine and the compensated sum.  S = 1 +
-        int_1^N x^-sigma dx bounds sum_{n<=2m} n^-sigma for either sign of
-        sigma, so the sum is off by at most u S (8 + |t| ln N); 8 u |value|
-        more covers the last sum and a later division by 1 - 2^(1-s).
+        its magnitude, cosine, sine and the compensated sum.  S bounds
+        sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
+        (sum_rounding); 8 u |value| more covers the last sum and a later
+        division by 1 - 2^(1-s).
         """
-        if m is not None and m < 1:  # before any tail or term is computed
+        if m is not None and m < 1:  # before any bound or term is computed
             raise DomainError("m must be >= 1")
         s = ComplexPoint(self.sigma, t)
         if m is None:
@@ -254,8 +243,6 @@ class DirectLine:
         correction, truncation, rounding = correction_term(s, m)
         value = self.partial_sum(t, m) + correction
         ln_b = math.log(2 * m + 1)
-        x = (1.0 - self.sigma) * ln_b  # int_1^N x^-sigma dx = expm1(x) / (1 - sigma)
-        power_sum = 1.0 + (math.expm1(x) / (1.0 - self.sigma) if x else ln_b)  # S
-        rounding += UNIT_ROUNDOFF * (power_sum * (8.0 + abs(t) * ln_b) + 8.0 * abs(value))
+        rounding += sum_rounding(self.sigma, t, ln_b) + 8.0 * UNIT_ROUNDOFF * abs(value)
         return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
                           MethodTag.DIRECT26, m)

@@ -59,7 +59,7 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
         for name in ("truncation", "rounding"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be nonnegative")
-        if not total < math.inf:  # far past the schedule with an explicit m
+        if not total < math.inf:  # far past T_MAX with an explicit m
             raise ParameterExhaustionError(
                 "parameter exhaustion: the error budget exceeds double range")
         return self

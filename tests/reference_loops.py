@@ -3,9 +3,11 @@
 alternating_partial_sum is the direct evaluator's per-point loop as it was
 before the line evaluator (eta_core.DirectLine) took it over: the line must
 reproduce it bit for bit, because it performs the same float operations in
-the same order.  gamma_tail_bound and max_tail_ratio are the paper's
-dropped-tail ratio E(n, b) / |Gamma(n + s)|, which chose the cutoff before
-eta_core.kernel_tail replaced it; they keep the paper's design pairs.
+the same order.  smallest_cutoff is DirectLine.select's rule as a plain loop
+over m, on partial_sum_rounding, the rounding bound written out plainly.
+gamma_tail_bound and max_tail_ratio are the paper's dropped-tail
+ratio E(n, b) / |Gamma(n + s)|, with which the paper chose its cutoffs; they
+keep the paper's design pairs.
 log_gamma is the complex log-gamma of the functional-equation route that the
 paper's formula on the whole strip replaced; its tests keep the reference.
 """
@@ -13,8 +15,9 @@ paper's formula on the whole strip replaced; its tests keep the reference.
 import cmath
 import math
 
-from eta_zeta import DomainError
+from eta_zeta import ComplexPoint, DomainError
 from eta_zeta.coefficients import _bernoulli_fractions
+from eta_zeta.eta_core import CUTOFF_SHARE, UNIT_ROUNDOFF, correction_term
 
 TAIL_N_MAX = 13
 
@@ -39,6 +42,25 @@ def alternating_partial_sum(sigma, t, m):
         sum_im = tmp
         sign = -sign
     return complex(sum_re, sum_im)
+
+
+def partial_sum_rounding(sigma, t, m):
+    """The partial sum's rounding bound u S (8 + |t| ln N), N = 2m + 1, with
+    S = 1 + int_1^N x^-sigma dx in its plain closed form."""
+    n = 2 * m + 1
+    power_sum = 1.0 + (math.log(n) if sigma == 1.0
+                       else (n ** (1.0 - sigma) - 1.0) / (1.0 - sigma))
+    return UNIT_ROUNDOFF * power_sum * (8.0 + abs(t) * math.log(n))
+
+
+def smallest_cutoff(sigma, t):
+    """The first m = 1, 2, ... whose correction_term truncation bound is at
+    most CUTOFF_SHARE of partial_sum_rounding."""
+    m = 1
+    while (correction_term(ComplexPoint(sigma, t), m)[1]
+           > CUTOFF_SHARE * partial_sum_rounding(sigma, t, m)):
+        m += 1
+    return m
 
 
 def gamma_tail_bound(n, b):

@@ -22,7 +22,7 @@ def _points():
     rng = random.Random(29)
     points = [(rng.uniform(-0.5, 3.0), rng.uniform(-176.0, 176.0), None)
               for _ in range(40)]
-    # explicit cutoffs, from far too small to far past the schedule
+    # explicit cutoffs, from far too small to far past the selected ones
     points += [(rng.uniform(-0.5, 3.0), rng.uniform(-176.0, 176.0), m)
                for m in (1, 3, 8, 300, 1200) for _ in range(3)]
     return points

@@ -9,8 +9,11 @@ import random
 import mpmath
 import pytest
 
-from eta_zeta import (M_SCHEDULE, ComplexPoint, DomainError, MethodTag, PoleError,
-                      eta, exceptional_distance, zeta)
+from eta_zeta import (ComplexPoint, DomainError, MethodTag, PoleError, eta,
+                      exceptional_distance, zeta)
+from eta_zeta.eta_core import CUTOFF_SHARE, T_MAX
+
+from reference_loops import partial_sum_rounding
 
 T1 = 2.0 * math.pi / math.log(2.0)  # imaginary part of the first exceptional point
 
@@ -35,9 +38,13 @@ def _sweep_points():
     points += [(0.0, 0.0), (0.5, 0.0), (1.0, 176.0), (3.0, -176.0), (1.0, 0.0)]
     # next to s = 0, where the reflected point once rounded onto s = 1, and
     # sigma = 0 images past the stepwise route's |t| <= 20; n = 25, past the
-    # schedule's reach, with its largest m
+    # reach T_MAX, with an explicit m
     points += [(1e-320, 0.0), (-1e-17, 0.0), (0.0, 5e-324), (0.0, 1e-310)]
     points += [(0.0, n * T1) for n in (3, 10, 19, 25)]
+    # sigma < 0, where a cutoff chosen on the mirror line 1 - sigma once left
+    # the truncation bound above the rounding bound, and the reach
+    points += [(-0.5, 170.0), (-0.5, -170.0), (-0.3, 20.0)]
+    points += [(0.5, 182.0), (0.5, -182.0), (3.0, 185.5), (3.0, -185.5)]
     return points
 
 
@@ -65,7 +72,7 @@ def test_sweep_within_budget():
             for function, exact in cases:
                 try:
                     result = function(ComplexPoint(sigma, t),
-                                      m=M_SCHEDULE[-1] if abs(t) > 177.0 else None)
+                                      m=150 if abs(t) > T_MAX else None)
                 except DomainError as exc:
                     assert _documented_refusal(function, sigma, t, exc), (function, sigma, t)
                     continue
@@ -77,3 +84,12 @@ def test_sweep_within_budget():
                                     err, result.budget.total))
     assert outside == []
     assert methods == set(MethodTag)
+
+
+@pytest.mark.parametrize("sigma,t", [(-0.5, 170.0), (-0.3, 20.0)])
+def test_cutoff_keeps_truncation_below_its_share(sigma, t):
+    # the selected m leaves Boole's bound at most CUTOFF_SHARE of the partial
+    # sum's rounding bound, also for sigma < 0
+    result = eta(ComplexPoint(sigma, t))
+    share = CUTOFF_SHARE * partial_sum_rounding(sigma, t, result.m)
+    assert result.budget.truncation <= share

@@ -245,26 +245,6 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     assert sizes == []
 
 
-def test_scan_computes_each_tail_bound_once(monkeypatch):
-    # the scan crosses m = 40 -> 50: each point computes the kernel tail of
-    # the m it selects, and of a smaller m only where that m's leading
-    # factor alone meets the tolerance
-    from eta_zeta import eta_core
-    tails = []
-    tail = eta_core.kernel_tail
-
-    def counting(sigma, t, m):
-        tails.append((t, m))
-        return tail(sigma, t, m)
-
-    monkeypatch.setattr(eta_core, "kernel_tail", counting)
-    records = scan_records("zeta", 0.5, 35.0, 45.0, 0.5)
-    assert [rec.m_used for rec in records] == [40] * 2 + [50] * 19
-    # at t = 36 the lead of m = 40 passes and its full tail does not
-    assert tails == [(35.0, 40), (35.5, 40), (36.0, 40)] + [
-        (rec.t, 50) for rec in records[2:]]
-
-
 def test_scan_sigma_out_of_range(capsys):
     for function, sigma in (("eta", "4"), ("zeta", "3.5")):
         code, out, err = run_cli(capsys, "scan", function, "--sigma", sigma,

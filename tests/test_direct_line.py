@@ -1,9 +1,10 @@
-"""The line evaluator against the per-point loops it replaced
-(reference_loops), against the per-point kernel tail and budget and against
+"""The line evaluator against the per-point loops it replaced and the plain
+cutoff loop (reference_loops), against the per-point budget and against
 per-point eta/zeta: equal to the last bit, including when a line is reused
 out of order and when 2m passes 2000."""
 
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -13,15 +14,14 @@ import pytest
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
                       eta, zeta)
 from eta_zeta.cli import record_to_csv, scan_records
-from eta_zeta.eta_core import (M_SCHEDULE, TAIL_TOLERANCE, TERMS_KEPT, DirectLine,
-                               correction_term, kernel_tail, log_table)
+from eta_zeta.eta_core import T_MAX, TERMS_KEPT, DirectLine, correction_term, log_table
 
 import reference_loops as ref
 
 SIGMAS = (0.5, 0.6, 0.75, 1.0, 1.4, 2.5, 3.0)
 # negative t, t = -0 and 0 (signed zeros: cmath.rect has its own branch for
-# a zero angle), the first critical zero and exceptional point, and the top
-# of the schedule
+# a zero angle), the first critical zero and exceptional point, and a point
+# near the reach T_MAX
 TS = (-150.0, -37.5, -1e-3, -0.0, 0.0, 9.0647202836, 14.134725, 45.0, 120.0,
       176.0)
 # out of order on purpose, so a line is reused after growing; 1001 needs
@@ -43,36 +43,45 @@ def test_partial_sum_matches_reference(sigma):
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
-def test_kernel_tail_matches_pointwise(sigma):
-    # a line picks its cutoff from the per-point kernel tail at
-    # max(sigma, 1 - sigma): the line at 1 - sigma, inside the strip, takes
-    # the same m at every t; an explicit m's truncation bound is the
-    # per-point one, bit for bit, on a line reused out of order
-    lines = [DirectLine(sigma)] + ([DirectLine(1.0 - sigma)] if sigma <= 1.5 else [])
-    for t in TS:
-        m = next(m for m in M_SCHEDULE if kernel_tail(sigma, t, m) <= TAIL_TOLERANCE)
-        assert [line.select(t) for line in lines] == [m] * len(lines), t
+def test_truncation_matches_pointwise(sigma):
+    # an explicit m's truncation bound is the per-point one, bit for bit, on
+    # a line reused out of order
+    line = DirectLine(sigma)
     for m in MS:
         for t in TS:
-            assert lines[0].eval(t, m).budget.truncation.hex() \
+            assert line.eval(t, m).budget.truncation.hex() \
                 == correction_term(ComplexPoint(sigma, t), m)[1].hex(), (m, t)
 
 
-def test_kernel_tail_refuses_where_it_overflows():
-    # no scheduled m reaches the tolerance; the kernel tail is finite while
-    # it fits a double, past that a typed refusal
-    for sigma in (0.5, 3.0):
-        for t in (600.0, 1e150):
-            with pytest.raises(ParameterExhaustionError):
+_RNG = random.Random(31)
+# the lines above, the strip below sigma = 1/2, and seeded lines
+SELECT_SIGMAS = (-0.5, -0.3, 0.0, 0.25, *SIGMAS,
+                 *(_RNG.uniform(-0.5, 3.0) for _ in range(4)))
+
+
+@pytest.mark.parametrize("sigma", SELECT_SIGMAS)
+def test_select_matches_reference(sigma):
+    # one line reused at seeded t out of order, with t = 0 and the reach
+    # +/- T_MAX: select steps to the m of the plain loop over m
+    rng = random.Random(repr(sigma))
+    ts = [0.0, T_MAX, -T_MAX, *(rng.uniform(-T_MAX, T_MAX) for _ in range(13))]
+    rng.shuffle(ts)
+    line = DirectLine(sigma)
+    for t in ts:
+        assert line.select(t) == ref.smallest_cutoff(sigma, t), t
+
+
+def test_refuses_past_t_max_and_past_double_range():
+    # the selected cutoff reaches |t| = T_MAX and no further
+    for sigma in (-0.5, 0.5, 3.0):
+        assert DirectLine(sigma).eval(-T_MAX).m > 1
+        for t in (math.nextafter(T_MAX, math.inf), -600.0, 1e150, math.nan):
+            with pytest.raises(ParameterExhaustionError, match="T_MAX"):
                 DirectLine(sigma).select(t)
-            with pytest.raises(ParameterExhaustionError):
-                eta(ComplexPoint(sigma, t))
-    assert 1e250 < kernel_tail(0.5, 450.0, 40) < math.inf
-    for t in (600.0, 1e150, 1.7e308):
-        with pytest.raises(ParameterExhaustionError, match="kernel tail"):
-            kernel_tail(0.5, t, 40)
-    # an explicit m computes no kernel tail: its truncation bound is finite
-    # at t = 600 and refused once |(s)_15| leaves the double range
+        with pytest.raises(ParameterExhaustionError, match="T_MAX"):
+            eta(ComplexPoint(sigma, 600.0))
+    # an explicit m has no reach: its truncation bound is finite at t = 600
+    # and refused once |(s)_15| leaves the double range
     assert math.isfinite(DirectLine(3.0).eval(600.0, 40).budget.total)
     for t in (1e150, 1.7e308):
         with pytest.raises(ParameterExhaustionError, match="truncation bound"):
@@ -80,24 +89,6 @@ def test_kernel_tail_refuses_where_it_overflows():
     # the smallest cutoffs still get a finite bound
     for m in (1, 2):
         assert math.isfinite(DirectLine(3.0).eval(10.0, m).budget.total)
-
-
-def assert_select_matches_reference(line, t):
-    # the smallest scheduled m whose per-point kernel tail meets the tolerance
-    expected = next((m for m in M_SCHEDULE
-                     if kernel_tail(line.sigma, t, m) <= TAIL_TOLERANCE), None)
-    if expected is None:
-        with pytest.raises(ParameterExhaustionError):
-            line.select(t)
-    else:
-        assert line.select(t) == expected
-
-
-@pytest.mark.parametrize("sigma", SIGMAS)
-def test_select_matches_reference(sigma):
-    line = DirectLine(sigma)
-    for t in TS + (178.0, -300.0):
-        assert_select_matches_reference(line, t)
 
 
 def test_lines_on_threads_match_serial():

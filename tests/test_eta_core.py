@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eta_zeta import (ComplexPoint, DomainError, MethodTag,
-                      ParameterExhaustionError, eta)
-from eta_zeta import eta_core
-from eta_zeta.eta_core import (TAIL_TOLERANCE, DirectLine, correction_term,
-                               dirichlet_sum, kernel_tail)
+from eta_zeta import ComplexPoint, DomainError, MethodTag, ParameterExhaustionError
+from eta_zeta.eta_core import DirectLine, correction_term, dirichlet_sum
 
 import oracles
 
@@ -18,16 +15,6 @@ GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
 
 
 # ---------------------------------------------------------------- params ---
-
-def test_select_params_reproduces_design_pairs():
-    # b = 101 still reaches t = 50 on sigma = 1: the acceptance check
-    # "kernel tail b=101 sigma=1 t=50"
-    line = DirectLine(1.0)
-    assert line.select(50.0) == line.eval(50.0).m == 50
-    assert kernel_tail(1.0, 50.0, 50) <= TAIL_TOLERANCE < kernel_tail(1.0, 50.0, 40)
-    # at t = 0 the tails are astronomically small: schedule minimum
-    assert DirectLine(0.5).select(0.0) == 40
-
 
 def test_select_params_exhaustion():
     with pytest.raises(ParameterExhaustionError, match="parameter exhaustion"):
@@ -38,27 +25,6 @@ def test_select_params_validates_sigma():
     # selection runs on a DirectLine, behind its sigma check
     with pytest.raises(DomainError, match="sigma range"):
         DirectLine(-0.6).select(0.0)
-
-
-def test_each_kernel_tail_computed_once(monkeypatch):
-    # selection computes a kernel tail only for an m whose leading factor
-    # e^(-b) / (b |Gamma(s)|) meets the tolerance; the budget needs none
-    tails = []
-    tail = eta_core.kernel_tail
-
-    def counting(sigma, t, m):
-        tails.append((t, m))
-        return tail(sigma, t, m)
-
-    monkeypatch.setattr(eta_core, "kernel_tail", counting)
-    eta(ComplexPoint(0.5, 14.13))
-    assert tails == [(14.13, 40)]
-    tails.clear()
-    assert eta(ComplexPoint(0.5, 45.0)).m == 50
-    assert tails == [(45.0, 50)]  # m = 40 fails on its lead
-    tails.clear()
-    eta(ComplexPoint(0.5, 14.13), m=50)
-    assert tails == []
 
 
 # ----------------------------------------------------------- partial sum ---
@@ -90,9 +56,9 @@ def test_partial_sum_rejects_bad_m():
 @pytest.mark.parametrize("m", [0, -3])
 def test_eval_names_m_below_one_before_any_table(m, monkeypatch):
     def unreachable(*args):
-        raise AssertionError("a tail was computed for m < 1")
+        raise AssertionError("a cutoff was selected for m < 1")
 
-    monkeypatch.setattr(eta_core, "kernel_tail", unreachable)
+    monkeypatch.setattr(DirectLine, "select", unreachable)
     line = DirectLine(1.0)
     with pytest.raises(DomainError, match="^m must be >= 1$"):
         line.eval(0.0, m)

@@ -69,7 +69,7 @@ def test_named_fields_unpack_and_compare_as_tuples():
     value, budget, method, m = result
     assert (value, budget, method, m) == result == tuple(result)
     assert result[0] == result.value and budget is result.budget
-    assert method is MethodTag.DIRECT26 and m == result.m == 40
+    assert method is MethodTag.DIRECT26 and m == result.m == 27
     assert ComplexPoint(0.5, 1) == (0.5, 1.0) and ComplexPoint(0.5, 1).z == 0.5 + 1j
     assert hash(ComplexPoint(0.5, 1.0)) == hash((0.5, 1.0))
     assert repr(ComplexPoint(0.5, 1.0)) == "ComplexPoint(sigma=0.5, t=1.0)"
