@@ -12,8 +12,6 @@ check is kept as printed so the discrepancy is recorded rather than hidden,
 and it is expected to fail.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

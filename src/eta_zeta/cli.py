@@ -4,14 +4,13 @@ values on the sigma = 1 line, and the built-in verification suite.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
@@ -20,8 +19,11 @@ from .zeta_bridge import LN2, Line, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6
-# Index ranges per job of a pooled scan, so records come back while workers run.
+# Index ranges per job of a pooled scan, so records come back while workers
+# run, and the most points in one range, so the parent holds a few ranges of
+# records at a time however large the grid.
 RANGES_PER_JOB = 4
+MAX_RANGE = 1000
 TABLE2_HALF_SPACING = math.pi / LN2  # imaginary gap between table rows
 ZERO_MARKER_THRESHOLD = 1e-9
 
@@ -41,20 +43,23 @@ def _record(sigma: float, t: float, result: EvalResult) -> OutputRecord:
                         m_used=0 if result.m is None else result.m)
 
 
-def _scan_range(function: str, sigma: float, t_min: float, step: float,
-                m: int | None, start: int, stop: int) -> list[OutputRecord]:
+def _scan_records(function: str, sigma: float, t_min: float, step: float,
+                  m: int | None, start: int, stop: int) -> Iterator[OutputRecord]:
     """Records for grid indices start..stop-1, evaluated on one Line."""
     line = Line(sigma, m)
     evaluate = line.eta if function == "eta" else line.zeta
-    records = []
     for i in range(start, stop):
         t = t_min + i * step
         try:
-            records.append(_record(sigma, t, evaluate(t)))
+            rec = _record(sigma, t, evaluate(t))
         except EtaZetaError:
-            records.append(OutputRecord(sigma, t, None, None, None, "error",
-                                        None, None))
-    return records
+            rec = OutputRecord(sigma, t, None, None, None, "error", None, None)
+        yield rec
+
+
+def _scan_range(*args) -> list[OutputRecord]:
+    """_scan_records as a list, the unit a pool worker sends back."""
+    return list(_scan_records(*args))
 
 
 def grid_count(t_min: float, t_max: float, step: float) -> int:
@@ -71,21 +76,24 @@ def _pool(workers: int):
 
 def scan_records(function: str, sigma: float, t_min: float, t_max: float,
                  step: float, m: int | None = None,
-                 jobs: int = 1) -> list[OutputRecord]:
+                 jobs: int = 1) -> Iterator[OutputRecord]:
     """Records for the grid t_min, t_min+step, ... (ascending, inclusive),
-    evaluated on one Line.  With jobs > 1 a process pool evaluates contiguous
-    index ranges, each on a line of its own, and the records come back in
-    grid order: the output is identical either way."""
+    yielded in grid order as they are evaluated, on one Line.  With
+    jobs > 1 a process pool evaluates contiguous index ranges of at most
+    MAX_RANGE points, each on a line of its own, and they are yielded in
+    order as they arrive: the output is identical either way, and only the
+    ranges in flight are held, never the whole grid."""
     count = grid_count(t_min, t_max, step)
     if jobs <= 1 or count <= 1:
-        return _scan_range(function, sigma, t_min, step, m, 0, count)
-    n_ranges = min(count, jobs * RANGES_PER_JOB)
+        yield from _scan_records(function, sigma, t_min, step, m, 0, count)
+        return
+    n_ranges = min(count, max(jobs * RANGES_PER_JOB, math.ceil(count / MAX_RANGE)))
     bounds = [count * k // n_ranges for k in range(n_ranges + 1)]
     scan_range = functools.partial(_scan_range, function, sigma, t_min, step, m)
     workers = min(jobs, n_ranges, os.cpu_count() or 1)
     with _pool(workers) as pool:
-        chunks = pool.map(scan_range, bounds[:-1], bounds[1:])
-        return [rec for chunk in chunks for rec in chunk]
+        for chunk in pool.map(scan_range, bounds[:-1], bounds[1:]):
+            yield from chunk
 
 
 def record_to_csv(rec: OutputRecord) -> str:
@@ -107,10 +115,15 @@ def record_to_json(rec: OutputRecord) -> str:
             f'"err_bound": {num(rec.err_bound)}, "m_used": {m_used}}}')
 
 
-def records_to_csv(records: list[OutputRecord]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(record_to_csv(rec) for rec in records)
-    return "\n".join(lines) + "\n"
+def csv_lines(records: Iterable[OutputRecord]) -> Iterator[str]:
+    """A scan's CSV output as newline-terminated lines, header first."""
+    yield CSV_HEADER + "\n"
+    for rec in records:
+        yield record_to_csv(rec) + "\n"
+
+
+def records_to_csv(records: Iterable[OutputRecord]) -> str:
+    return "".join(csv_lines(records))
 
 
 def _fmt_value(re: float, im: float) -> str:
@@ -162,10 +175,9 @@ def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     records = scan_records(args.function, args.sigma, args.t_min, args.t_max,
                            args.step, m=args.m, jobs=args.jobs)
     if args.format == "csv":
-        sys.stdout.write(records_to_csv(records))
+        sys.stdout.writelines(csv_lines(records))
     else:
-        for rec in records:
-            print(record_to_json(rec))
+        sys.stdout.writelines(record_to_json(rec) + "\n" for rec in records)
     return 0
 
 

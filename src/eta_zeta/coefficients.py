@@ -11,8 +11,6 @@ each table entry is the correctly rounded double.  The related coefficients
 C_k(s) of the stepwise continuation are plain complex products.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

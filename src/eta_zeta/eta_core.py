@@ -13,10 +13,7 @@ it leaves out (correction_term) and the rounding of the float evaluation
 at most CUTOFF_SHARE of the partial sum's rounding bound (DirectLine.select).
 """
 
-from __future__ import annotations
-
 import cmath
-import functools
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -67,10 +64,20 @@ def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> comp
     return total
 
 
-@functools.cache
-def log_table() -> tuple[float, ...]:
-    """ln n for n = 1..TERMS_KEPT, computed once per process, on first use."""
-    return tuple(map(math.log, range(1, TERMS_KEPT + 1)))
+_lns: tuple[float, ...] = ()  # the process's ln n table, see log_table
+
+
+def log_table(count: int) -> tuple[float, ...]:
+    """ln n for n = 1, 2, ..., at least min(count, TERMS_KEPT) of them: the
+    process's table, filled on demand (at least doubling, at most TERMS_KEPT).
+    A fill swaps in a whole new tuple, so every caller holds a complete
+    table; a fill lost to another thread's is only done again later."""
+    global _lns
+    lns = _lns
+    if len(lns) < min(count, TERMS_KEPT):
+        size = min(max(count, 2 * len(lns)), TERMS_KEPT)
+        lns = _lns = lns + tuple(map(math.log, range(len(lns) + 1, size + 1)))
+    return lns
 
 
 def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[float]:
@@ -171,10 +178,10 @@ class DirectLine:
     What depends on sigma alone is computed on first use and kept: the
     signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
     most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
-    process (log_table), shared by every line.  A point then pays only for
-    what depends on t, with the same float operations in the same order as
-    a point alone.  A line is mutable: create one per caller, do not share
-    it between threads.
+    process as far as read (log_table), shared by every line.  A point then
+    pays only for what depends on t, with the same float operations in the
+    same order as a point alone.  A line is mutable: create one per caller,
+    do not share it between threads.
     """
 
     def __init__(self, sigma: float) -> None:
@@ -211,7 +218,7 @@ class DirectLine:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t."""
         if m < 1:
             raise DomainError("m must be >= 1")
-        count, mags, lns = 2 * m, self._mags, log_table()
+        count, mags, lns = 2 * m, self._mags, log_table(2 * m)
         start, stop = len(mags) + 1, min(count, TERMS_KEPT) + 1
         if start < stop:
             mags.extend(_signed_powers(self.sigma, start,

@@ -1,7 +1,5 @@
 """Shared value types, as immutable named tuples: points, results, budgets."""
 
-from __future__ import annotations
-
 import enum
 import math
 from collections import namedtuple
@@ -30,7 +28,7 @@ class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, sigma: float, t: float) -> ComplexPoint:
+    def __new__(cls, sigma: float, t: float) -> "ComplexPoint":
         sigma, t = float(sigma), float(t)
         if not (math.isfinite(sigma) and math.isfinite(t)):
             raise DomainError("evaluation point must be finite")
@@ -54,7 +52,7 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, truncation: float, rounding: float, total: float) -> ErrorBudget:
+    def __new__(cls, truncation: float, rounding: float, total: float) -> "ErrorBudget":
         self = tuple.__new__(cls, (truncation, rounding, total))
         for name in ("truncation", "rounding"):
             if getattr(self, name) < 0.0:
@@ -65,10 +63,10 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
         return self
 
     @classmethod
-    def assemble(cls, truncation: float, rounding: float) -> ErrorBudget:
+    def assemble(cls, truncation: float, rounding: float) -> "ErrorBudget":
         return cls(truncation, rounding, truncation + rounding)
 
-    def scaled(self, factor: float) -> ErrorBudget:
+    def scaled(self, factor: float) -> "ErrorBudget":
         """Budget after the value is multiplied by a factor of magnitude
         |factor|."""
         f = abs(factor)

@@ -6,8 +6,6 @@ s = 1 +/- 2 pi n i / ln 2, where that quotient is 0/0 and a stepwise
 continuation through zeta(s + 2k) takes over.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator
@@ -62,10 +60,11 @@ def _one_minus_two_pow(w: complex) -> complex:
 def _zeta_dirichlet_tail(z: complex) -> complex:
     """zeta(z) for Re(z) >= 1.5 by direct summation to N with a two-term
     integral tail: sum_{n<=N} n^(-z) + N^(1-z)/(z-1) - N^(-z)/2."""
-    mags = map(math.exp, map(operator.mul, repeat(-z.real, _INNER_N), log_table()))
+    lns = log_table(_INNER_N)
+    mags = map(math.exp, map(operator.mul, repeat(-z.real, _INNER_N), lns))
     big_n = complex(_INNER_N, 0.0)
     tail = big_n ** (1.0 - z) / (z - 1.0) - 0.5 * big_n ** (-z)
-    return dirichlet_sum(mags, log_table(), z.imag) + tail
+    return dirichlet_sum(mags, lns, z.imag) + tail
 
 
 def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:

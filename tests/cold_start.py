@@ -5,13 +5,19 @@ Run from the repository root, naming one or more source directories:
     python tests/cold_start.py [-n RUNS] SRC [SRC ...]
 
 For each directory it starts RUNS fresh `python -I` interpreters for each of
-two measurements, alternating directories and measurements, and prints the
+three measurements, alternating directories and measurements, and prints the
 median and interquartile range of each in seconds:
 
 - setup: wall time from `import eta_zeta` to the first value of
   eta(0.73 + 100i), the definition bench/run.py uses for `setup_s`;
+- scan_setup: the same to zeta(0.5 + 0i), the set-up point of the
+  benchmark's line_scan workload;
 - cli: wall time from `import eta_zeta.cli` to the end of
   `eta-zeta eval zeta 0.5 14.13` run through `cli.main`, output discarded.
+
+It also prints, once per directory, the max RSS of a fresh interpreter that
+runs the 20001-point `eta-zeta scan zeta --sigma 0.5 --t-min 0 --t-max 100
+--step 0.005` through `cli.main`, output discarded.
 
 Give the parent's and the change's `src/` in one run to compare them under
 the same load.  pytest does not collect this file.
@@ -25,12 +31,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+# argv: src dir, function, sigma, t
 SETUP_CODE = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import eta_zeta
-eta_zeta.eta(eta_zeta.ComplexPoint(0.73, 100.0))
+getattr(eta_zeta, sys.argv[2])(eta_zeta.ComplexPoint(float(sys.argv[3]), float(sys.argv[4])))
 print(repr(time.perf_counter() - start), eta_zeta.__file__)
 """
 
@@ -46,12 +53,26 @@ assert status == 0, status
 print(repr(elapsed), cli.__file__)
 """
 
-MEASUREMENTS = {"setup": SETUP_CODE, "cli": CLI_CODE}
+# prints the max RSS in MB (ru_maxrss is in kB on Linux)
+SCAN_RSS_CODE = """
+import contextlib, os, resource, sys
+sys.path.insert(0, sys.argv[1])
+from eta_zeta import cli
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    status = cli.main(["scan", "zeta", "--sigma", "0.5", "--t-min", "0",
+                       "--t-max", "100", "--step", "0.005"])
+assert status == 0, status
+print(repr(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024), cli.__file__)
+"""
+
+MEASUREMENTS = {"setup": (SETUP_CODE, "eta", "0.73", "100"),
+                "scan_setup": (SETUP_CODE, "zeta", "0.5", "0"),
+                "cli": (CLI_CODE,)}
 
 
-def sample(code: str, src: Path) -> float:
-    """One cold run: the elapsed seconds the child interpreter reports."""
-    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+def sample(src: Path, code: str, *argv: str) -> float:
+    """One cold run: the number the child interpreter reports."""
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src), *argv],
                           capture_output=True, text=True, timeout=120, check=True)
     elapsed, path = proc.stdout.split()
     if not Path(path).resolve().is_relative_to(src):
@@ -70,13 +91,15 @@ def main() -> int:
     times = {(src, name): [] for src in srcs for name in MEASUREMENTS}
     for i in range(args.runs):
         order = srcs[i % len(srcs):] + srcs[:i % len(srcs)]
-        for name, code in MEASUREMENTS.items():
+        for name, (code, *argv) in MEASUREMENTS.items():
             for src in order:
-                times[src, name].append(sample(code, src))
+                times[src, name].append(sample(src, code, *argv))
     for (src, name), values in times.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
-        print(f"{name:5s}  median {median * 1e3:6.2f} ms  "
+        print(f"{name:10s}  median {median * 1e3:6.2f} ms  "
               f"[IQR {q1 * 1e3:6.2f} - {q3 * 1e3:6.2f}]  n={len(values)}  {src}")
+    for src in srcs:
+        print(f"{'scan_rss':10s}  max RSS {sample(src, SCAN_RSS_CODE):6.2f} MB  {src}")
     return 0
 
 

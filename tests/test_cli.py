@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -157,8 +160,8 @@ def test_scan_round_trip_is_bit_identical(capsys):
     for line in out.splitlines()[1:]:
         sigma, t, re, im = line.split(",")[:4]
         m_used = int(line.split(",")[7])
-        again = scan_records("eta", float(sigma), float(t), float(t), 1.0,
-                             m=m_used)[0]
+        (again,) = scan_records("eta", float(sigma), float(t), float(t), 1.0,
+                                m=m_used)
         assert repr(again.re) == re
         assert repr(again.im) == im
 
@@ -206,25 +209,29 @@ def test_m_below_one_is_a_usage_error(capsys):
         assert "--m must be >= 1" in captured.err, argv
 
 
-def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
-    # an in-process stand-in for the pool records the worker count it is
-    # given, so no process is started
-    from eta_zeta import cli
+class InlinePool:
+    """An in-process stand-in for the scan's process pool: it records the
+    worker count it is given in `sizes`, and starts no process."""
+
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc_info):
-            return False
+    def __exit__(self, *exc_info):
+        return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
+
+def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
+    from eta_zeta import cli
+    sizes = InlinePool.sizes
+    sizes.clear()
     monkeypatch.setattr(cli, "_pool", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     args = ("zeta", 0.5, 0.0, 2.0, 0.25)  # 9 points
@@ -240,9 +247,51 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     sizes.clear()
     # an empty or one-point grid starts no pool
     for empty in ((1.0, 0.5, 1.0), (1.0, 0.0, 0.25)):
-        assert scan_records("eta", 0.5, *empty, jobs=4) == []
-    assert len(scan_records("eta", 0.5, 1.0, 1.0, 1.0, jobs=4)) == 1
+        assert list(scan_records("eta", 0.5, *empty, jobs=4)) == []
+    assert len(list(scan_records("eta", 0.5, 1.0, 1.0, 1.0, jobs=4))) == 1
     assert sizes == []
+
+
+class LineCounter(io.TextIOBase):
+    """A stdout sink that keeps only the number of lines written."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def traced_scan_peak(step, jobs):
+    """Traced peak bytes and output lines of an eta scan on 0 <= t <= 2."""
+    sink = LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["scan", "eta", "--sigma", "0.5", "--t-min", "0", "--t-max", "2",
+                         "--step", step, "--m", "4", "--jobs", str(jobs)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.lines
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_memory_does_not_grow_with_the_grid(monkeypatch, jobs):
+    # records stream to stdout in grid order: a serial scan holds one, a
+    # pooled one the ranges in flight (in process here, so one range).  With
+    # ranges capped at 50 points, both grids below span many ranges, as a
+    # grid past jobs * RANGES_PER_JOB * MAX_RANGE points does.  Holding every
+    # record and CSV line grew the peak by about 600 bytes a point, and
+    # uncapped ranges by 60; the scan may grow by 10 bytes a point at most
+    from eta_zeta import cli
+    monkeypatch.setattr(cli, "_pool", InlinePool)
+    monkeypatch.setattr(cli, "MAX_RANGE", 50)
+    traced_scan_peak("1", jobs)  # fills the process's caches first
+    small, small_lines = traced_scan_peak("0.004", jobs)
+    large, large_lines = traced_scan_peak("0.0005", jobs)
+    assert (small_lines, large_lines) == (502, 4002)
+    assert large < small + 10 * (4001 - 501), (small, large)
 
 
 def test_scan_sigma_out_of_range(capsys):
@@ -286,7 +335,7 @@ def test_verify_reports_only_the_known_misprint(capsys):
 # -------------------------------------------------------------- formatting ---
 
 def test_csv_uses_shortest_round_trip_floats():
-    rec = scan_records("eta", 0.5, 0.1, 0.1, 1.0)[0]
+    (rec,) = scan_records("eta", 0.5, 0.1, 0.1, 1.0)
     line = record_to_csv(rec)
     assert line.split(",")[1] == "0.1"
     assert float(line.split(",")[2]) == rec.re

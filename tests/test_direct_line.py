@@ -4,6 +4,7 @@ per-point eta/zeta: equal to the last bit, including when a line is reused
 out of order and when 2m passes 2000."""
 
 import math
+import operator
 import random
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
                       eta, zeta)
+from eta_zeta import eta_core
 from eta_zeta.cli import record_to_csv, scan_records
 from eta_zeta.eta_core import T_MAX, TERMS_KEPT, DirectLine, correction_term, log_table
 
@@ -91,17 +93,19 @@ def test_refuses_past_t_max_and_past_double_range():
         assert math.isfinite(DirectLine(3.0).eval(10.0, m).budget.total)
 
 
-def test_lines_on_threads_match_serial():
-    # lines on eight threads fill the shared ln n table concurrently, with a
-    # short switch interval; every value equals the serial one bit for bit
-    points = [(sigma, t) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)]
-    serial = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
+def test_lines_on_threads_match_serial(monkeypatch):
+    # lines on eight threads fill the shared ln n table concurrently from
+    # empty, with a short switch interval, up to TERMS_KEPT (m = 2100); every
+    # value equals the serial one bit for bit, and the table stays exact
+    points = [(sigma, t, m) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)
+              for m in (None, 2100)]
+    serial = [bits(DirectLine(sigma).eval(t, m).value) for sigma, t, m in points]
     results = [None] * 8
 
     def work(i):
-        results[i] = [bits(DirectLine(sigma).eval(t).value) for sigma, t in points]
+        results[i] = [bits(DirectLine(sigma).eval(t, m).value) for sigma, t, m in points]
 
-    log_table.cache_clear()
+    monkeypatch.setattr(eta_core, "_lns", ())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -114,29 +118,38 @@ def test_lines_on_threads_match_serial():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [serial] * 8
+    assert log_table(TERMS_KEPT) == tuple(map(math.log, range(1, TERMS_KEPT + 1)))
 
 
-def test_log_table_shared_across_routes():
-    # the first direct call fills the process's ln n table; calls on other
-    # sigmas, a call at sigma < 1/2, a stepwise call and a scan each read it
-    # and compute none
-    log_table.cache_clear()
+def test_log_table_shared_across_routes(monkeypatch):
+    # the ln n table fills on demand: a first value at m fills 2m entries;
+    # later calls on other sigmas, at sigma < 1/2, on the stepwise route and
+    # in a scan grow it where they read further and recompute no entry (a
+    # recomputed ln n would be a new float object)
+    monkeypatch.setattr(eta_core, "_lns", ())
+    first = eta(ComplexPoint(0.5, 14.134725))
+    assert first.m < 30 and len(log_table(0)) == 2 * first.m
     for sigma in SIGMAS:
         line = DirectLine(sigma)
         for t in (14.134725, 120.0):
             assert bits(line.partial_sum(t, 65)) \
                 == bits(ref.alternating_partial_sum(sigma, t, 65)), (sigma, t)
+    assert len(log_table(0)) == 130
     routes = (
         (lambda: eta(ComplexPoint(-0.3, 20.0)).method, MethodTag.DIRECT26),
         (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
         (lambda: {rec.method for rec in scan_records("zeta", 0.25, 0.0, 30.0, 0.5)},
-         {"Direct26"}))
+         {"Direct26"}),
+        (lambda: DirectLine(2.5).eval(3.0, 2100).method, MethodTag.DIRECT26))
+    sizes = []
     for route, methods in routes:
-        hits = log_table.cache_info().hits
+        before = log_table(0)
         assert route() == methods
-        assert log_table.cache_info().hits > hits
-    assert log_table.cache_info().misses == 1
-    assert len(log_table()) == TERMS_KEPT
+        after = log_table(0)
+        assert all(map(operator.is_, before, after))
+        sizes.append(len(after))
+    assert sizes == [130, 2000, 2000, TERMS_KEPT]
+    assert log_table(0) == tuple(map(math.log, range(1, TERMS_KEPT + 1)))
 
 
 def test_large_m_values_unchanged():
@@ -147,12 +160,12 @@ def test_large_m_values_unchanged():
         == (0.4946903197798155 - 0.0632084342116146j)
 
 
-def test_large_m_runs_in_bounded_memory():
+def test_large_m_runs_in_bounded_memory(monkeypatch):
     # 60000 terms: kept as lists they would take about 4 MB; a line keeps
     # TERMS_KEPT of them and recomputes the rest.  The ln n table is filled
     # inside the traced region and counts against the same limit
     assert 2 * 30000 > 10 * TERMS_KEPT
-    log_table.cache_clear()
+    monkeypatch.setattr(eta_core, "_lns", ())
     tracemalloc.start()
     try:
         eta(ComplexPoint(0.75, 3.0), m=30000)
@@ -174,7 +187,7 @@ def test_large_m_runs_in_bounded_memory():
 ])
 def test_scan_matches_pointwise_calls(function, sigma, t_min, t_max, step, m):
     evaluate = eta if function == "eta" else zeta
-    records = scan_records(function, sigma, t_min, t_max, step, m=m)
+    records = list(scan_records(function, sigma, t_min, t_max, step, m=m))
     assert records
     for rec in records:
         try:
