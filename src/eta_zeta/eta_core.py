@@ -178,21 +178,26 @@ class DirectLine:
     What depends on sigma alone is computed on first use and kept: the
     signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
     most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
-    process as far as read (log_table), shared by every line.  A point then
-    pays only for what depends on t, with the same float operations in the
-    same order as a point alone.  A line is mutable: create one per caller,
-    do not share it between threads.
+    process as far as read (log_table), shared by every line.  The line
+    also keeps the cutoff its last selection returned, from which the next
+    one steps.  A point then pays only for what depends on t, with the same
+    float operations in the same order as a point alone.  A line is
+    mutable: create one per caller, do not share it between threads.
     """
 
     def __init__(self, sigma: float) -> None:
         check_sigma(sigma)
         self.sigma = sigma
         self._mags: list[float] = []
+        self._m = 0  # the last selected cutoff; 0 before the first
 
     def select(self, t: float) -> int:
         """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
         partial sum's rounding bound u S (8 + |t| ln N) (eval), stepped to from
-        a guess; ParameterExhaustionError for |t| > T_MAX."""
+        the line's last cutoff, or on its first from a guess solved from the
+        bound's local power law; ParameterExhaustionError for |t| > T_MAX.
+        At fixed t the bound over its share falls strictly with N, so every
+        start steps to the same m."""
         if not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
         sigma, z = self.sigma, complex(self.sigma, t)
@@ -203,15 +208,17 @@ class DirectLine:
             return (boole_bound(poch15, sigma, shift15, b)
                     / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
 
-        # the bound falls at least like N^-(sigma + 14), the share grows
-        b = 2.0 * abs(t) + 3.0
-        for _ in range(2):
-            b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
-        m = math.ceil((b - 1.0) / 2.0)
+        m = self._m
+        if not m:  # the bound falls at least like N^-(sigma + 14), the share grows
+            b = 2.0 * abs(t) + 3.0
+            for _ in range(2):
+                b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
+            m = math.ceil((b - 1.0) / 2.0)
         while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
             m -= 1
         while excess(2.0 * m + 1.0) > 1.0:
             m += 1
+        self._m = m
         return m
 
     def partial_sum(self, t: float, m: int) -> complex:
@@ -244,12 +251,17 @@ class DirectLine:
         """
         if m is not None and m < 1:  # before any bound or term is computed
             raise DomainError("m must be >= 1")
-        s = ComplexPoint(self.sigma, t)
-        if m is None:
-            m = self.select(t)
-        correction, truncation, rounding = correction_term(s, m)
-        value = self.partial_sum(t, m) + correction
-        ln_b = math.log(2 * m + 1)
-        rounding += sum_rounding(self.sigma, t, ln_b) + 8.0 * UNIT_ROUNDOFF * abs(value)
+        value, truncation, rounding, m = self._eval(ComplexPoint(self.sigma, t), m)
         return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
                           MethodTag.DIRECT26, m)
+
+    def _eval(self, s: ComplexPoint, m: int | None) -> tuple[complex, float, float, int]:
+        """eval's value, truncation and rounding bounds and m at s on this
+        line, m >= 1 or None, before any budget or result is built."""
+        if m is None:
+            m = self.select(s.t)
+        correction, truncation, rounding = correction_term(s, m)
+        value = self.partial_sum(s.t, m) + correction
+        rounding += sum_rounding(self.sigma, s.t, math.log(2 * m + 1)) \
+            + 8.0 * UNIT_ROUNDOFF * abs(value)
+        return value, truncation, rounding, m

@@ -53,14 +53,14 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, truncation: float, rounding: float, total: float) -> "ErrorBudget":
-        self = tuple.__new__(cls, (truncation, rounding, total))
-        for name in ("truncation", "rounding"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be nonnegative")
+        if truncation < 0.0:
+            raise DomainError("truncation must be nonnegative")
+        if rounding < 0.0:
+            raise DomainError("rounding must be nonnegative")
         if not total < math.inf:  # far past T_MAX with an explicit m
             raise ParameterExhaustionError(
                 "parameter exhaustion: the error budget exceeds double range")
-        return self
+        return tuple.__new__(cls, (truncation, rounding, total))
 
     @classmethod
     def assemble(cls, truncation: float, rounding: float) -> "ErrorBudget":

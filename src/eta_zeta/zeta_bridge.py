@@ -121,19 +121,22 @@ class Line:
         return self.direct.eval(t, self.m)
 
     def zeta(self, t: float) -> EvalResult:
-        """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), budget scaled alike, or
-        the stepwise continuation (|t| <= 20 only) within
-        EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point."""
+        """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), both budget parts
+        multiplied by 1 / |1 - 2^(1-s)| (as ErrorBudget.scaled would), or the
+        stepwise continuation (|t| <= 20 only) within
+        EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point.  The point,
+        its budget and its result are each built once."""
         s = ComplexPoint(self.direct.sigma, t)
         if exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD:
             return zeta_em_stepwise(s)
         denominator = _one_minus_two_pow(1.0 - s.z)
         if abs(denominator) < POLE_GAP:
             raise PoleError("pole at s=1")
-        eta_result = self.direct.eval(t, self.m)
-        return EvalResult(eta_result.value / denominator,
-                          eta_result.budget.scaled(1.0 / abs(denominator)),
-                          eta_result.method, eta_result.m)
+        value, truncation, rounding, m = self.direct._eval(s, self.m)
+        scale = 1.0 / abs(denominator)
+        return EvalResult(value / denominator,
+                          ErrorBudget.assemble(truncation * scale, rounding * scale),
+                          MethodTag.DIRECT26, m)
 
 
 def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:

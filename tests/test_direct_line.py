@@ -73,6 +73,44 @@ def test_select_matches_reference(sigma):
         assert line.select(t) == ref.smallest_cutoff(sigma, t), t
 
 
+def test_select_continues_from_the_last_cutoff(monkeypatch):
+    # a fresh line steps from a guess solved twice from the bound; a reused
+    # one from its last cutoff, so at a nearby t with the same m it reads
+    # the bound once on each side.  Walked up and down the reach, and after
+    # a refusal and explicit m, which leave the kept cutoff alone, the
+    # line's cutoff is the plain loop's at every t
+    calls = []
+    boole_bound = eta_core.boole_bound
+
+    def counted(*args):
+        calls.append(args)
+        return boole_bound(*args)
+
+    monkeypatch.setattr(eta_core, "boole_bound", counted)
+    line = DirectLine(0.5)
+    assert line.select(14.134725) == 20 and len(calls) >= 4
+    calls.clear()
+    assert line.select(14.2) == 20 and len(calls) == 2
+    for sigma in (-0.3, 2.5):
+        line = DirectLine(sigma)
+        ts = [k * 2.0 for k in range(94)] + [T_MAX]
+        for t in ts + ts[::-1]:
+            assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
+        kept = line.select(45.0)
+        for refuse in (line.eval, line.select):
+            for t in (math.nextafter(T_MAX, math.inf), -600.0):
+                with pytest.raises(ParameterExhaustionError, match="T_MAX"):
+                    refuse(t)
+        with pytest.raises(ParameterExhaustionError, match="T_MAX"):
+            line.select(math.nan)
+        for t, m in ((120.0, 150), (3.0, 1), (600.0, 40)):
+            assert line.eval(t, m).m == m
+        calls.clear()
+        assert line.select(45.0) == kept and len(calls) == 2
+        for t in (-T_MAX, 60.0, 0.0):
+            assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
+
+
 def test_refuses_past_t_max_and_past_double_range():
     # the selected cutoff reaches |t| = T_MAX and no further
     for sigma in (-0.5, 0.5, 3.0):

@@ -101,3 +101,10 @@ def test_budget_component_must_be_nonnegative(index, name):
                        match="^parameter exhaustion: the error budget exceeds "
                              "double range$"):
         ErrorBudget.assemble(*fields[:2])
+
+
+def test_budget_checks_truncation_then_rounding_then_total():
+    with pytest.raises(DomainError, match="^truncation must be nonnegative$"):
+        ErrorBudget(-1.0, -1.0, math.inf)
+    with pytest.raises(DomainError, match="^rounding must be nonnegative$"):
+        ErrorBudget(1.0, -1.0, math.inf)

@@ -292,12 +292,21 @@ def test_zeta_near_pole_within_budget(sigma, t):
 
 
 def test_zeta_budget_scaling():
-    s = ComplexPoint(0.75, 3.0)
-    eta_result = eta(s)
-    zeta_result = zeta(s)
-    denom = abs(1.0 - cmath.exp((1.0 - s.z) * math.log(2.0)))
-    assert zeta_result.budget.total == pytest.approx(
-        eta_result.budget.total / denom, rel=1e-12)
+    # zeta's value is eta's over 1 - 2^(1-s), and each budget part is eta's
+    # times 1 / |1 - 2^(1-s)|, bit for bit: ErrorBudget.scaled's arithmetic
+    for sigma, t in ((-0.3, 20.0), (-0.3, -170.0), (0.5, 14.134725), (0.5, 170.0),
+                     (0.75, 3.0), (0.75, -101.5), (2.5, 0.5), (2.5, 170.0)):
+        s = ComplexPoint(sigma, t)
+        eta_result, zeta_result = eta(s), zeta(s)
+        denominator = zeta_bridge._one_minus_two_pow(1.0 - s.z)
+        scale = abs(1.0 / abs(denominator))
+        assert zeta_result.value == eta_result.value / denominator, s
+        assert zeta_result.budget.truncation.hex() \
+            == (eta_result.budget.truncation * scale).hex(), s
+        assert zeta_result.budget.rounding.hex() \
+            == (eta_result.budget.rounding * scale).hex(), s
+        assert zeta_result.budget == eta_result.budget.scaled(1.0 / abs(denominator)), s
+        assert zeta_result.m == eta_result.m, s
 
 
 # ---------------------------------------------------------- stepwise route ---
