@@ -1,4 +1,4 @@
-"""Core evaluator: the paper's truncated alternating sum plus its correction term.
+"""Kernels of the paper's truncated alternating sum plus its correction term.
 
 eta(s) is approximated by
 
@@ -9,19 +9,20 @@ with (s)_k = s (s+1) ... (s+k-1).  The correction term is Boole's summation
 formula (DLMF 24.17.2) for the alternating tail past n = 2m, so the formula
 holds on the whole strip and carries two bounds: Boole's remainder for what
 it leaves out (correction_term) and the rounding of the float evaluation
-(DirectLine.eval).  The cutoff m is the smallest whose truncation bound is
-at most CUTOFF_SHARE of the partial sum's rounding bound (DirectLine.select).
+(sum_rounding, correction_term).  zeta_bridge.Line evaluates a vertical
+line with these kernels; the only state kept here is the process's ln n
+table (log_table).
 """
 
 import cmath
 import math
 import operator
 from collections.abc import Iterable, Iterator
-from itertools import chain, cycle, islice, repeat
+from itertools import cycle, repeat
 
 from .coefficients import p_coefficients
 from .errors import DomainError, ParameterExhaustionError
-from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
+from .types import ComplexPoint
 
 # The selected cutoff's share of the rounding bound (see the module docstring);
 # selection refuses |t| > T_MAX (m = 197 at -0.5 + 186i), an explicit m never.
@@ -29,12 +30,14 @@ CUTOFF_SHARE = 0.125
 T_MAX = 186.0
 
 # Depth of the correction polynomial: P_1 .. P_13, Boole's terms k <= 14.
+# One table, P_1 .. P_15: the bracket reads p[0..R_MAX], C15 the entry after.
 R_MAX = 7
+_P = p_coefficients(R_MAX + 1)
 # Boole's remainder constants C_n = sup |E_n(x)| / (2 n!) over [0, 1]: for
 # even n at x = 1/2, |E_n| / 2^n with the Euler number E_14 = -199360981;
 # for odd n at the ends, where E_n(0) / n! = -2 P_n, so C_15 = |P_15|.
 C14 = 199360981 / (2 ** 14 * 2 * math.factorial(14))
-C15 = abs(p_coefficients(R_MAX + 1)[R_MAX + 1])
+C15 = abs(_P[R_MAX + 1])
 
 SIGMA_MIN = -0.5
 SIGMA_MAX = 3.0
@@ -98,7 +101,7 @@ def boole_bound(poch15: float, sigma: float, shift15: float, b: float) -> float:
 
 def sum_rounding(sigma: float, t: float, ln_b: float) -> float:
     """The partial sum's rounding bound u S (8 + |t| ln N) at N = e^ln_b (see
-    DirectLine.eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m} n^-sigma."""
+    zeta_bridge.Line._eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m} n^-sigma."""
     x = (1.0 - sigma) * ln_b  # the integral is expm1(x) / (1 - sigma)
     power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
     return UNIT_ROUNDOFF * power_sum * (8.0 + abs(t) * ln_b)
@@ -143,7 +146,7 @@ def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
     The factor product for step r reuses the previous one times two new
     factors, and |(s)_15| reuses the last; beta powers advance by beta^2.
     """
-    p = p_coefficients(R_MAX)
+    p = _P
     z = s.z
     b = float(2 * m + 1)
     beta = 1.0 / b
@@ -170,98 +173,3 @@ def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
     rounding = (UNIT_ROUNDOFF * scale * size
                 * (64.0 + 2.0 * (abs(s.t) + abs(sigma)) * ln_b))
     return cmath.exp(-z * ln_b) * bracket, truncation, rounding
-
-
-class DirectLine:
-    """Direct evaluation of eta along the vertical line Re s = sigma.
-
-    What depends on sigma alone is computed on first use and kept: the
-    signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
-    most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
-    process as far as read (log_table), shared by every line.  The line
-    also keeps the cutoff its last selection returned, from which the next
-    one steps.  A point then pays only for what depends on t, with the same
-    float operations in the same order as a point alone.  A line is
-    mutable: create one per caller, do not share it between threads.
-    """
-
-    def __init__(self, sigma: float) -> None:
-        check_sigma(sigma)
-        self.sigma = sigma
-        self._mags: list[float] = []
-        self._m = 0  # the last selected cutoff; 0 before the first
-
-    def select(self, t: float) -> int:
-        """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
-        partial sum's rounding bound u S (8 + |t| ln N) (eval), stepped to from
-        the line's last cutoff, or on its first from a guess solved from the
-        bound's local power law; ParameterExhaustionError for |t| > T_MAX.
-        At fixed t the bound over its share falls strictly with N, so every
-        start steps to the same m."""
-        if not abs(t) <= T_MAX:
-            raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
-        sigma, z = self.sigma, complex(self.sigma, t)
-        poch15 = abs(math.prod(map(operator.add, repeat(z, 15), range(15))))
-        shift15 = abs(z + 15.0)
-
-        def excess(b: float) -> float:  # the bound over its share at N = b
-            return (boole_bound(poch15, sigma, shift15, b)
-                    / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
-
-        m = self._m
-        if not m:  # the bound falls at least like N^-(sigma + 14), the share grows
-            b = 2.0 * abs(t) + 3.0
-            for _ in range(2):
-                b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
-            m = math.ceil((b - 1.0) / 2.0)
-        while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
-            m -= 1
-        while excess(2.0 * m + 1.0) > 1.0:
-            m += 1
-        self._m = m
-        return m
-
-    def partial_sum(self, t: float, m: int) -> complex:
-        """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t."""
-        if m < 1:
-            raise DomainError("m must be >= 1")
-        count, mags, lns = 2 * m, self._mags, log_table(2 * m)
-        start, stop = len(mags) + 1, min(count, TERMS_KEPT) + 1
-        if start < stop:
-            mags.extend(_signed_powers(self.sigma, start,
-                                       islice(lns, start - 1, stop - 1)))
-        if count <= TERMS_KEPT:
-            return dirichlet_sum(islice(mags, count), lns, t)
-        far = range(TERMS_KEPT + 1, count + 1)  # recomputed per point, not kept
-        far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
-        return dirichlet_sum(chain(mags, far_mags), chain(lns, map(math.log, far)), t)
-
-    def eval(self, t: float, m: int | None = None) -> EvalResult:
-        """eta(sigma + i t) with 2m terms; m = None selects the cutoff.
-
-        The budget is Boole's truncation bound plus a rounding bound: the
-        correction term's (correction_term), and the partial sum's.  Each
-        of its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from
-        the rounding of its phase (up to twice that where both roundings
-        align, which the sum of many terms averages out) and by a few u from
-        its magnitude, cosine, sine and the compensated sum.  S bounds
-        sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
-        (sum_rounding); 8 u |value| more covers the last sum and a later
-        division by 1 - 2^(1-s).
-        """
-        if m is not None and m < 1:  # before any bound or term is computed
-            raise DomainError("m must be >= 1")
-        value, truncation, rounding, m = self._eval(ComplexPoint(self.sigma, t), m)
-        return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
-                          MethodTag.DIRECT26, m)
-
-    def _eval(self, s: ComplexPoint, m: int | None) -> tuple[complex, float, float, int]:
-        """eval's value, truncation and rounding bounds and m at s on this
-        line, m >= 1 or None, before any budget or result is built."""
-        if m is None:
-            m = self.select(s.t)
-        correction, truncation, rounding = correction_term(s, m)
-        value = self.partial_sum(s.t, m) + correction
-        rounding += sum_rounding(self.sigma, s.t, math.log(2 * m + 1)) \
-            + 8.0 * UNIT_ROUNDOFF * abs(value)
-        return value, truncation, rounding, m

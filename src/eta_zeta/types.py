@@ -66,12 +66,6 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
     def assemble(cls, truncation: float, rounding: float) -> "ErrorBudget":
         return cls(truncation, rounding, truncation + rounding)
 
-    def scaled(self, factor: float) -> "ErrorBudget":
-        """Budget after the value is multiplied by a factor of magnitude
-        |factor|."""
-        f = abs(factor)
-        return ErrorBudget.assemble(self.truncation * f, self.rounding * f)
-
 
 class EvalResult(namedtuple("EvalResult", "value budget method m")):
     """Complex value, its budget, the code path that produced it, and the

@@ -1,20 +1,23 @@
 """User-facing eta and zeta over the strip -0.5 <= sigma <= 3.
 
-eta(s) comes from the paper's formula on the whole strip (eta_core).
-zeta(s) = eta(s) / (1 - 2^(1-s)) away from the exceptional points
-s = 1 +/- 2 pi n i / ln 2, where that quotient is 0/0 and a stepwise
-continuation through zeta(s + 2k) takes over.
+eta(s) comes from the paper's formula on the whole strip, evaluated by a
+Line from eta_core's kernels.  zeta(s) = eta(s) / (1 - 2^(1-s)) away from
+the exceptional points s = 1 +/- 2 pi n i / ln 2, where that quotient is
+0/0 and a stepwise continuation through zeta(s + 2k) takes over.
 """
 
 import cmath
 import math
 import operator
 import sys
-from itertools import repeat
+from itertools import chain, islice, repeat
 
+from . import eta_core
 from .coefficients import c_coefficient
-from .errors import DomainError, NonConvergentTailError, PoleError
-from .eta_core import UNIT_ROUNDOFF, DirectLine, dirichlet_sum, log_table
+from .errors import (DomainError, NonConvergentTailError, ParameterExhaustionError,
+                     PoleError)
+from .eta_core import (CUTOFF_SHARE, T_MAX, TERMS_KEPT, UNIT_ROUNDOFF, _signed_powers,
+                       boole_bound, check_sigma, dirichlet_sum, log_table, sum_rounding)
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
 
 LN2 = math.log(2.0)
@@ -105,38 +108,117 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
 
 class Line:
     """eta and zeta along the vertical line Re s = sigma, each point routed
-    here, once: every point to the line's DirectLine, except zeta within
+    here, once: every point to the paper's formula, except zeta within
     EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point, which takes the
-    stepwise route.  m = None selects the cutoff per point.  Mutable: create
-    one per caller, do not share between threads."""
+    stepwise route.  m = None selects the cutoff per point.
+
+    What depends on sigma alone is computed on first use and kept: the
+    signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
+    most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
+    process as far as read (log_table), shared by every line.  The line
+    also keeps the cutoff its last selection returned, from which the next
+    one steps.  A point then pays only for what depends on t, with the same
+    float operations in the same order as a point alone.  A line is
+    mutable: create one per caller, do not share it between threads.
+    """
 
     def __init__(self, sigma: float, m: int | None = None) -> None:
-        self.direct = DirectLine(sigma)  # checks sigma; builds no table yet
-        if m is not None and m < 1:  # refused alike on every route
+        check_sigma(sigma)
+        if m is not None and m < 1:  # refused alike on every route, before any table
             raise DomainError("m must be >= 1")
+        self.sigma = sigma
         self.m = m
+        self._mags: list[float] = []
+        self._cutoff = 0  # the last selected cutoff; 0 before the first
+
+    def select(self, t: float) -> int:
+        """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
+        partial sum's rounding bound u S (8 + |t| ln N) (_eval), stepped to
+        from the line's last cutoff, or on its first from a guess solved from
+        the bound's local power law; ParameterExhaustionError for |t| > T_MAX.
+        At fixed t the bound over its share falls strictly with N, so every
+        start steps to the same m."""
+        if not abs(t) <= T_MAX:
+            raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
+        sigma, z = self.sigma, complex(self.sigma, t)
+        poch15 = abs(math.prod(map(operator.add, repeat(z, 15), range(15))))
+        shift15 = abs(z + 15.0)
+
+        def excess(b: float) -> float:  # the bound over its share at N = b
+            return (boole_bound(poch15, sigma, shift15, b)
+                    / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
+
+        m = self._cutoff
+        if not m:  # the bound falls at least like N^-(sigma + 14), the share grows
+            b = 2.0 * abs(t) + 3.0
+            for _ in range(2):
+                b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
+            m = math.ceil((b - 1.0) / 2.0)
+        while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
+            m -= 1
+        while excess(2.0 * m + 1.0) > 1.0:
+            m += 1
+        self._cutoff = m
+        return m
+
+    def partial_sum(self, t: float, m: int) -> complex:
+        """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t, m >= 1."""
+        count, mags, lns = 2 * m, self._mags, log_table(2 * m)
+        start, stop = len(mags) + 1, min(count, TERMS_KEPT) + 1
+        if start < stop:
+            mags.extend(_signed_powers(self.sigma, start,
+                                       islice(lns, start - 1, stop - 1)))
+        if count <= TERMS_KEPT:
+            return dirichlet_sum(islice(mags, count), lns, t)
+        far = range(TERMS_KEPT + 1, count + 1)  # recomputed per point, not kept
+        far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
+        return dirichlet_sum(chain(mags, far_mags), chain(lns, map(math.log, far)), t)
 
     def eta(self, t: float) -> EvalResult:
-        """eta(sigma + i t) on the direct route."""
-        return self.direct.eval(t, self.m)
+        """eta(sigma + i t) by the paper's formula."""
+        value, truncation, rounding, m = self._eval(ComplexPoint(self.sigma, t))
+        return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
+                          MethodTag.DIRECT26, m)
 
     def zeta(self, t: float) -> EvalResult:
         """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), both budget parts
-        multiplied by 1 / |1 - 2^(1-s)| (as ErrorBudget.scaled would), or the
-        stepwise continuation (|t| <= 20 only) within
-        EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point.  The point,
-        its budget and its result are each built once."""
-        s = ComplexPoint(self.direct.sigma, t)
+        multiplied by 1 / |1 - 2^(1-s)|, or the stepwise continuation
+        (|t| <= 20 only) within EXCEPTIONAL_DISTANCE_THRESHOLD of an
+        exceptional point.  The point, its budget and its result are each
+        built once."""
+        s = ComplexPoint(self.sigma, t)
         if exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD:
             return zeta_em_stepwise(s)
         denominator = _one_minus_two_pow(1.0 - s.z)
         if abs(denominator) < POLE_GAP:
             raise PoleError("pole at s=1")
-        value, truncation, rounding, m = self.direct._eval(s, self.m)
+        value, truncation, rounding, m = self._eval(s)
         scale = 1.0 / abs(denominator)
         return EvalResult(value / denominator,
                           ErrorBudget.assemble(truncation * scale, rounding * scale),
                           MethodTag.DIRECT26, m)
+
+    def _eval(self, s: ComplexPoint) -> tuple[complex, float, float, int]:
+        """eta's value, truncation and rounding bounds and m at s on this
+        line, before any budget or result is built.
+
+        The budget is Boole's truncation bound plus a rounding bound: the
+        correction term's (correction_term), and the partial sum's.  Each
+        of its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from
+        the rounding of its phase (up to twice that where both roundings
+        align, which the sum of many terms averages out) and by a few u from
+        its magnitude, cosine, sine and the compensated sum.  S bounds
+        sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
+        (sum_rounding); 8 u |value| more covers the last sum and a later
+        division by 1 - 2^(1-s).
+        """
+        m = self.m or self.select(s.t)
+        # looked up in eta_core at call time, where a tracer may wrap it
+        correction, truncation, rounding = eta_core.correction_term(s, m)
+        value = self.partial_sum(s.t, m) + correction
+        rounding += sum_rounding(self.sigma, s.t, math.log(2 * m + 1)) \
+            + 8.0 * UNIT_ROUNDOFF * abs(value)
+        return value, truncation, rounding, m
 
 
 def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:

@@ -1,9 +1,9 @@
 """References kept outside the library.
 
 alternating_partial_sum is the direct evaluator's per-point loop as it was
-before the line evaluator (eta_core.DirectLine) took it over: the line must
+before the line evaluator (zeta_bridge.Line) took it over: the line must
 reproduce it bit for bit, because it performs the same float operations in
-the same order.  smallest_cutoff is DirectLine.select's rule as a plain loop
+the same order.  smallest_cutoff is Line.select's rule as a plain loop
 over m, on partial_sum_rounding, the rounding bound written out plainly.
 gamma_tail_bound and max_tail_ratio are the paper's dropped-tail
 ratio E(n, b) / |Gamma(n + s)|, with which the paper chose its cutoffs; they

@@ -13,7 +13,8 @@ import mpmath
 import pytest
 
 from eta_zeta.coefficients import p_coefficients
-from eta_zeta.eta_core import C14, C15, R_MAX, DirectLine
+from eta_zeta.eta_core import C14, C15, R_MAX
+from eta_zeta.zeta_bridge import Line
 
 DPS = 40
 
@@ -45,7 +46,7 @@ def _formula(s, m):
 
 @pytest.mark.parametrize("sigma,t,m", _points())
 def test_each_component_bounds_its_error(sigma, t, m):
-    result = DirectLine(sigma).eval(t, m)
+    result = Line(sigma, m).eta(t)
     with mpmath.workdps(DPS):
         s = mpmath.mpc(sigma, t)
         formula, scale = _formula(s, result.m)

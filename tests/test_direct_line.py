@@ -14,9 +14,10 @@ import pytest
 
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
                       eta, zeta)
-from eta_zeta import eta_core
+from eta_zeta import eta_core, zeta_bridge
 from eta_zeta.cli import record_to_csv, scan_records
-from eta_zeta.eta_core import T_MAX, TERMS_KEPT, DirectLine, correction_term, log_table
+from eta_zeta.eta_core import T_MAX, TERMS_KEPT, correction_term, log_table
+from eta_zeta.zeta_bridge import Line
 
 import reference_loops as ref
 
@@ -37,7 +38,7 @@ def bits(z):
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_partial_sum_matches_reference(sigma):
-    line = DirectLine(sigma)
+    line = Line(sigma)
     for m in MS:
         for t in TS:
             assert bits(line.partial_sum(t, m)) \
@@ -47,11 +48,11 @@ def test_partial_sum_matches_reference(sigma):
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_truncation_matches_pointwise(sigma):
     # an explicit m's truncation bound is the per-point one, bit for bit, on
-    # a line reused out of order
-    line = DirectLine(sigma)
+    # a line reused over t
     for m in MS:
+        line = Line(sigma, m)
         for t in TS:
-            assert line.eval(t, m).budget.truncation.hex() \
+            assert line.eta(t).budget.truncation.hex() \
                 == correction_term(ComplexPoint(sigma, t), m)[1].hex(), (m, t)
 
 
@@ -68,7 +69,7 @@ def test_select_matches_reference(sigma):
     rng = random.Random(repr(sigma))
     ts = [0.0, T_MAX, -T_MAX, *(rng.uniform(-T_MAX, T_MAX) for _ in range(13))]
     rng.shuffle(ts)
-    line = DirectLine(sigma)
+    line = Line(sigma)
     for t in ts:
         assert line.select(t) == ref.smallest_cutoff(sigma, t), t
 
@@ -77,34 +78,32 @@ def test_select_continues_from_the_last_cutoff(monkeypatch):
     # a fresh line steps from a guess solved twice from the bound; a reused
     # one from its last cutoff, so at a nearby t with the same m it reads
     # the bound once on each side.  Walked up and down the reach, and after
-    # a refusal and explicit m, which leave the kept cutoff alone, the
-    # line's cutoff is the plain loop's at every t
+    # a refusal, which leaves the kept cutoff alone, the line's cutoff is
+    # the plain loop's at every t
     calls = []
-    boole_bound = eta_core.boole_bound
+    boole_bound = zeta_bridge.boole_bound
 
     def counted(*args):
         calls.append(args)
         return boole_bound(*args)
 
-    monkeypatch.setattr(eta_core, "boole_bound", counted)
-    line = DirectLine(0.5)
+    monkeypatch.setattr(zeta_bridge, "boole_bound", counted)
+    line = Line(0.5)
     assert line.select(14.134725) == 20 and len(calls) >= 4
     calls.clear()
     assert line.select(14.2) == 20 and len(calls) == 2
     for sigma in (-0.3, 2.5):
-        line = DirectLine(sigma)
+        line = Line(sigma)
         ts = [k * 2.0 for k in range(94)] + [T_MAX]
         for t in ts + ts[::-1]:
             assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
         kept = line.select(45.0)
-        for refuse in (line.eval, line.select):
+        for refuse in (line.eta, line.select):
             for t in (math.nextafter(T_MAX, math.inf), -600.0):
                 with pytest.raises(ParameterExhaustionError, match="T_MAX"):
                     refuse(t)
         with pytest.raises(ParameterExhaustionError, match="T_MAX"):
             line.select(math.nan)
-        for t, m in ((120.0, 150), (3.0, 1), (600.0, 40)):
-            assert line.eval(t, m).m == m
         calls.clear()
         assert line.select(45.0) == kept and len(calls) == 2
         for t in (-T_MAX, 60.0, 0.0):
@@ -114,21 +113,21 @@ def test_select_continues_from_the_last_cutoff(monkeypatch):
 def test_refuses_past_t_max_and_past_double_range():
     # the selected cutoff reaches |t| = T_MAX and no further
     for sigma in (-0.5, 0.5, 3.0):
-        assert DirectLine(sigma).eval(-T_MAX).m > 1
+        assert Line(sigma).eta(-T_MAX).m > 1
         for t in (math.nextafter(T_MAX, math.inf), -600.0, 1e150, math.nan):
             with pytest.raises(ParameterExhaustionError, match="T_MAX"):
-                DirectLine(sigma).select(t)
+                Line(sigma).select(t)
         with pytest.raises(ParameterExhaustionError, match="T_MAX"):
             eta(ComplexPoint(sigma, 600.0))
     # an explicit m has no reach: its truncation bound is finite at t = 600
     # and refused once |(s)_15| leaves the double range
-    assert math.isfinite(DirectLine(3.0).eval(600.0, 40).budget.total)
+    assert math.isfinite(Line(3.0, 40).eta(600.0).budget.total)
     for t in (1e150, 1.7e308):
         with pytest.raises(ParameterExhaustionError, match="truncation bound"):
-            DirectLine(3.0).eval(t, 40)
+            Line(3.0, 40).eta(t)
     # the smallest cutoffs still get a finite bound
     for m in (1, 2):
-        assert math.isfinite(DirectLine(3.0).eval(10.0, m).budget.total)
+        assert math.isfinite(Line(3.0, m).eta(10.0).budget.total)
 
 
 def test_lines_on_threads_match_serial(monkeypatch):
@@ -137,11 +136,11 @@ def test_lines_on_threads_match_serial(monkeypatch):
     # value equals the serial one bit for bit, and the table stays exact
     points = [(sigma, t, m) for sigma in SIGMAS for t in (14.134725, 45.0, 120.0)
               for m in (None, 2100)]
-    serial = [bits(DirectLine(sigma).eval(t, m).value) for sigma, t, m in points]
+    serial = [bits(Line(sigma, m).eta(t).value) for sigma, t, m in points]
     results = [None] * 8
 
     def work(i):
-        results[i] = [bits(DirectLine(sigma).eval(t, m).value) for sigma, t, m in points]
+        results[i] = [bits(Line(sigma, m).eta(t).value) for sigma, t, m in points]
 
     monkeypatch.setattr(eta_core, "_lns", ())
     interval = sys.getswitchinterval()
@@ -168,7 +167,7 @@ def test_log_table_shared_across_routes(monkeypatch):
     first = eta(ComplexPoint(0.5, 14.134725))
     assert first.m < 30 and len(log_table(0)) == 2 * first.m
     for sigma in SIGMAS:
-        line = DirectLine(sigma)
+        line = Line(sigma)
         for t in (14.134725, 120.0):
             assert bits(line.partial_sum(t, 65)) \
                 == bits(ref.alternating_partial_sum(sigma, t, 65)), (sigma, t)
@@ -178,7 +177,7 @@ def test_log_table_shared_across_routes(monkeypatch):
         (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
         (lambda: {rec.method for rec in scan_records("zeta", 0.25, 0.0, 30.0, 0.5)},
          {"Direct26"}),
-        (lambda: DirectLine(2.5).eval(3.0, 2100).method, MethodTag.DIRECT26))
+        (lambda: Line(2.5, 2100).eta(3.0).method, MethodTag.DIRECT26))
     sizes = []
     for route, methods in routes:
         before = log_table(0)

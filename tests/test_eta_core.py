@@ -1,12 +1,19 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eta_zeta
 from eta_zeta import ComplexPoint, DomainError, MethodTag, ParameterExhaustionError
-from eta_zeta.eta_core import DirectLine, correction_term, dirichlet_sum
+from eta_zeta import zeta_bridge
+from eta_zeta.coefficients import p_coefficients
+from eta_zeta.eta_core import C15, R_MAX, correction_term, dirichlet_sum
+from eta_zeta.zeta_bridge import Line
 
 import oracles
 
@@ -18,19 +25,19 @@ GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
 
 def test_select_params_exhaustion():
     with pytest.raises(ParameterExhaustionError, match="parameter exhaustion"):
-        DirectLine(1.0).select(1000.0)
+        Line(1.0).select(1000.0)
 
 
 def test_select_params_validates_sigma():
-    # selection runs on a DirectLine, behind its sigma check
+    # selection runs on a Line, behind its sigma check
     with pytest.raises(DomainError, match="sigma range"):
-        DirectLine(-0.6).select(0.0)
+        Line(-0.6).select(0.0)
 
 
 # ----------------------------------------------------------- partial sum ---
 
 def test_partial_sum_two_terms():
-    assert DirectLine(1.0).partial_sum(0.0, 1) == 0.5 + 0j
+    assert Line(1.0).partial_sum(0.0, 1) == 0.5 + 0j
 
 
 def test_partial_sum_cancels_at_s_zero():
@@ -42,27 +49,24 @@ def test_partial_sum_cancels_at_s_zero():
 def test_partial_sum_at_two_against_exact_oracle():
     # brute-force rational sum of the first 80 terms
     exact = sum(Fraction((-1) ** (n + 1), n * n) for n in range(1, 81))
-    value = DirectLine(2.0).partial_sum(0.0, 40)
+    value = Line(2.0).partial_sum(0.0, 40)
     assert value.imag == 0.0
     assert value.real == pytest.approx(float(exact), abs=1e-15)
     assert abs(value.real - math.pi ** 2 / 12.0) < 1.6e-4
 
 
-def test_partial_sum_rejects_bad_m():
-    with pytest.raises(DomainError):
-        DirectLine(1.0).partial_sum(0.0, 0)
-
-
 @pytest.mark.parametrize("m", [0, -3])
 def test_eval_names_m_below_one_before_any_table(m, monkeypatch):
+    # a line refuses m < 1 when it is built: no cutoff is selected and no
+    # term or ln n is computed
     def unreachable(*args):
-        raise AssertionError("a cutoff was selected for m < 1")
+        raise AssertionError("a cutoff was selected or a term kept for m < 1")
 
-    monkeypatch.setattr(DirectLine, "select", unreachable)
-    line = DirectLine(1.0)
+    for owner, name in ((Line, "select"), (Line, "partial_sum"),
+                        (zeta_bridge, "log_table")):
+        monkeypatch.setattr(owner, name, unreachable)
     with pytest.raises(DomainError, match="^m must be >= 1$"):
-        line.eval(0.0, m)
-    assert line._mags == []
+        Line(1.0, m)
 
 
 # ------------------------------------------------------- correction term ---
@@ -86,25 +90,48 @@ def test_correction_matches_remainder_oracle_at_one():
     assert corr.real == pytest.approx(remainder, abs=1e-13)
 
 
+P_TABLE_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import eta_zeta
+from eta_zeta.coefficients import p_coefficients
+eta_zeta.eta(eta_zeta.ComplexPoint(0.73, 100.0))
+print(p_coefficients.cache_info().currsize)
+"""
+
+
+def test_one_p_table_per_process():
+    # import and a first value build one table, P_1 .. P_15: C15's, whose
+    # entries up to P_13 the correction term reads, each the same double
+    # as in the shorter table
+    src = Path(eta_zeta.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-I", "-c", P_TABLE_CODE, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["1"]
+    short, table = p_coefficients(R_MAX), p_coefficients(R_MAX + 1)
+    assert [p.hex() for p in table[:R_MAX + 1]] == [p.hex() for p in short]
+    assert C15 == abs(table[R_MAX + 1])
+
+
 # ------------------------------------------------------------ direct route ---
 
 def test_eta_raw_at_one():
     ln2 = math.log(2.0)
-    v50 = DirectLine(1.0).eval(0.0, 50).value
+    v50 = Line(1.0, 50).eta(0.0).value
     assert abs(v50 - ln2) < 1e-11
     assert f"{v50.real:.11f}" == "0.69314718056"
-    v40 = DirectLine(1.0).eval(0.0, 40).value
+    v40 = Line(1.0, 40).eta(0.0).value
     assert abs(v40 - ln2) < 1.5e-9
 
 
 def test_eta_raw_at_first_on_line_zero():
     t = 2.0 * math.pi / math.log(2.0)
-    v = DirectLine(1.0).eval(t, 50).value
+    v = Line(1.0, 50).eta(t).value
     assert abs(v) < 1e-11
 
 
 def test_eta_raw_at_lowest_critical_zero():
-    result = DirectLine(0.5).eval(14.134725, 40)
+    result = Line(0.5, 40).eta(14.134725)
     # residual comes from the rounded zero location plus the method error;
     # reference value confirmed against the 30-digit oracle
     assert 2.6e-7 < abs(result.value) < 2.75e-7
@@ -113,7 +140,7 @@ def test_eta_raw_at_lowest_critical_zero():
 
 
 def test_eta_raw_method_tag_and_params():
-    result = DirectLine(0.75).eval(3.0, 40)
+    result = Line(0.75, 40).eta(3.0)
     assert result.method is MethodTag.DIRECT26
     assert result.m == 40
 
@@ -121,7 +148,7 @@ def test_eta_raw_method_tag_and_params():
 def test_eta_raw_domain():
     for sigma in (-0.51, 3.01, -1.0):
         with pytest.raises(DomainError):
-            DirectLine(sigma).eval(0.0, 40)
+            Line(sigma, 40).eta(0.0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -130,22 +157,21 @@ def test_eta_raw_domain():
        m=st.sampled_from([40, 50, 80]))
 def test_eta_raw_conjugation(sigma, t, m):
     # only real constants enter, so conjugating s conjugates the result
-    plus = DirectLine(sigma).eval(t, m).value
-    minus = DirectLine(sigma).eval(-t, m).value
+    plus = Line(sigma, m).eta(t).value
+    minus = Line(sigma, m).eta(-t).value
     assert abs(minus - plus.conjugate()) <= 2.0 * 2.3e-16 * abs(plus)
 
 
 def test_monotone_refinement_on_grid():
     for sigma, t in GRID:
-        line = DirectLine(sigma)
-        coarse = line.eval(t, 40)
-        fine = line.eval(t, 50)
+        coarse = Line(sigma, 40).eta(t)
+        fine = Line(sigma, 50).eta(t)
         assert abs(fine.value - coarse.value) < coarse.budget.total
 
 
 def test_oracle_agreement_on_grid():
     for sigma, t in GRID:
-        result = DirectLine(sigma).eval(t, 50 if t >= 40 else 40)
+        result = Line(sigma, 50 if t >= 40 else 40).eta(t)
         ref = oracles.eta_reference(sigma, t)
         assert oracles.diff(result.value, ref) <= result.budget.total, (sigma, t)
 
@@ -153,7 +179,7 @@ def test_oracle_agreement_on_grid():
 def test_oracle_agreement_against_accelerated_series():
     # same check against the in-repo accelerated-series oracle
     for sigma, t in ((0.5, 0.0), (0.75, 14.1), (1.0, 40.0)):
-        result = DirectLine(sigma).eval(t, 50)
+        result = Line(sigma, 50).eta(t)
         ref = oracles.eta_alternating_accelerated(sigma, t)
         assert oracles.diff(result.value, ref) <= result.budget.total
 
@@ -161,7 +187,7 @@ def test_oracle_agreement_against_accelerated_series():
 # ----------------------------------------------------------------- budget ---
 
 def test_budget_structure():
-    result = DirectLine(0.75).eval(14.1, 40)
+    result = Line(0.75, 40).eta(14.1)
     budget = result.budget
     assert budget.truncation == correction_term(ComplexPoint(0.75, 14.1), 40)[1]
     for part in (budget.truncation, budget.rounding):
@@ -173,16 +199,16 @@ def test_budget_structure():
 def test_budget_shrinks_with_m():
     # the truncation bound does; the rounding bound grows with the terms
     for sigma, t in GRID:
-        line = DirectLine(sigma)
-        assert line.eval(t, 50).budget.truncation < line.eval(t, 40).budget.truncation
-        assert line.eval(t, 50).budget.rounding > line.eval(t, 40).budget.rounding
+        fine, coarse = Line(sigma, 50).eta(t).budget, Line(sigma, 40).eta(t).budget
+        assert fine.truncation < coarse.truncation
+        assert fine.rounding > coarse.rounding
 
 
 def test_budget_envelope_levels():
     # inside m = 40's reach (t < 36) Boole's remainder is far below the
     # rounding bound, and the total stays near the rounding of t ln n
     for sigma, t in GRID:
-        budget = DirectLine(sigma).eval(t, 40).budget
+        budget = Line(sigma, 40).eta(t).budget
         assert budget.total < 1e-12
         if t <= 25.0:
             assert budget.truncation < 1e-2 * budget.rounding

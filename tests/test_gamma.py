@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eta_zeta import DomainError
-from eta_zeta.eta_core import DirectLine
+from eta_zeta.zeta_bridge import Line
 
 import oracles
 from reference_loops import (STIRLING_COEFFS, gamma_tail_bound, log_gamma,
@@ -109,7 +109,7 @@ def test_stirling_magnitude_domain():
     # the estimate needs x = n + sigma >= 0.5: the paper's ratio is taken at
     # sigma = 1, and a line refuses sigma outside the strip
     with pytest.raises(DomainError):
-        DirectLine(-0.6)
+        Line(-0.6)
 
 
 def test_gamma_tail_bound_examples():

@@ -76,7 +76,6 @@ def test_named_fields_unpack_and_compare_as_tuples():
     assert EvalResult(value=1j, budget=ErrorBudget(0.0, 0.0, 0.0),
                       method=MethodTag.STEPWISE3, m=None).m is None
     assert ErrorBudget(1.0, 2.0, 3.0) == ErrorBudget.assemble(1.0, 2.0) == (1.0, 2.0, 3.0)
-    assert ErrorBudget.assemble(1.0, 2.0).scaled(-0.5) == (0.5, 1.0, 1.5)
 
 
 @pytest.mark.parametrize("sigma, t", [(math.inf, 0.0), (0.5, -math.inf),
