@@ -233,12 +233,12 @@ def _oracle_checks() -> list[CheckResult]:
 
 
 def _determinism_checks() -> list[CheckResult]:
-    from .cli import records_to_csv, scan_records
+    from .cli import scan_lines
 
-    args = ("eta", 0.5, 0.0, 2.0, 0.01)
-    first = records_to_csv(scan_records(*args))
-    second = records_to_csv(scan_records(*args))
-    parallel = records_to_csv(scan_records(*args, jobs=2))
+    args = ("csv", "eta", 0.5, 0.0, 2.0, 0.01)
+    first = "".join(scan_lines(*args))
+    second = "".join(scan_lines(*args))
+    parallel = "".join(scan_lines(*args, jobs=2))
     return [
         _check("determinism: repeated scan bytes", float(first != second), 0.0),
         _check("determinism: parallel scan bytes", float(first != parallel), 0.0),

@@ -1,6 +1,11 @@
 """Command-line front end: single evaluations, line scans, the table of
 values on the sigma = 1 line, and the built-in verification suite.
 
+Each evaluated point is formatted once, from its EvalResult, by one row
+function per format (_csv_row, _json_row; an error row where the point was
+refused).  eval prints one row, and scan_lines yields a scan's rows, which
+pool workers format where they evaluate them.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
@@ -9,8 +14,7 @@ import functools
 import math
 import os
 import sys
-from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .errors import EtaZetaError
 from .types import ComplexPoint, EvalResult
@@ -19,47 +23,56 @@ from .zeta_bridge import LN2, Line, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6
-# Index ranges per job of a pooled scan, so records come back while workers
+# Index ranges per job of a pooled scan, so rows come back while workers
 # run, and the most points in one range, so the parent holds a few ranges of
-# records at a time however large the grid.
+# rows at a time however large the grid.
 RANGES_PER_JOB = 4
 MAX_RANGE = 1000
 TABLE2_HALF_SPACING = math.pi / LN2  # imaginary gap between table rows
 ZERO_MARKER_THRESHOLD = 1e-9
 
 
-class OutputRecord(namedtuple("OutputRecord",
-                              "sigma t re im abs method err_bound m_used")):
-    """One evaluated point; numeric fields are None for an error record."""
-
-    __slots__ = ()
-
-
-def _record(sigma: float, t: float, result: EvalResult) -> OutputRecord:
+def _csv_row(sigma: float, t: float, result: EvalResult | None) -> str:
+    """One CSV row, newline-terminated, in shortest round-trip decimals;
+    result None is an error row, with empty numeric fields."""
+    if result is None:
+        return f"{sigma!r},{t!r},,,,error,,\n"
     value = result.value
-    return OutputRecord(sigma=sigma, t=t, re=value.real, im=value.imag,
-                        abs=abs(value), method=str(result.method),
-                        err_bound=result.budget.total,
-                        m_used=0 if result.m is None else result.m)
+    return (f"{sigma!r},{t!r},{value.real!r},{value.imag!r},{abs(value)!r},"
+            f"{result.method},{result.budget.total!r},{result.m or 0}\n")
 
 
-def _scan_records(function: str, sigma: float, t_min: float, step: float,
-                  m: int | None, start: int, stop: int) -> Iterator[OutputRecord]:
-    """Records for grid indices start..stop-1, evaluated on one Line."""
+def _json_row(sigma: float, t: float, result: EvalResult | None) -> str:
+    """One JSON object, newline-terminated, in 17 significant digits;
+    result None is an error row, with null numeric fields."""
+    if result is None:
+        return (f'{{"sigma": {sigma:.17g}, "t": {t:.17g}, "re": null, "im": null, '
+                f'"abs": null, "method": "error", "err_bound": null, "m_used": null}}\n')
+    value = result.value
+    return (f'{{"sigma": {sigma:.17g}, "t": {t:.17g}, '
+            f'"re": {value.real:.17g}, "im": {value.imag:.17g}, '
+            f'"abs": {abs(value):.17g}, "method": "{result.method}", '
+            f'"err_bound": {result.budget.total:.17g}, "m_used": {result.m or 0}}}\n')
+
+
+def _scan_lines(fmt: str, function: str, sigma: float, t_min: float, step: float,
+                m: int | None, start: int, stop: int) -> Iterator[str]:
+    """Output rows for grid indices start..stop-1, evaluated on one Line."""
+    row = _json_row if fmt == "json" else _csv_row
     line = Line(sigma, m)
     evaluate = line.eta if function == "eta" else line.zeta
     for i in range(start, stop):
         t = t_min + i * step
         try:
-            rec = _record(sigma, t, evaluate(t))
+            result = evaluate(t)
         except EtaZetaError:
-            rec = OutputRecord(sigma, t, None, None, None, "error", None, None)
-        yield rec
+            result = None
+        yield row(sigma, t, result)
 
 
-def _scan_range(*args) -> list[OutputRecord]:
-    """_scan_records as a list, the unit a pool worker sends back."""
-    return list(_scan_records(*args))
+def _scan_range(*args) -> list[str]:
+    """_scan_lines as a list, the unit a pool worker sends back."""
+    return list(_scan_lines(*args))
 
 
 def grid_count(t_min: float, t_max: float, step: float) -> int:
@@ -74,83 +87,56 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def scan_records(function: str, sigma: float, t_min: float, t_max: float,
-                 step: float, m: int | None = None,
-                 jobs: int = 1) -> Iterator[OutputRecord]:
-    """Records for the grid t_min, t_min+step, ... (ascending, inclusive),
-    yielded in grid order as they are evaluated, on one Line.  With
-    jobs > 1 a process pool evaluates contiguous index ranges of at most
-    MAX_RANGE points, each on a line of its own, and they are yielded in
-    order as they arrive: the output is identical either way, and only the
-    ranges in flight are held, never the whole grid."""
+def scan_lines(fmt: str, function: str, sigma: float, t_min: float, t_max: float,
+               step: float, m: int | None = None, jobs: int = 1) -> Iterator[str]:
+    """A scan's output in format fmt ("csv" or "json") as newline-terminated
+    lines: the CSV header, then one row per point of the grid t_min,
+    t_min+step, ... (ascending, inclusive), yielded in grid order as they
+    are evaluated, on one Line.  With jobs > 1 a process pool evaluates and
+    formats contiguous index ranges of at most MAX_RANGE points, each on a
+    line of its own, and they are yielded in order as they arrive: the
+    output is identical either way, and only the ranges in flight are held,
+    never the whole grid."""
+    if fmt == "csv":
+        yield CSV_HEADER + "\n"
     count = grid_count(t_min, t_max, step)
     if jobs <= 1 or count <= 1:
-        yield from _scan_records(function, sigma, t_min, step, m, 0, count)
+        yield from _scan_lines(fmt, function, sigma, t_min, step, m, 0, count)
         return
     n_ranges = min(count, max(jobs * RANGES_PER_JOB, math.ceil(count / MAX_RANGE)))
     bounds = [count * k // n_ranges for k in range(n_ranges + 1)]
-    scan_range = functools.partial(_scan_range, function, sigma, t_min, step, m)
+    scan_range = functools.partial(_scan_range, fmt, function, sigma, t_min, step, m)
     workers = min(jobs, n_ranges, os.cpu_count() or 1)
     with _pool(workers) as pool:
         for chunk in pool.map(scan_range, bounds[:-1], bounds[1:]):
             yield from chunk
 
 
-def record_to_csv(rec: OutputRecord) -> str:
-    # Shortest round-trip decimals; empty numeric fields on an error record.
-    if rec.method == "error":
-        return f"{rec.sigma!r},{rec.t!r},,,,error,,"
-    return (f"{rec.sigma!r},{rec.t!r},{rec.re!r},{rec.im!r},{rec.abs!r},"
-            f"{rec.method},{rec.err_bound!r},{rec.m_used}")
-
-
-def record_to_json(rec: OutputRecord) -> str:
-    def num(x: float | None) -> str:
-        return "null" if x is None else f"{x:.17g}"
-
-    m_used = "null" if rec.m_used is None else str(rec.m_used)
-    return (f'{{"sigma": {num(rec.sigma)}, "t": {num(rec.t)}, '
-            f'"re": {num(rec.re)}, "im": {num(rec.im)}, '
-            f'"abs": {num(rec.abs)}, "method": "{rec.method}", '
-            f'"err_bound": {num(rec.err_bound)}, "m_used": {m_used}}}')
-
-
-def csv_lines(records: Iterable[OutputRecord]) -> Iterator[str]:
-    """A scan's CSV output as newline-terminated lines, header first."""
-    yield CSV_HEADER + "\n"
-    for rec in records:
-        yield record_to_csv(rec) + "\n"
-
-
-def records_to_csv(records: Iterable[OutputRecord]) -> str:
-    return "".join(csv_lines(records))
-
-
-def _fmt_value(re: float, im: float) -> str:
+def _fmt_value(z: complex) -> str:
+    im = z.imag
     sign = "-" if (im < 0 or (im == 0 and math.copysign(1.0, im) < 0)) else "+"
-    return f"{re:.12g} {sign} {abs(im):.12g}i"
+    return f"{z.real:.12g} {sign} {abs(im):.12g}i"
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     evaluate = eta if args.function == "eta" else zeta
     try:
-        rec = _record(args.sigma, args.t,
-                      evaluate(ComplexPoint(args.sigma, args.t), m=args.m))
+        result = evaluate(ComplexPoint(args.sigma, args.t), m=args.m)
     except EtaZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        print(CSV_HEADER)
-        print(record_to_csv(rec))
+        sys.stdout.write(CSV_HEADER + "\n" + _csv_row(args.sigma, args.t, result))
     elif args.format == "json":
-        print(record_to_json(rec))
+        sys.stdout.write(_json_row(args.sigma, args.t, result))
     else:
-        point = _fmt_value(rec.sigma, rec.t)
-        print(f"{args.function}({point}) = {_fmt_value(rec.re, rec.im)}")
-        print(f"  |value|   = {rec.abs:.12g}")
-        print(f"  method    = {rec.method}")
-        print(f"  err_bound = {rec.err_bound:.12g}")
-        print(f"  m_used    = {rec.m_used}")
+        value = result.value
+        print(f"{args.function}({_fmt_value(complex(args.sigma, args.t))}) = "
+              f"{_fmt_value(value)}")
+        print(f"  |value|   = {abs(value):.12g}")
+        print(f"  method    = {result.method}")
+        print(f"  err_bound = {result.budget.total:.12g}")
+        print(f"  m_used    = {result.m or 0}")
     return 0
 
 
@@ -172,12 +158,8 @@ def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except EtaZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = scan_records(args.function, args.sigma, args.t_min, args.t_max,
-                           args.step, m=args.m, jobs=args.jobs)
-    if args.format == "csv":
-        sys.stdout.writelines(csv_lines(records))
-    else:
-        sys.stdout.writelines(record_to_json(rec) + "\n" for rec in records)
+    sys.stdout.writelines(scan_lines(args.format, args.function, args.sigma, args.t_min,
+                                     args.t_max, args.step, m=args.m, jobs=args.jobs))
     return 0
 
 
@@ -186,10 +168,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     line = Line(1.0, args.m)
     for n in range(12):
         t = n * TABLE2_HALF_SPACING
-        rec = _record(1.0, t, line.eta(t))
-        marker = "X" if rec.abs < ZERO_MARKER_THRESHOLD else ""
-        value = _fmt_value(rec.re, rec.im)
-        print(f"{n:2d}  {t:10.6f}   {value:<42s}  {marker}")
+        value = line.eta(t).value
+        marker = "X" if abs(value) < ZERO_MARKER_THRESHOLD else ""
+        print(f"{n:2d}  {t:10.6f}   {_fmt_value(value):<42s}  {marker}")
     return 0
 
 

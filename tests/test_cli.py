@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
-from eta_zeta.cli import (CSV_HEADER, main, record_to_csv, records_to_csv,
-                          scan_records)
+from eta_zeta import ComplexPoint, eta
+from eta_zeta.cli import CSV_HEADER, main, scan_lines
 from eta_zeta.zeta_bridge import EXCEPTIONAL_DISTANCE_THRESHOLD
 
 T1 = 2.0 * math.pi / math.log(2.0)
@@ -160,19 +160,56 @@ def test_scan_round_trip_is_bit_identical(capsys):
     for line in out.splitlines()[1:]:
         sigma, t, re, im = line.split(",")[:4]
         m_used = int(line.split(",")[7])
-        (again,) = scan_records("eta", float(sigma), float(t), float(t), 1.0,
-                                m=m_used)
-        assert repr(again.re) == re
-        assert repr(again.im) == im
+        _, again = scan_lines("csv", "eta", float(sigma), float(t), float(t), 1.0,
+                              m=m_used)
+        assert again.split(",")[2:4] == [re, im]
 
 
 def test_scan_repeated_and_parallel_bytes_identical():
-    args = ("eta", 0.5, 0.0, 1.0, 0.02)
-    first = records_to_csv(scan_records(*args))
-    second = records_to_csv(scan_records(*args))
-    parallel = records_to_csv(scan_records(*args, jobs=2))
+    args = ("csv", "eta", 0.5, 0.0, 1.0, 0.02)
+    first = "".join(scan_lines(*args))
+    second = "".join(scan_lines(*args))
+    parallel = "".join(scan_lines(*args, jobs=2))
     assert first == second
     assert first == parallel
+
+
+# zeta on sigma = 1 at n pi i / ln 2, n = 0..8: the pole, direct rows
+# between the exceptional points, stepwise rows at the first two and error
+# rows past the stepwise reach, pinned byte for byte
+PINNED_SCAN = ("scan", "zeta", "--sigma", "1", "--t-min", "0", "--t-max", "36.26",
+               "--step", "4.532360141827194")
+PINNED_CSV = """\
+sigma,t,re,im,abs,method,err_bound,m_used
+1.0,0.0,,,,error,,
+1.0,4.532360141827194,0.7187753347212902,0.12469648368369426,0.729511613921794,Direct26,6.459994516815609e-15,11
+1.0,9.064720283654388,1.3465795428362433,0.10988313679611028,1.3510554277812656,Stepwise3,1.0000011999782748e-09,0
+1.0,13.597080425481582,0.40189531652479793,-0.2210715430559547,0.45868559231101685,Direct26,1.6634841805291307e-14,19
+1.0,18.129440567308777,1.824744877857094,-0.21603521606809142,1.837488798291649,Stepwise3,1.000001632017897e-09,0
+1.0,22.66180070913597,1.0559490390610458,0.2208804125800802,1.0788032859402554,Direct26,3.126951491934991e-14,27
+1.0,27.194160850963165,,,,error,,
+1.0,31.72652099279036,0.7259397335718146,0.007785273939040751,0.7259814785988848,Direct26,4.772584553656594e-14,35
+1.0,36.25888113461755,,,,error,,
+"""
+PINNED_JSON = """\
+{"sigma": 1, "t": 0, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
+{"sigma": 1, "t": 4.5323601418271942, "re": 0.71877533472129018, "im": 0.12469648368369426, "abs": 0.72951161392179398, "method": "Direct26", "err_bound": 6.4599945168156094e-15, "m_used": 11}
+{"sigma": 1, "t": 9.0647202836543883, "re": 1.3465795428362433, "im": 0.10988313679611028, "abs": 1.3510554277812656, "method": "Stepwise3", "err_bound": 1.0000011999782748e-09, "m_used": 0}
+{"sigma": 1, "t": 13.597080425481582, "re": 0.40189531652479793, "im": -0.22107154305595469, "abs": 0.45868559231101685, "method": "Direct26", "err_bound": 1.6634841805291307e-14, "m_used": 19}
+{"sigma": 1, "t": 18.129440567308777, "re": 1.824744877857094, "im": -0.21603521606809142, "abs": 1.837488798291649, "method": "Stepwise3", "err_bound": 1.0000016320178971e-09, "m_used": 0}
+{"sigma": 1, "t": 22.661800709135971, "re": 1.0559490390610458, "im": 0.2208804125800802, "abs": 1.0788032859402554, "method": "Direct26", "err_bound": 3.126951491934991e-14, "m_used": 27}
+{"sigma": 1, "t": 27.194160850963165, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
+{"sigma": 1, "t": 31.726520992790359, "re": 0.72593973357181463, "im": 0.0077852739390407511, "abs": 0.72598147859888484, "method": "Direct26", "err_bound": 4.7725845536565939e-14, "m_used": 35}
+{"sigma": 1, "t": 36.258881134617553, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_bytes_are_pinned(capsys, jobs):
+    for fmt, expected in (("csv", PINNED_CSV), ("json", PINNED_JSON)):
+        code, out, _ = run_cli(capsys, *PINNED_SCAN, "--format", fmt, "--jobs", jobs)
+        assert code == 0
+        assert out == expected, fmt
 
 
 def test_scan_usage_errors(capsys):
@@ -234,21 +271,22 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     sizes.clear()
     monkeypatch.setattr(cli, "_pool", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    args = ("zeta", 0.5, 0.0, 2.0, 0.25)  # 9 points
-    serial = records_to_csv(scan_records(*args))
-    for jobs in (2, 5, 10 ** 6):
-        assert records_to_csv(scan_records(*args, jobs=jobs)) == serial
-    assert sizes == [2, 3, 3]  # min(jobs, ranges, cpu count)
-    sizes.clear()
-    few = ("eta", 0.5, 0.0, 0.5, 0.5)  # 2 points, so 2 ranges
-    assert records_to_csv(scan_records(*few, jobs=64)) \
-        == records_to_csv(scan_records(*few))
+    for fmt in ("csv", "json"):
+        args = (fmt, "zeta", 0.5, 0.0, 2.0, 0.25)  # 9 points
+        serial = list(scan_lines(*args))
+        for jobs in (2, 5, 10 ** 6):
+            assert list(scan_lines(*args, jobs=jobs)) == serial
+        assert sizes == [2, 3, 3]  # min(jobs, ranges, cpu count)
+        sizes.clear()
+    few = ("csv", "eta", 0.5, 0.0, 0.5, 0.5)  # 2 points, so 2 ranges
+    assert list(scan_lines(*few, jobs=64)) == list(scan_lines(*few))
     assert sizes == [2]
     sizes.clear()
     # an empty or one-point grid starts no pool
     for empty in ((1.0, 0.5, 1.0), (1.0, 0.0, 0.25)):
-        assert list(scan_records("eta", 0.5, *empty, jobs=4)) == []
-    assert len(list(scan_records("eta", 0.5, 1.0, 1.0, 1.0, jobs=4))) == 1
+        assert list(scan_lines("csv", "eta", 0.5, *empty, jobs=4)) == [CSV_HEADER + "\n"]
+        assert list(scan_lines("json", "eta", 0.5, *empty, jobs=4)) == []
+    assert len(list(scan_lines("json", "eta", 0.5, 1.0, 1.0, 1.0, jobs=4))) == 1
     assert sizes == []
 
 
@@ -335,7 +373,6 @@ def test_verify_reports_only_the_known_misprint(capsys):
 # -------------------------------------------------------------- formatting ---
 
 def test_csv_uses_shortest_round_trip_floats():
-    (rec,) = scan_records("eta", 0.5, 0.1, 0.1, 1.0)
-    line = record_to_csv(rec)
+    _, line = scan_lines("csv", "eta", 0.5, 0.1, 0.1, 1.0)
     assert line.split(",")[1] == "0.1"
-    assert float(line.split(",")[2]) == rec.re
+    assert float(line.split(",")[2]) == eta(ComplexPoint(0.5, 0.1)).value.real

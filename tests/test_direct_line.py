@@ -1,7 +1,8 @@
 """The line evaluator against the per-point loops it replaced and the plain
 cutoff loop (reference_loops), against the per-point budget and against
 per-point eta/zeta: equal to the last bit, including when a line is reused
-out of order and when 2m passes 2000."""
+out of order and when 2m passes 2000.  Next to the cutoff tests, the paper's
+own cutoff rule, a dropped-tail ratio, keeps its design pairs."""
 
 import math
 import operator
@@ -15,7 +16,7 @@ import pytest
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
                       eta, zeta)
 from eta_zeta import eta_core, zeta_bridge
-from eta_zeta.cli import record_to_csv, scan_records
+from eta_zeta.cli import scan_lines
 from eta_zeta.eta_core import T_MAX, TERMS_KEPT, correction_term, log_table
 from eta_zeta.zeta_bridge import Line
 
@@ -74,12 +75,41 @@ def test_select_matches_reference(sigma):
         assert line.select(t) == ref.smallest_cutoff(sigma, t), t
 
 
-def test_select_continues_from_the_last_cutoff(monkeypatch):
-    # a fresh line steps from a guess solved twice from the bound; a reused
-    # one from its last cutoff, so at a nearby t with the same m it reads
-    # the bound once on each side.  Walked up and down the reach, and after
-    # a refusal, which leaves the kept cutoff alone, the line's cutoff is
-    # the plain loop's at every t
+def gamma_tail_bound(n, b):
+    """int_b^inf y^n e^(-y) dy in closed form, e^(-b) n! sum_{k<=n} b^k / k!,
+    the sum run from k = n down to 0."""
+    total = 0.0
+    for k in range(n, -1, -1):
+        total += b ** k / math.factorial(k)
+    return math.exp(-b) * math.factorial(n) * total
+
+
+def stirling_magnitude(x, t):
+    """Leading-order Stirling estimate of |Gamma(x + i t)| for x >= 0.5."""
+    return (math.sqrt(2.0 * math.pi) * math.exp(-x)
+            * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
+            * math.exp(-t * math.atan2(t, x)))
+
+
+def max_tail_ratio(sigma, t, b):
+    """The paper's dropped-tail ratio, with which it chose its cutoffs: the
+    worst gamma_tail_bound(n, b) / |Gamma(n + sigma + i t)| over n = 0..13."""
+    return max(gamma_tail_bound(n, b) / stirling_magnitude(n + sigma, t)
+               for n in range(14))
+
+
+def test_paper_design_pairs():
+    # the paper's cutoff pairs at sigma = 1: b = 81 reaches ratio 1e-5 at
+    # t = 40, b = 101 ratio 1e-7 at t = 50
+    assert max_tail_ratio(1.0, 40.0, 81.0) == pytest.approx(7.25e-6, rel=1e-3)
+    assert max_tail_ratio(1.0, 40.0, 81.0) <= 1e-5
+    assert max_tail_ratio(1.0, 50.0, 101.0) == pytest.approx(9.04e-8, rel=1e-3)
+    assert max_tail_ratio(1.0, 50.0, 101.0) <= 1e-7
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The arguments of each zeta_bridge.boole_bound call, as they happen."""
     calls = []
     boole_bound = zeta_bridge.boole_bound
 
@@ -88,6 +118,14 @@ def test_select_continues_from_the_last_cutoff(monkeypatch):
         return boole_bound(*args)
 
     monkeypatch.setattr(zeta_bridge, "boole_bound", counted)
+    return calls
+
+
+def test_select_continues_from_the_last_cutoff(calls):
+    # a fresh line starts from a guess, a reused one from its last cutoff:
+    # at a nearby t with the same m it reads the bound once on each side.
+    # Walked up and down the reach, and after a refusal, which leaves the
+    # kept cutoff alone, the line's cutoff is the plain loop's at every t
     line = Line(0.5)
     assert line.select(14.134725) == 20 and len(calls) >= 4
     calls.clear()
@@ -108,6 +146,18 @@ def test_select_continues_from_the_last_cutoff(monkeypatch):
         assert line.select(45.0) == kept and len(calls) == 2
         for t in (-T_MAX, 60.0, 0.0):
             assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
+
+
+def test_far_jump_costs_no_more_than_fresh_lines(calls):
+    # t = 0 then t = 186 on one line reads the bound no more often than the
+    # same two selections on fresh lines: the power-law jump runs from the
+    # last cutoff too, instead of one step of m per unit of t
+    line = Line(-0.5)
+    reused = [line.select(0.0), line.select(186.0)]
+    reused_calls = len(calls)
+    calls.clear()
+    assert [Line(-0.5).select(0.0), Line(-0.5).select(186.0)] == reused
+    assert reused_calls <= len(calls), (reused_calls, len(calls))
 
 
 def test_refuses_past_t_max_and_past_double_range():
@@ -175,7 +225,8 @@ def test_log_table_shared_across_routes(monkeypatch):
     routes = (
         (lambda: eta(ComplexPoint(-0.3, 20.0)).method, MethodTag.DIRECT26),
         (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
-        (lambda: {rec.method for rec in scan_records("zeta", 0.25, 0.0, 30.0, 0.5)},
+        (lambda: {row.split(",")[5]
+                  for row in list(scan_lines("csv", "zeta", 0.25, 0.0, 30.0, 0.5))[1:]},
          {"Direct26"}),
         (lambda: Line(2.5, 2100).eta(3.0).method, MethodTag.DIRECT26))
     sizes = []
@@ -224,16 +275,17 @@ def test_large_m_runs_in_bounded_memory(monkeypatch):
 ])
 def test_scan_matches_pointwise_calls(function, sigma, t_min, t_max, step, m):
     evaluate = eta if function == "eta" else zeta
-    records = list(scan_records(function, sigma, t_min, t_max, step, m=m))
-    assert records
-    for rec in records:
+    rows = list(scan_lines("csv", function, sigma, t_min, t_max, step, m=m))[1:]
+    assert rows
+    for row in rows:
+        t = float(row.split(",")[1])
         try:
-            result = evaluate(ComplexPoint(sigma, rec.t), m=m)
+            result = evaluate(ComplexPoint(sigma, t), m=m)
         except EtaZetaError:
-            assert rec.method == "error"
+            assert row == f"{sigma!r},{t!r},,,,error,,\n"
             continue
         value = result.value
-        expected = (f"{sigma!r},{rec.t!r},{value.real!r},{value.imag!r},"
+        expected = (f"{sigma!r},{t!r},{value.real!r},{value.imag!r},"
                     f"{abs(value)!r},{result.method},{result.budget.total!r},"
-                    f"{0 if result.m is None else result.m}")
-        assert record_to_csv(rec) == expected
+                    f"{0 if result.m is None else result.m}\n")
+        assert row == expected

@@ -40,6 +40,12 @@ def test_partial_sum_two_terms():
     assert Line(1.0).partial_sum(0.0, 1) == 0.5 + 0j
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_partial_sum_refuses_m_below_one(m):
+    with pytest.raises(DomainError, match="^m must be >= 1$"):
+        Line(1.0).partial_sum(0.0, m)
+
+
 def test_partial_sum_cancels_at_s_zero():
     # the shared kernel with the s = 0 terms (-1)^(n+1), n = 1..6
     lns = [math.log(n) for n in range(1, 7)]

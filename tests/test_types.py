@@ -9,7 +9,6 @@ import pytest
 import eta_zeta
 from eta_zeta import (ComplexPoint, DomainError, ErrorBudget, EvalResult,
                       MethodTag, ParameterExhaustionError, eta)
-from eta_zeta.cli import OutputRecord
 
 SRC = Path(eta_zeta.__file__).resolve().parent.parent
 
@@ -46,9 +45,8 @@ def _result():
 
 def test_fields_cannot_be_set():
     result = _result()
-    record = OutputRecord(0.5, 1.0, 0.1, 0.2, 0.3, "Direct26", 1e-9, 40)
     for obj, name in ((ComplexPoint(0.5, 1.0), "sigma"), (result, "value"),
-                      (result.budget, "total"), (record, "err_bound")):
+                      (result.budget, "total")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0.0)
         with pytest.raises(AttributeError):
@@ -57,8 +55,7 @@ def test_fields_cannot_be_set():
 
 def test_pickle_round_trips():
     result = _result()
-    record = OutputRecord(0.5, 1.0, None, None, None, "error", None, None)
-    for obj in (result, result.budget, ComplexPoint(0.5, 1.0), record):
+    for obj in (result, result.budget, ComplexPoint(0.5, 1.0)):
         back = pickle.loads(pickle.dumps(obj))
         assert back == obj and type(back) is type(obj)
     assert pickle.loads(pickle.dumps(result)).method is result.method
