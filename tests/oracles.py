@@ -19,6 +19,16 @@ def zeta_reference(sigma: float, t: float, dps: int = 40) -> mpmath.mpc:
         return mpmath.zeta(mpmath.mpc(sigma, t))
 
 
+def loggamma_reference(re: float, im: float, dps: int = 40) -> mpmath.mpc:
+    with mpmath.workdps(dps):
+        return mpmath.loggamma(mpmath.mpc(re, im))
+
+
+def gamma_reference(re: float, im: float, dps: int = 40) -> mpmath.mpc:
+    with mpmath.workdps(dps):
+        return mpmath.gamma(mpmath.mpc(re, im))
+
+
 def eta_alternating_accelerated(sigma: float, t: float, n: int | None = None,
                                 dps: int = 40) -> mpmath.mpc:
     """eta(s) by Chebyshev-weighted acceleration of the alternating series.
@@ -42,6 +52,12 @@ def eta_alternating_accelerated(sigma: float, t: float, n: int | None = None,
             total += c * mpmath.power(k + 1, -s)
             b = b * (k + n) * (k - n) / ((k + mpmath.mpf("0.5")) * (k + 1))
         return +(total / d)
+
+
+def gamma_tail_quadrature(n: int, b: float, dps: int = 30) -> mpmath.mpf:
+    """int_b^inf y^n e^(-y) dy by numerical quadrature."""
+    with mpmath.workdps(dps):
+        return mpmath.quad(lambda y: y ** n * mpmath.exp(-y), [b, mpmath.inf])
 
 
 def diff(value: complex, reference: mpmath.mpc) -> float:

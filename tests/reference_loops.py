@@ -5,12 +5,21 @@ before the line evaluator (zeta_bridge.Line) took it over: the line must
 reproduce it bit for bit, because it performs the same float operations in
 the same order.  smallest_cutoff is Line.select's rule as a plain loop
 over m, on partial_sum_rounding, the rounding bound written out plainly.
+gamma_tail_bound and max_tail_ratio are the paper's dropped-tail
+ratio E(n, b) / |Gamma(n + s)|, with which the paper chose its cutoffs; they
+keep the paper's design pairs.
+log_gamma is the complex log-gamma of the functional-equation route that the
+paper's formula on the whole strip replaced; its tests keep the reference.
 """
 
+import cmath
 import math
 
-from eta_zeta import ComplexPoint
+from eta_zeta import ComplexPoint, DomainError
+from eta_zeta.coefficients import _bernoulli_fractions
 from eta_zeta.eta_core import CUTOFF_SHARE, UNIT_ROUNDOFF, correction_term
+
+TAIL_N_MAX = 13
 
 
 def alternating_partial_sum(sigma, t, m):
@@ -52,3 +61,71 @@ def smallest_cutoff(sigma, t):
            > CUTOFF_SHARE * partial_sum_rounding(sigma, t, m)):
         m += 1
     return m
+
+
+def gamma_tail_bound(n, b):
+    """Closed form of the dropped integral int_b^inf y^n e^(-y) dy:
+
+        E(n, b) = e^(-b) n! sum_{k=0}^{n} b^k / k!
+
+    All terms are positive; the sum runs from k = n down to 0.
+    """
+    if not 0 <= n <= TAIL_N_MAX:
+        raise DomainError(f"n supported in 0..{TAIL_N_MAX}")
+    if b <= 0.0:
+        raise DomainError("b must be positive")
+    total = 0.0
+    for k in range(n, -1, -1):
+        total += b ** k / math.factorial(k)
+    return math.exp(-b) * math.factorial(n) * total
+
+
+def stirling_magnitude(x, t):
+    """Leading-order Stirling estimate of |Gamma(x + i t)| for x >= 0.5."""
+    return (math.sqrt(2.0 * math.pi) * math.exp(-x)
+            * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
+            * math.exp(-t * math.atan2(t, x)))
+
+
+def max_tail_ratio(sigma, t, b):
+    """Worst E(n, b) / |Gamma(n + sigma + i t)| over n = 0..13; inf once the
+    Stirling estimate underflows."""
+    worst = 0.0
+    for n in range(TAIL_N_MAX + 1):
+        gamma_mag = stirling_magnitude(n + sigma, t)
+        if not gamma_mag > 0.0:
+            return math.inf
+        worst = max(worst, gamma_tail_bound(n, b) / gamma_mag)
+    return worst
+
+
+# Asymptotic series coefficients B_{2k} / (2k (2k-1)), k = 1..8, each rounded
+# once from its exact rational.  With the argument shifted to Re >= 10 the
+# truncation error sits below 1e-16 relative.
+_BERNOULLI, _BERNOULLI_DEN = _bernoulli_fractions(16)
+STIRLING_COEFFS = tuple(_BERNOULLI[n] / (_BERNOULLI_DEN * n * (n - 1))
+                        for n in range(2, 17, 2))
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def log_gamma(z):
+    """Principal-branch log gamma for Re(z) > 0, to 13+ significant digits
+    for 0 < Re(z) <= 60, |Im(z)| <= 180: the Stirling series after shifting
+    the argument to Re >= 10 through log Gamma(z) = log Gamma(z+1) - log z."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError("log_gamma requires a finite argument")
+    if z.real <= 0.0:
+        raise DomainError("log_gamma requires Re(z) > 0; reflect first")
+    shift = 0j
+    w = z
+    while w.real < 10.0:
+        shift += cmath.log(w)
+        w += 1.0
+    inv_w2 = 1.0 / (w * w)
+    series = 0j
+    power = 1.0 / w
+    for c in STIRLING_COEFFS:
+        series += c * power
+        power *= inv_w2
+    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series - shift

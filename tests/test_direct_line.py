@@ -1,8 +1,7 @@
 """The line evaluator against the per-point loops it replaced and the plain
 cutoff loop (reference_loops), against the per-point budget and against
 per-point eta/zeta: equal to the last bit, including when a line is reused
-out of order and when 2m passes 2000.  Next to the cutoff tests, the paper's
-own cutoff rule, a dropped-tail ratio, keeps its design pairs."""
+out of order and when 2m passes 2000."""
 
 import math
 import operator
@@ -73,38 +72,6 @@ def test_select_matches_reference(sigma):
     line = Line(sigma)
     for t in ts:
         assert line.select(t) == ref.smallest_cutoff(sigma, t), t
-
-
-def gamma_tail_bound(n, b):
-    """int_b^inf y^n e^(-y) dy in closed form, e^(-b) n! sum_{k<=n} b^k / k!,
-    the sum run from k = n down to 0."""
-    total = 0.0
-    for k in range(n, -1, -1):
-        total += b ** k / math.factorial(k)
-    return math.exp(-b) * math.factorial(n) * total
-
-
-def stirling_magnitude(x, t):
-    """Leading-order Stirling estimate of |Gamma(x + i t)| for x >= 0.5."""
-    return (math.sqrt(2.0 * math.pi) * math.exp(-x)
-            * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
-            * math.exp(-t * math.atan2(t, x)))
-
-
-def max_tail_ratio(sigma, t, b):
-    """The paper's dropped-tail ratio, with which it chose its cutoffs: the
-    worst gamma_tail_bound(n, b) / |Gamma(n + sigma + i t)| over n = 0..13."""
-    return max(gamma_tail_bound(n, b) / stirling_magnitude(n + sigma, t)
-               for n in range(14))
-
-
-def test_paper_design_pairs():
-    # the paper's cutoff pairs at sigma = 1: b = 81 reaches ratio 1e-5 at
-    # t = 40, b = 101 ratio 1e-7 at t = 50
-    assert max_tail_ratio(1.0, 40.0, 81.0) == pytest.approx(7.25e-6, rel=1e-3)
-    assert max_tail_ratio(1.0, 40.0, 81.0) <= 1e-5
-    assert max_tail_ratio(1.0, 50.0, 101.0) == pytest.approx(9.04e-8, rel=1e-3)
-    assert max_tail_ratio(1.0, 50.0, 101.0) <= 1e-7
 
 
 @pytest.fixture
