@@ -55,10 +55,10 @@ def _json_row(sigma: float, t: float, result: EvalResult | None) -> str:
             f'"err_bound": {result.budget.total:.17g}, "m_used": {result.m or 0}}}\n')
 
 
-def _scan_lines(fmt: str, function: str, sigma: float, t_min: float, step: float,
+def _scan_lines(row, function: str, sigma: float, t_min: float, step: float,
                 m: int | None, start: int, stop: int) -> Iterator[str]:
-    """Output rows for grid indices start..stop-1, evaluated on one Line."""
-    row = _json_row if fmt == "json" else _csv_row
+    """Rows, formatted by row, for grid indices start..stop-1, evaluated on
+    one Line."""
     line = Line(sigma, m)
     evaluate = line.eta if function == "eta" else line.zeta
     for i in range(start, stop):
@@ -96,16 +96,17 @@ def scan_lines(fmt: str, function: str, sigma: float, t_min: float, t_max: float
     formats contiguous index ranges of at most MAX_RANGE points, each on a
     line of its own, and they are yielded in order as they arrive: the
     output is identical either way, and only the ranges in flight are held,
-    never the whole grid."""
-    if fmt == "csv":
+    never the whole grid.  Any other fmt raises KeyError."""
+    row = {"csv": _csv_row, "json": _json_row}[fmt]
+    if row is _csv_row:
         yield CSV_HEADER + "\n"
     count = grid_count(t_min, t_max, step)
     if jobs <= 1 or count <= 1:
-        yield from _scan_lines(fmt, function, sigma, t_min, step, m, 0, count)
+        yield from _scan_lines(row, function, sigma, t_min, step, m, 0, count)
         return
     n_ranges = min(count, max(jobs * RANGES_PER_JOB, math.ceil(count / MAX_RANGE)))
     bounds = [count * k // n_ranges for k in range(n_ranges + 1)]
-    scan_range = functools.partial(_scan_range, fmt, function, sigma, t_min, step, m)
+    scan_range = functools.partial(_scan_range, row, function, sigma, t_min, step, m)
     workers = min(jobs, n_ranges, os.cpu_count() or 1)
     with _pool(workers) as pool:
         for chunk in pool.map(scan_range, bounds[:-1], bounds[1:]):

@@ -133,44 +133,34 @@ class Line:
 
     def select(self, t: float) -> int:
         """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
-        partial sum's rounding bound u S (8 + |t| ln N) (_eval);
-        ParameterExhaustionError for |t| > T_MAX.  The start, the line's last
-        cutoff or on its first call m = ceil(|t|) + 1, is checked on each
-        side; if it fails, at most two jumps by the bound's local power law
-        and then steps of one find the answer.  At fixed t the bound over its
-        share falls strictly with N, so every start ends at the same m."""
+        partial sum's rounding bound u S (8 + |t| ln N) (_eval): the line's
+        last cutoff if its check on each side holds, or else stepped to from a
+        guess solved from the bound's local power law, as on a line's first
+        call; ParameterExhaustionError for |t| > T_MAX.  At fixed t the bound
+        over its share falls strictly with N, so every start steps to the
+        same m."""
         if not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
         sigma, z = self.sigma, complex(self.sigma, t)
         poch15 = abs(math.prod(map(operator.add, repeat(z, 15), range(15))))
         shift15 = abs(z + 15.0)
 
-        def excess(m: int) -> float:  # the bound over its share at N = 2m + 1
-            b = 2.0 * m + 1.0
+        def excess(b: float) -> float:  # the bound over its share at N = b
             return (boole_bound(poch15, sigma, shift15, b)
                     / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
 
-        m = self._cutoff or math.ceil(abs(t)) + 1
-        high = excess(m)
-        if high > 1.0 or m > 1 and excess(m - 1) <= 1.0:
-            # the bound falls like N^-(sigma + 14) or faster, and below sigma = 1
-            # the share grows about like N^(1 - sigma); after a jump, the
-            # power is the one measured across it
-            power = max(15.0, sigma + 14.0)
+        m = self._cutoff
+        if (not m or m > 1 and excess(2.0 * m - 1.0) <= 1.0
+                or excess(2.0 * m + 1.0) > 1.0):
+            # the bound falls at least like N^-(sigma + 14), the share grows
+            b = 2.0 * abs(t) + 3.0
             for _ in range(2):
-                jump = math.ceil(max(1.0, (m + 0.5) * high ** (1.0 / power) - 0.5))
-                if jump == m:
-                    break
-                last, high = high, excess(jump)
-                if high:  # 0 only at s = 0, where (s)_15 vanishes and m = 1
-                    power = math.log(last / high) / math.log((jump + 0.5) / (m + 0.5))
-                m = jump
-            if high <= 1.0:
-                while m > 1 and excess(m - 1) <= 1.0:
-                    m -= 1
-            while high > 1.0:
+                b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
+            m = math.ceil((b - 1.0) / 2.0)
+            while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
+                m -= 1
+            while excess(2.0 * m + 1.0) > 1.0:
                 m += 1
-                high = excess(m)
         self._cutoff = m
         return m
 

@@ -290,6 +290,12 @@ def test_scan_pool_is_capped_and_keeps_grid_order(monkeypatch):
     assert sizes == []
 
 
+@pytest.mark.parametrize("fmt", ["text", "JSON", ""])
+def test_scan_lines_refuses_an_unknown_format(fmt):
+    with pytest.raises(KeyError):
+        next(scan_lines(fmt, "eta", 0.5, 0.0, 1.0, 0.5))
+
+
 class LineCounter(io.TextIOBase):
     """A stdout sink that keeps only the number of lines written."""
 
