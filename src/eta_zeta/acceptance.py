@@ -18,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficient_asymptotic, p_coefficients
+from .eta_core import R_MAX
 from .types import ComplexPoint, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
@@ -171,7 +172,8 @@ def _cutoff_checks() -> list[CheckResult]:
 
 
 def _coefficient_checks() -> list[CheckResult]:
-    p = p_coefficients(7)
+    # the process's one table, which eta_core bound at import
+    p = p_coefficients(R_MAX + 1)
     worst_rel = 0.0
     for r, ref in enumerate(_P_REFERENCE_RATIONALS):
         rel = abs(p[r] - float(ref)) / abs(float(ref))

@@ -54,12 +54,6 @@ def eta_alternating_accelerated(sigma: float, t: float, n: int | None = None,
         return +(total / d)
 
 
-def gamma_tail_quadrature(n: int, b: float, dps: int = 30) -> mpmath.mpf:
-    """int_b^inf y^n e^(-y) dy by numerical quadrature."""
-    with mpmath.workdps(dps):
-        return mpmath.quad(lambda y: y ** n * mpmath.exp(-y), [b, mpmath.inf])
-
-
 def diff(value: complex, reference: mpmath.mpc) -> float:
     """|value - reference| as a double."""
     return float(abs(mpmath.mpc(value.real, value.imag) - reference))

@@ -5,9 +5,6 @@ before the line evaluator (zeta_bridge.Line) took it over: the line must
 reproduce it bit for bit, because it performs the same float operations in
 the same order.  smallest_cutoff is Line.select's rule as a plain loop
 over m, on partial_sum_rounding, the rounding bound written out plainly.
-gamma_tail_bound and max_tail_ratio are the paper's dropped-tail
-ratio E(n, b) / |Gamma(n + s)|, with which the paper chose its cutoffs; they
-keep the paper's design pairs.
 log_gamma is the complex log-gamma of the functional-equation route that the
 paper's formula on the whole strip replaced; its tests keep the reference.
 """
@@ -18,8 +15,6 @@ import math
 from eta_zeta import ComplexPoint, DomainError
 from eta_zeta.coefficients import _bernoulli_fractions
 from eta_zeta.eta_core import CUTOFF_SHARE, UNIT_ROUNDOFF, correction_term
-
-TAIL_N_MAX = 13
 
 
 def alternating_partial_sum(sigma, t, m):
@@ -61,42 +56,6 @@ def smallest_cutoff(sigma, t):
            > CUTOFF_SHARE * partial_sum_rounding(sigma, t, m)):
         m += 1
     return m
-
-
-def gamma_tail_bound(n, b):
-    """Closed form of the dropped integral int_b^inf y^n e^(-y) dy:
-
-        E(n, b) = e^(-b) n! sum_{k=0}^{n} b^k / k!
-
-    All terms are positive; the sum runs from k = n down to 0.
-    """
-    if not 0 <= n <= TAIL_N_MAX:
-        raise DomainError(f"n supported in 0..{TAIL_N_MAX}")
-    if b <= 0.0:
-        raise DomainError("b must be positive")
-    total = 0.0
-    for k in range(n, -1, -1):
-        total += b ** k / math.factorial(k)
-    return math.exp(-b) * math.factorial(n) * total
-
-
-def stirling_magnitude(x, t):
-    """Leading-order Stirling estimate of |Gamma(x + i t)| for x >= 0.5."""
-    return (math.sqrt(2.0 * math.pi) * math.exp(-x)
-            * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
-            * math.exp(-t * math.atan2(t, x)))
-
-
-def max_tail_ratio(sigma, t, b):
-    """Worst E(n, b) / |Gamma(n + sigma + i t)| over n = 0..13; inf once the
-    Stirling estimate underflows."""
-    worst = 0.0
-    for n in range(TAIL_N_MAX + 1):
-        gamma_mag = stirling_magnitude(n + sigma, t)
-        if not gamma_mag > 0.0:
-            return math.inf
-        worst = max(worst, gamma_tail_bound(n, b) / gamma_mag)
-    return worst
 
 
 # Asymptotic series coefficients B_{2k} / (2k (2k-1)), k = 1..8, each rounded

@@ -86,10 +86,20 @@ def test_sweep_within_budget():
     assert methods == set(MethodTag)
 
 
-@pytest.mark.parametrize("sigma,t", [(-0.5, 170.0), (-0.3, 20.0)])
+_RNG = random.Random(37)
+# where a cutoff chosen on the mirror line once failed, and seeded points over
+# the strip up to the reach
+CUTOFF_POINTS = [(-0.5, 170.0), (-0.3, 20.0),
+                 *((_RNG.uniform(-0.5, 3.0), _RNG.uniform(-T_MAX, T_MAX))
+                   for _ in range(50))]
+
+
+@pytest.mark.parametrize("sigma,t", CUTOFF_POINTS)
 def test_cutoff_keeps_truncation_below_its_share(sigma, t):
     # the selected m leaves Boole's bound at most CUTOFF_SHARE of the partial
-    # sum's rounding bound, also for sigma < 0
+    # sum's rounding bound, also for sigma < 0.  Line.select and the budget
+    # form |(s)_15| in different orders, so this holds by measurement: at
+    # most 0.999996 of the share over 20000 seeded points
     result = eta(ComplexPoint(sigma, t))
     share = CUTOFF_SHARE * partial_sum_rounding(sigma, t, result.m)
     assert result.budget.truncation <= share

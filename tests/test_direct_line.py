@@ -1,7 +1,8 @@
 """The line evaluator against the per-point loops it replaced and the plain
 cutoff loop (reference_loops), against the per-point budget and against
 per-point eta/zeta: equal to the last bit, including when a line is reused
-out of order and when 2m passes 2000."""
+out of order and when 2m passes 2000.  It also pins the paper's cutoff
+design pairs."""
 
 import math
 import operator
@@ -10,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import pytest
 
 from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
@@ -126,6 +128,29 @@ def test_far_jump_costs_no_more_than_fresh_lines(calls):
     calls.clear()
     assert [Line(-0.5).select(0.0), Line(-0.5).select(186.0)] == reused
     assert reused_calls <= len(calls) + 2, (reused_calls, len(calls))
+
+
+def test_paper_design_pairs():
+    # the paper chose its cutoffs b from the dropped-tail ratio
+    # E(n, b) / |Gamma(n + s)| at its worst over n = 0..13, with
+    # E(n, b) = int_b^inf y^n e^-y dy (mpmath's upper incomplete gamma) and
+    # |Gamma(x + it)| by the calculator's leading-order Stirling estimate.
+    # Its pairs at sigma = 1: b = 81 reaches ratio 1e-5 at t = 40, b = 101
+    # ratio 1e-7 at t = 50
+    def tail_ratio(sigma, t, b):
+        ratios = []
+        for n in range(14):
+            x = n + sigma
+            stirling = (math.sqrt(2.0 * math.pi) * math.exp(-x)
+                        * (x * x + t * t) ** ((2.0 * x - 1.0) / 4.0)
+                        * math.exp(-t * math.atan2(t, x)))
+            ratios.append(float(mpmath.gammainc(n + 1, b)) / stirling)
+        return max(ratios)
+
+    assert tail_ratio(1.0, 40.0, 81.0) == pytest.approx(7.25e-6, rel=1e-3)
+    assert tail_ratio(1.0, 40.0, 81.0) <= 1e-5
+    assert tail_ratio(1.0, 50.0, 101.0) == pytest.approx(9.04e-8, rel=1e-3)
+    assert tail_ratio(1.0, 50.0, 101.0) <= 1e-7
 
 
 def test_refuses_past_t_max_and_past_double_range():

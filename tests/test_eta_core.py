@@ -100,16 +100,18 @@ P_TABLE_CODE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import eta_zeta
+from eta_zeta import acceptance
 from eta_zeta.coefficients import p_coefficients
 eta_zeta.eta(eta_zeta.ComplexPoint(0.73, 100.0))
+acceptance._coefficient_checks()
 print(p_coefficients.cache_info().currsize)
 """
 
 
 def test_one_p_table_per_process():
-    # import and a first value build one table, P_1 .. P_15: C15's, whose
-    # entries up to P_13 the correction term reads, each the same double
-    # as in the shorter table
+    # import, a first value and verify's coefficient checks build one table,
+    # P_1 .. P_15: C15's, whose entries up to P_13 the correction term reads,
+    # each the same double as in the shorter table
     src = Path(eta_zeta.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-I", "-c", P_TABLE_CODE, str(src)],
                           capture_output=True, text=True, timeout=60, check=True)
