@@ -17,8 +17,10 @@ import math
 from .errors import DomainError
 from .types import ComplexPoint
 
+# Subscripted annotations are quoted: import builds no object for them.
 
-def _bernoulli_fractions(n_max: int) -> tuple[list[int], int]:
+
+def _bernoulli_fractions(n_max: int) -> "tuple[list[int], int]":
     """B_0 .. B_n_max as integer numerators over one common denominator
     2 (n_max+1)!, via the defining recurrence sum_k binom(n+1, k) B_k = 0.
     By von Staudt-Clausen each B_n's denominator divides it, so every
@@ -36,7 +38,7 @@ def _bernoulli_fractions(n_max: int) -> tuple[list[int], int]:
 
 
 @functools.cache
-def p_coefficients(r_max: int) -> tuple[float, ...]:
+def p_coefficients(r_max: int) -> "tuple[float, ...]":
     """Kernel-series coefficients p[0] = 1/2, p[r] = P_{2r-1} = (2^(2r)-1)
     B_{2r} / (2r)! for r = 1..r_max, each an exact rational rounded once by
     int/int true division."""

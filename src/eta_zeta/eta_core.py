@@ -21,8 +21,10 @@ from collections.abc import Iterable, Iterator
 from itertools import cycle, repeat
 
 from .coefficients import p_coefficients
-from .errors import DomainError, ParameterExhaustionError
+from .errors import DomainError
 from .types import ComplexPoint
+
+# Subscripted annotations are quoted: import builds no object for them.
 
 # The selected cutoff's share of the rounding bound (see the module docstring);
 # selection refuses |t| > T_MAX (m = 197 at -0.5 + 186i), an explicit m never.
@@ -53,7 +55,7 @@ def check_sigma(sigma: float) -> None:
             f"outside supported sigma range [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
 
 
-def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> complex:
+def dirichlet_sum(mags: "Iterable[float]", lns: "Iterable[float]", t: float) -> complex:
     """sum of mag e^(-i t ln_n) over mags and lns in step, up to the shorter,
     Kahan-compensated in order: with mag = +/- n^(-sigma), a Dirichlet partial
     sum at sigma + i t, near one ulp even at 2000 terms.  A term is one
@@ -67,10 +69,10 @@ def dirichlet_sum(mags: Iterable[float], lns: Iterable[float], t: float) -> comp
     return total
 
 
-_lns: tuple[float, ...] = ()  # the process's ln n table, see log_table
+_lns: "tuple[float, ...]" = ()  # the process's ln n table, see log_table
 
 
-def log_table(count: int) -> tuple[float, ...]:
+def log_table(count: int) -> "tuple[float, ...]":
     """ln n for n = 1, 2, ..., at least min(count, TERMS_KEPT) of them: the
     process's table, filled on demand (at least doubling, at most TERMS_KEPT).
     A fill swaps in a whole new tuple, so every caller holds a complete
@@ -83,38 +85,59 @@ def log_table(count: int) -> tuple[float, ...]:
     return lns
 
 
-def _signed_powers(sigma: float, start: int, lns: Iterable[float]) -> Iterator[float]:
+def _signed_powers(sigma: float, start: int, lns: "Iterable[float]") -> "Iterator[float]":
     """(-1)^(n+1) n^(-sigma) for n = start, start + 1, ..., given ln n."""
     signs = cycle((1.0, -1.0) if start % 2 else (-1.0, 1.0))
     return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
-def boole_bound(poch15: float, sigma: float, shift15: float, b: float) -> float:
-    """correction_term's bound on the truncation error, at N = b, from
-    poch15 = |(s)_15| and shift15 = |s + 15|, with N^-13 formed as there."""
-    beta = 1.0 / b
-    beta2 = beta * beta
-    return (poch15 * math.exp(-sigma * math.log(b))
-            * (beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2) * beta
-            * min(C14 / (sigma + 14.0), C15 * beta * (1.0 + shift15 / (sigma + 15.0))))
-
-
-def sum_rounding(sigma: float, t: float, ln_b: float) -> float:
-    """The partial sum's rounding bound u S (8 + |t| ln N) at N = e^ln_b (see
-    zeta_bridge.Line._eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m} n^-sigma."""
-    x = (1.0 - sigma) * ln_b  # the integral is expm1(x) / (1 - sigma)
+def tail_factors(sigma: float, b: float, bracket: bool = True) -> tuple:
+    """The t-free inputs of sum_rounding, boole_bound and correction_term at
+    N = b, in order: ln N, u S, u N^-sigma, the bracket's P_{2r-1} beta^(2r-1)
+    with beta = 1/N (none unless bracket), N^-sigma, beta^13, beta,
+    C14 / (sigma + 14), C15 beta and sigma + 15, each formed as per point."""
+    ln_b = math.log(b)
+    x = (1.0 - sigma) * ln_b  # S = 1 + int_1^N x^-sigma dx = 1 + expm1(x) / (1 - sigma)
     power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
-    return UNIT_ROUNDOFF * power_sum * (8.0 + abs(t) * ln_b)
+    scale = math.exp(-sigma * ln_b)  # |N^-s|
+    beta = beta_pow = 1.0 / b
+    beta2 = beta * beta
+    coeffs = []
+    for p in _P[1:R_MAX + 1] if bracket else ():
+        coeffs.append(p * beta_pow)
+        beta_pow *= beta2
+    beta13 = beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2
+    return (ln_b, UNIT_ROUNDOFF * power_sum, UNIT_ROUNDOFF * scale, coeffs, scale,
+            beta13, beta, C14 / (sigma + 14.0), C15 * beta, sigma + 15.0)
 
 
-def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
+def boole_bound(poch15: float, shift15: float, factors: tuple) -> float:
+    """The truncation bound of the formula (see correction_term) at the
+    factors' N (tail_factors), from poch15 = |(s)_15| and shift15 =
+    |s + 15|: the one bound both the cutoff's check and the budget read."""
+    _, _, _, _, scale, beta13, beta, c14_share, c15_beta, sigma15 = factors
+    return (poch15 * scale * beta13 * beta
+            * min(c14_share, c15_beta * (1.0 + shift15 / sigma15)))
+
+
+def sum_rounding(t: float, factors: tuple) -> float:
+    """The partial sum's rounding bound u S (8 + |t| ln N) at the factors' N
+    (see zeta_bridge.Line._eval), S = 1 + int_1^N x^-sigma dx >=
+    sum_{n<=2m} n^-sigma; the budget takes the cutoff's last check's."""
+    return factors[1] * (8.0 + abs(t) * factors[0])
+
+
+def correction_term(s: ComplexPoint, chain: tuple, factors: tuple) -> tuple:
     """The correction c = N^(-s) [1/2 + sum_{r<=7} P_{2r-1} (s)_{2r-1}
-    N^-(2r-1)], N = 2m + 1, a bound on the truncation error of the formula
-    (sum plus correction against eta(s)), and a bound on the rounding of c.
+    N^-(2r-1)], N = 2m + 1, and a bound on its rounding, from the point's
+    rising-factorial chain (s)_1, (s)_3, ..., (s)_13 and the factors at N
+    (tail_factors).
 
-    The tail past n = 2m is sum_{j>=0} (-1)^j f(j), f(x) = (N + x)^(-s).
-    Boole's summation formula (DLMF 24.17.2, h = 0, from 0 to infinity)
-    writes it as (1/2) sum_{k<l} E_k(0)/k! f^(k)(0) plus the remainder
+    Its truncation bound, on the formula (sum plus correction against
+    eta(s)), is boole_bound.  The tail past n = 2m is sum_{j>=0} (-1)^j f(j),
+    f(x) = (N + x)^(-s).  Boole's summation formula (DLMF 24.17.2, h = 0,
+    from 0 to infinity) writes it as (1/2) sum_{k<l} E_k(0)/k! f^(k)(0) plus
+    the remainder
 
         R_l = 1/(2 (l-1)!) int_0^inf f^(l)(x) E~_{l-1}(-x) dx,
 
@@ -143,33 +166,14 @@ def correction_term(s: ComplexPoint, m: int) -> tuple[complex, float, float]:
     u N^-sigma B (64 + 2 (|t| + |sigma|) ln N).  Where |s| is large against
     N, B is ruled by the last terms; elsewhere it is near 1/2.
 
-    The factor product for step r reuses the previous one times two new
-    factors, and |(s)_15| reuses the last; beta powers advance by beta^2.
+    Each factor product of the chain is the previous one times two new
+    factors, and the coefficients' beta powers advance by beta^2.
     """
-    p = _P
-    z = s.z
-    b = float(2 * m + 1)
-    beta = 1.0 / b
-    bracket = complex(p[0], 0.0)
-    prod = z
-    beta_pow = beta
-    beta2 = beta * beta
+    ln_b, u_scale, coeffs = factors[0], factors[2], factors[3]
+    bracket = complex(_P[0], 0.0)
     size = 0.5
-    for r in range(1, R_MAX + 1):
-        if r > 1:
-            prod *= (z + (2 * r - 3)) * (z + (2 * r - 2))
-            beta_pow *= beta2
-        term = p[r] * beta_pow * prod
+    for term in map(operator.mul, coeffs, chain):
         bracket += term
         size += abs(term)
-    ln_b = math.log(b)
-    sigma = s.sigma
-    scale = math.exp(-sigma * ln_b)  # |N^-s|
-    truncation = boole_bound(abs(prod) * abs(z + 13.0) * abs(z + 14.0), sigma,
-                             abs(z + 15.0), b)
-    if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln b) fails
-        raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
-                                       f"at t = {s.t:g}, m = {m} exceeds double range")
-    rounding = (UNIT_ROUNDOFF * scale * size
-                * (64.0 + 2.0 * (abs(s.t) + abs(sigma)) * ln_b))
-    return cmath.exp(-z * ln_b) * bracket, truncation, rounding
+    rounding = u_scale * size * (64.0 + 2.0 * (abs(s.t) + abs(s.sigma)) * ln_b)
+    return cmath.exp(-chain[0] * ln_b) * bracket, rounding  # chain[0] = (s)_1 = s

@@ -1,20 +1,30 @@
 """Shared value types, as immutable named tuples: points, results, budgets."""
 
-import enum
 import math
 from collections import namedtuple
 
 from .errors import DomainError, ParameterExhaustionError
 
 
-class MethodTag(str, enum.Enum):
-    """Which code path produced a result."""
+class _Members(type):
+    """Iterating the class gives its members, in the order they were set."""
 
-    DIRECT26 = "Direct26"    # partial sum plus correction term
-    STEPWISE3 = "Stepwise3"  # stepwise continuation through s + 2k
+    def __iter__(cls):
+        return filter(cls.__instancecheck__, vars(cls).values())
 
-    def __str__(self) -> str:
-        return self.value
+
+class MethodTag(str, metaclass=_Members):
+    """Which code path produced a result: a str equal to its value, one
+    instance per member, each named after its value in upper case."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:  # pickled by name, so it loads as the member
+        return "MethodTag." + self.upper()
+
+
+MethodTag.DIRECT26 = MethodTag("Direct26")    # partial sum plus correction term
+MethodTag.STEPWISE3 = MethodTag("Stepwise3")  # stepwise continuation through s + 2k
 
 
 def _checked_make(cls, fields):
@@ -67,8 +77,6 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
         return cls(truncation, rounding, truncation + rounding)
 
 
-class EvalResult(namedtuple("EvalResult", "value budget method m")):
-    """Complex value, its budget, the code path that produced it, and the
-    cutoff m of its 2m-term direct sum (None where no direct sum ran)."""
-
-    __slots__ = ()
+EvalResult = namedtuple("EvalResult", "value budget method m")
+EvalResult.__doc__ = """Complex value, its budget, the code path that produced it, and the
+cutoff m of its 2m-term direct sum (None where no direct sum ran)."""

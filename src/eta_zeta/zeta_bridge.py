@@ -17,8 +17,11 @@ from .coefficients import c_coefficient
 from .errors import (DomainError, NonConvergentTailError, ParameterExhaustionError,
                      PoleError)
 from .eta_core import (CUTOFF_SHARE, T_MAX, TERMS_KEPT, UNIT_ROUNDOFF, _signed_powers,
-                       boole_bound, check_sigma, dirichlet_sum, log_table, sum_rounding)
+                       boole_bound, check_sigma, dirichlet_sum, log_table, sum_rounding,
+                       tail_factors)
 from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
+
+# Subscripted and union annotations are quoted: import builds no object for them.
 
 LN2 = math.log(2.0)
 EXCEPTIONAL_SPACING = 2.0 * math.pi / LN2  # imaginary gap between zeros of 1 - 2^(1-s)
@@ -114,22 +117,27 @@ class Line:
 
     What depends on sigma alone is computed on first use and kept: the
     signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
-    most TERMS_KEPT).  ln n depends on neither sigma nor t and is kept per
-    process as far as read (log_table), shared by every line.  The line
-    also keeps the cutoff its last selection returned, from which the next
-    one steps.  A point then pays only for what depends on t, with the same
-    float operations in the same order as a point alone.  A line is
-    mutable: create one per caller, do not share it between threads.
+    most TERMS_KEPT), and whether |sigma - 1|, a floor of the exceptional
+    distance, is below its threshold.  So are the factors at N = 2m + 1
+    (eta_core.tail_factors) per m read, and the cutoff the last selection
+    returned, from which the next one steps.  ln n is kept per process
+    (log_table).  A point then pays only for what depends on t: one
+    rising-factorial chain, the bounds of its cutoff's checks, which its
+    budget reuses, the partial sum and the correction, with the same float
+    operations in the same order as a point alone.  A line is mutable:
+    create one per caller, do not share it between threads.
     """
 
-    def __init__(self, sigma: float, m: int | None = None) -> None:
+    def __init__(self, sigma: float, m: "int | None" = None) -> None:
         check_sigma(sigma)
         if m is not None and m < 1:  # refused alike on every route, before any table
             raise DomainError("m must be >= 1")
         self.sigma = sigma
         self.m = m
-        self._mags: list[float] = []
+        self._mags: "list[float]" = []
+        self._factors: "dict[int, tuple]" = {}  # tail_factors at N = 2m + 1, by m
         self._cutoff = 0  # the last selected cutoff; 0 before the first
+        self._near_exceptional = abs(sigma - 1.0) < EXCEPTIONAL_DISTANCE_THRESHOLD
 
     def select(self, t: float) -> int:
         """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
@@ -139,30 +147,53 @@ class Line:
         call; ParameterExhaustionError for |t| > T_MAX.  At fixed t the bound
         over its share falls strictly with N, so every start steps to the
         same m."""
-        if not abs(t) <= T_MAX:
+        return self._bounds(t, None)[0]
+
+    def _bounds(self, t: float, m: "int | None") -> tuple:
+        """m, selected where None, the rising-factorial chain (s)_1, (s)_3,
+        ..., (s)_13 at s = sigma + i t, and the last check, at N = 2m + 1
+        (_excess), whose bounds the budget takes."""
+        if m is None and not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
         sigma, z = self.sigma, complex(self.sigma, t)
-        poch15 = abs(math.prod(map(operator.add, repeat(z, 15), range(15))))
-        shift15 = abs(z + 15.0)
-
-        def excess(b: float) -> float:  # the bound over its share at N = b
-            return (boole_bound(poch15, sigma, shift15, b)
-                    / (CUTOFF_SHARE * sum_rounding(sigma, t, math.log(b))))
-
+        p3 = z * ((z + 1.0) * (z + 2.0))  # each the last times two more factors
+        p5 = p3 * ((z + 3.0) * (z + 4.0))
+        p7 = p5 * ((z + 5.0) * (z + 6.0))
+        p9 = p7 * ((z + 7.0) * (z + 8.0))
+        p11 = p9 * ((z + 9.0) * (z + 10.0))
+        p13 = p11 * ((z + 11.0) * (z + 12.0))
+        rising = (z, p3, p5, p7, p9, p11, p13)
+        point = (t, abs(p13) * abs(z + 13.0) * abs(z + 14.0), abs(z + 15.0))
+        if m:
+            return m, rising, self._excess(point, m)
         m = self._cutoff
-        if (not m or m > 1 and excess(2.0 * m - 1.0) <= 1.0
-                or excess(2.0 * m + 1.0) > 1.0):
+        if (not m or m > 1 and self._excess(point, m - 1)[0] <= 1.0
+                or (last := self._excess(point, m))[0] > 1.0):
             # the bound falls at least like N^-(sigma + 14), the share grows
             b = 2.0 * abs(t) + 3.0
             for _ in range(2):
-                b = max(3.0, b * excess(b) ** (1.0 / (sigma + 14.0)))
+                b = max(3.0, b * self._excess(point, 0, b)[0] ** (1.0 / (sigma + 14.0)))
             m = math.ceil((b - 1.0) / 2.0)
-            while m > 1 and excess(2.0 * m - 1.0) <= 1.0:
+            while m > 1 and self._excess(point, m - 1)[0] <= 1.0:
                 m -= 1
-            while excess(2.0 * m + 1.0) > 1.0:
+            while (last := self._excess(point, m))[0] > 1.0:
                 m += 1
         self._cutoff = m
-        return m
+        return m, rising, last
+
+    def _excess(self, point: tuple, m: int, guess: float = 0.0) -> tuple:
+        """Boole's bound over its share at N = 2m + 1, from the factors kept
+        per m, or at N = guess with no bracket built; then the factors, the
+        bound and the share.  point = (t, |(s)_15|, |s + 15|)."""
+        t, poch15, shift15 = point
+        if guess:
+            factors = tail_factors(self.sigma, guess, False)
+        else:
+            factors = self._factors.get(m)
+            if factors is None:
+                factors = self._factors[m] = tail_factors(self.sigma, 2.0 * m + 1.0)
+        bound, share = boole_bound(poch15, shift15, factors), sum_rounding(t, factors)
+        return bound / (CUTOFF_SHARE * share), factors, bound, share
 
     def partial_sum(self, t: float, m: int) -> complex:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t; DomainError
@@ -190,10 +221,12 @@ class Line:
         """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), both budget parts
         multiplied by 1 / |1 - 2^(1-s)|, or the stepwise continuation
         (|t| <= 20 only) within EXCEPTIONAL_DISTANCE_THRESHOLD of an
-        exceptional point.  The point, its budget and its result are each
-        built once."""
+        exceptional point.  A line farther than that from sigma = 1 never
+        measures the distance.  The point, its budget and its result are
+        each built once."""
         s = ComplexPoint(self.sigma, t)
-        if exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD:
+        if (self._near_exceptional
+                and exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD):
             return zeta_em_stepwise(s)
         denominator = _one_minus_two_pow(1.0 - s.z)
         if abs(denominator) < POLE_GAP:
@@ -204,7 +237,7 @@ class Line:
                           ErrorBudget.assemble(truncation * scale, rounding * scale),
                           MethodTag.DIRECT26, m)
 
-    def _eval(self, s: ComplexPoint) -> tuple[complex, float, float, int]:
+    def _eval(self, s: ComplexPoint) -> "tuple[complex, float, float, int]":
         """eta's value, truncation and rounding bounds and m at s on this
         line, before any budget or result is built.
 
@@ -216,23 +249,26 @@ class Line:
         its magnitude, cosine, sine and the compensated sum.  S bounds
         sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
         (sum_rounding); 8 u |value| more covers the last sum and a later
-        division by 1 - 2^(1-s).
+        division by 1 - 2^(1-s).  Both bounds are the cutoff's last check's
+        (_bounds); the correction reads its chain and factors.
         """
-        m = self.m or self.select(s.t)
+        m, rising, (_, factors, truncation, share) = self._bounds(s.t, self.m)
+        if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln N) fails
+            raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
+                                           f"at t = {s.t:g}, m = {m} exceeds double range")
         # looked up in eta_core at call time, where a tracer may wrap it
-        correction, truncation, rounding = eta_core.correction_term(s, m)
+        correction, rounding = eta_core.correction_term(s, rising, factors)
         value = self.partial_sum(s.t, m) + correction
-        rounding += sum_rounding(self.sigma, s.t, math.log(2 * m + 1)) \
-            + 8.0 * UNIT_ROUNDOFF * abs(value)
+        rounding += share + 8.0 * UNIT_ROUNDOFF * abs(value)
         return value, truncation, rounding, m
 
 
-def eta(s: ComplexPoint, m: int | None = None) -> EvalResult:
+def eta(s: ComplexPoint, m: "int | None" = None) -> EvalResult:
     """eta(s) on -0.5 <= sigma <= 3 (see Line.eta); m overrides the cutoff."""
     return Line(s.sigma, m).eta(s.t)
 
 
-def zeta(s: ComplexPoint, m: int | None = None) -> EvalResult:
+def zeta(s: ComplexPoint, m: "int | None" = None) -> EvalResult:
     """zeta(s) on -0.5 <= sigma <= 3, s != 1 (see Line.zeta); m overrides
     the cutoff."""
     return Line(s.sigma, m).zeta(s.t)

@@ -19,6 +19,20 @@ median and interquartile range of each in milliseconds:
   `import eta_zeta.cli`, output discarded: scan throughput without bench/.
   The same interpreters' max RSS is printed as scan_rss, median in MB.
 
+For setup and scan_setup it also prints, per directory, the garbage
+collections that run inside the timed region, the net GC-tracked
+allocations from `import eta_zeta` to the first value, and the gen-0 count
+when the region ends.  CPython collects gen 0 once its count passes 700
+(`gc.get_threshold()`), so an end count near 700 means a few more objects
+at import or in the first value cost a collection in every cold start.
+Reading these counters needs `import gc` before the region, which bench/run.py
+does not do, so it also prints the headroom of bench/run.py's own region: how
+many more tracked objects (function objects made just before it) it takes
+before a collection runs inside it, bisected with a cyclic sentinel that
+only a collection frees; -1 means it collects with none.  The sentinel and
+the padding take a few objects themselves: compare trees, not the numbers
+with 700.
+
 Give the parent's and the change's `src/` in one run to compare them under
 the same load.  pytest does not collect this file.
 """
@@ -26,19 +40,45 @@ the same load.  pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-# argv: src dir, function, sigma, t
+# argv: src dir, function, sigma, t.  Prints the wall time, the collections
+# in the region, the net GC-tracked allocations (the gen-0 count's growth plus
+# the threshold + 1 it reached before each collection reset it) and the gen-0
+# count at the end.  Reading the counters allocates nothing that survives.
 SETUP_CODE = """
+import gc, sys, time
+sys.path.insert(0, sys.argv[1])
+done = sum(gen["collections"] for gen in gc.get_stats())
+first = gc.get_count()[0]
+start = time.perf_counter()
+import eta_zeta
+getattr(eta_zeta, sys.argv[2])(eta_zeta.ComplexPoint(float(sys.argv[3]), float(sys.argv[4])))
+elapsed = time.perf_counter() - start
+last = gc.get_count()[0]
+runs = sum(gen["collections"] for gen in gc.get_stats()) - done
+print(repr(elapsed), runs, last - first + runs * (gc.get_threshold()[0] + 1), last,
+      eta_zeta.__file__)
+"""
+
+# argv: src dir, function, sigma, t, padding.  bench/run.py's set-up region
+# after `padding` function objects; prints 1 if a collection ran in it
+HEADROOM_CODE = """
 import sys, time
+freed = []
+class Sentinel:
+    def __del__(self): freed.append(1)
+pad = [(lambda: None) for _ in range(int(sys.argv[5]))]
+sentinel = Sentinel(); sentinel.cycle = sentinel; del sentinel
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import eta_zeta
 getattr(eta_zeta, sys.argv[2])(eta_zeta.ComplexPoint(float(sys.argv[3]), float(sys.argv[4])))
-print(repr(time.perf_counter() - start), eta_zeta.__file__)
+print(len(freed), eta_zeta.__file__)
 """
 
 CLI_CODE = """
@@ -84,6 +124,17 @@ def sample(src: Path, code: str, *argv: str) -> list[float]:
     return list(map(float, values))
 
 
+def headroom(src: Path, *argv: str) -> int:
+    """The most padding objects with no collection in the set-up region,
+    bisected over 0..700; -1 if it collects with none."""
+    low, high = -1, 700
+    while low < high:
+        mid = (low + high + 1) // 2
+        collected, = sample(src, HEADROOM_CODE, *argv, str(max(mid, 0)))
+        low, high = (mid, high) if not collected else (low, mid - 1)
+    return low
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="+", type=Path,
@@ -93,21 +144,29 @@ def main() -> int:
     args = parser.parse_args()
     srcs = [src.resolve() for src in args.src]
     times = {(src, name): [] for src in srcs for name in MEASUREMENTS}
-    scan_rss = {src: [] for src in srcs}
+    extras = {(src, name): [] for src in srcs for name in MEASUREMENTS}
     for i in range(args.runs):
         order = srcs[i % len(srcs):] + srcs[:i % len(srcs)]
         for name, (code, *argv) in MEASUREMENTS.items():
             for src in order:
-                elapsed, *rss = sample(src, code, *argv)
+                elapsed, *extra = sample(src, code, *argv)
                 times[src, name].append(elapsed)
-                scan_rss[src] += rss
+                extras[src, name].append(extra)
     for (src, name), values in times.items():
         q1, median, q3 = statistics.quantiles(values, n=4)
         print(f"{name:10s}  median {median * 1e3:7.2f} ms  "
               f"[IQR {q1 * 1e3:7.2f} - {q3 * 1e3:7.2f}]  n={len(values)}  {src}")
-    for src, values in scan_rss.items():
-        print(f"{'scan_rss':10s}  max RSS median {statistics.median(values):6.2f} MB  "
-              f"n={len(values)}  {src}")
+    for (src, name), values in extras.items():
+        if name == "scan":
+            rss = statistics.median(rss for rss, in values)
+            print(f"{'scan_rss':10s}  max RSS median {rss:6.2f} MB  "
+                  f"n={len(values)}  {src}")
+        elif MEASUREMENTS[name][0] is SETUP_CODE:
+            collections, allocated, last = (statistics.median(v) for v in zip(*values))
+            print(f"{name + '_gc':10s}  collections {collections:g}  net tracked "
+                  f"allocations {allocated:g}  gen-0 count at the end {last:g} of "
+                  f"{gc.get_threshold()[0]}  (medians, n={len(values)})  "
+                  f"headroom {headroom(src, *MEASUREMENTS[name][1:])}  {src}")
     return 0
 
 

@@ -3,8 +3,11 @@
 alternating_partial_sum is the direct evaluator's per-point loop as it was
 before the line evaluator (zeta_bridge.Line) took it over: the line must
 reproduce it bit for bit, because it performs the same float operations in
-the same order.  smallest_cutoff is Line.select's rule as a plain loop
-over m, on partial_sum_rounding, the rounding bound written out plainly.
+the same order.  truncation_bound is Boole's bound as the per-point code
+formed it before the line kept its factors per (line, m): the line must
+reproduce it bit for bit too.  smallest_cutoff is Line.select's rule as a
+plain loop over m, on truncation_bound and partial_sum_rounding, the
+rounding bound written out plainly.
 log_gamma is the complex log-gamma of the functional-equation route that the
 paper's formula on the whole strip replaced; its tests keep the reference.
 """
@@ -12,9 +15,9 @@ paper's formula on the whole strip replaced; its tests keep the reference.
 import cmath
 import math
 
-from eta_zeta import ComplexPoint, DomainError
+from eta_zeta import DomainError
 from eta_zeta.coefficients import _bernoulli_fractions
-from eta_zeta.eta_core import CUTOFF_SHARE, UNIT_ROUNDOFF, correction_term
+from eta_zeta.eta_core import C14, C15, CUTOFF_SHARE, UNIT_ROUNDOFF
 
 
 def alternating_partial_sum(sigma, t, m):
@@ -39,6 +42,24 @@ def alternating_partial_sum(sigma, t, m):
     return complex(sum_re, sum_im)
 
 
+def truncation_bound(sigma, t, m):
+    """Boole's bound on the truncation error at N = 2m + 1, per point:
+    |(s)_15| as |(s)_13| |s + 13| |s + 14|, (s)_13 two factors at a time,
+    and N^-14 as N^-sigma, beta times six beta^2, and beta once more."""
+    z = complex(sigma, t)
+    prod = z
+    for k in range(1, 13, 2):
+        prod *= (z + k) * (z + (k + 1))
+    poch15 = abs(prod) * abs(z + 13.0) * abs(z + 14.0)
+    b = float(2 * m + 1)
+    beta = 1.0 / b
+    beta2 = beta * beta
+    return (poch15 * math.exp(-sigma * math.log(b))
+            * (beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2) * beta
+            * min(C14 / (sigma + 14.0),
+                  C15 * beta * (1.0 + abs(z + 15.0) / (sigma + 15.0))))
+
+
 def partial_sum_rounding(sigma, t, m):
     """The partial sum's rounding bound u S (8 + |t| ln N), N = 2m + 1, with
     S = 1 + int_1^N x^-sigma dx in its plain closed form."""
@@ -49,11 +70,10 @@ def partial_sum_rounding(sigma, t, m):
 
 
 def smallest_cutoff(sigma, t):
-    """The first m = 1, 2, ... whose correction_term truncation bound is at
-    most CUTOFF_SHARE of partial_sum_rounding."""
+    """The first m = 1, 2, ... whose truncation_bound is at most
+    CUTOFF_SHARE of partial_sum_rounding."""
     m = 1
-    while (correction_term(ComplexPoint(sigma, t), m)[1]
-           > CUTOFF_SHARE * partial_sum_rounding(sigma, t, m)):
+    while truncation_bound(sigma, t, m) > CUTOFF_SHARE * partial_sum_rounding(sigma, t, m):
         m += 1
     return m
 

@@ -18,8 +18,9 @@ from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustion
                       eta, zeta)
 from eta_zeta import eta_core, zeta_bridge
 from eta_zeta.cli import scan_lines
-from eta_zeta.eta_core import T_MAX, TERMS_KEPT, correction_term, log_table
-from eta_zeta.zeta_bridge import Line
+from eta_zeta.eta_core import T_MAX, TERMS_KEPT, log_table
+from eta_zeta.zeta_bridge import (EXCEPTIONAL_DISTANCE_THRESHOLD, EXCEPTIONAL_SPACING, Line,
+                                  exceptional_distance)
 
 import reference_loops as ref
 
@@ -50,12 +51,12 @@ def test_partial_sum_matches_reference(sigma):
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_truncation_matches_pointwise(sigma):
     # an explicit m's truncation bound is the per-point one, bit for bit, on
-    # a line reused over t
+    # a line reused over t that keeps its factors at N = 2m + 1
     for m in MS:
         line = Line(sigma, m)
         for t in TS:
             assert line.eta(t).budget.truncation.hex() \
-                == correction_term(ComplexPoint(sigma, t), m)[1].hex(), (m, t)
+                == ref.truncation_bound(sigma, t, m).hex(), (m, t)
 
 
 _RNG = random.Random(31)
@@ -128,6 +129,88 @@ def test_far_jump_costs_no_more_than_fresh_lines(calls):
     calls.clear()
     assert [Line(-0.5).select(0.0), Line(-0.5).select(186.0)] == reused
     assert reused_calls <= len(calls) + 2, (reused_calls, len(calls))
+
+
+def _record(monkeypatch, name):
+    """Each call of zeta_bridge's name as (arguments, result), as it happens."""
+    calls = []
+    fn = getattr(zeta_bridge, name)
+
+    def recorded(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(zeta_bridge, name, recorded)
+    return calls
+
+
+# (sigma, t, selected m, bound reads of a fresh line's selection)
+PINNED_READS = [(0.5, 14.134725, 20, 4), (-0.5, 186.0, 197, 5), (0.5, 0.0, 8, 4),
+                (3.0, 100.0, 58, 4), (-0.3, 20.0, 27, 4), (2.5, 170.0, 103, 5)]
+
+
+@pytest.mark.parametrize("sigma, t, m, reads", PINNED_READS)
+def test_each_bound_is_read_once_per_check(monkeypatch, sigma, t, m, reads):
+    # a point reads Boole's bound and the partial sum's share only in its
+    # cutoff's checks, a fresh line as often as its selection alone always
+    # did, a reused one once on each side; the budget's truncation is the
+    # last bound the selection read, so the cutoff's share holds by
+    # construction.  An explicit m reads each once
+    bounds = _record(monkeypatch, "boole_bound")
+    shares = _record(monkeypatch, "sum_rounding")
+    line = Line(sigma)
+    result = line.eta(t)
+    assert result.m == m and len(bounds) == len(shares) == reads
+    assert result.budget.truncation.hex() == bounds[-1][1].hex()
+    for point in (line.eta, line.zeta):
+        bounds.clear()
+        shares.clear()
+        result = point(math.nextafter(t, 0.0))
+        assert result.m == m and len(bounds) == len(shares) == 2
+    bounds.clear()
+    shares.clear()
+    result = Line(sigma, 40).eta(t)
+    assert len(bounds) == len(shares) == 1
+    assert result.budget.truncation.hex() == bounds[0][1].hex()
+
+
+def test_factors_are_built_once_per_m_on_the_scan_grid(monkeypatch):
+    # over line_scan's 5001-point grid the factors at N = 2m + 1 are built
+    # once for each m read, and kept; every other build is one of a solve's
+    # two guesses, which keep nothing and build no bracket
+    builds = _record(monkeypatch, "tail_factors")
+    line = Line(0.5)
+    for k in range(5001):
+        line.zeta(k * 0.01)
+    kept = [b for (sigma, b, *bracket), _ in builds if not bracket]
+    guesses = [b for (sigma, b, *bracket), _ in builds if bracket == [False]]
+    assert len(kept) + len(guesses) == len(builds)
+    assert sorted(kept) == sorted(2.0 * m + 1.0 for m in line._factors)
+    assert len(set(kept)) == len(kept) > 40
+    assert len(guesses) % 2 == 0
+
+
+EXCEPTIONAL_SIGMAS = [x for d in (-1e-4, 1e-4)
+                      for x in (math.nextafter(1.0 + d, 0.0), 1.0 + d,
+                                math.nextafter(1.0 + d, 2.0))] + [1.0 - 0.5e-4, 1.0 + 0.5e-4]
+
+
+@pytest.mark.parametrize("sigma", EXCEPTIONAL_SIGMAS)
+def test_stepwise_route_exactly_within_the_threshold(sigma):
+    # a line skips the distance test when |sigma - 1| alone reaches the
+    # threshold; the route must still be stepwise exactly where the distance
+    # is below it.  Pointwise zeta runs through a Line too, so this checks
+    # the route against exceptional_distance itself
+    line = Line(sigma)
+    routes = set()
+    for n in (1, 2):
+        for d in (0.0, 0.5e-4, -0.5e-4, 0.99e-4, -0.99e-4, 1.01e-4, -1.01e-4):
+            t = n * EXCEPTIONAL_SPACING + d
+            near = exceptional_distance(ComplexPoint(sigma, t)) < EXCEPTIONAL_DISTANCE_THRESHOLD
+            assert (line.zeta(t).method is MethodTag.STEPWISE3) == near, (sigma, t)
+            routes.add(near)
+    assert routes == {True, False} or abs(sigma - 1.0) >= EXCEPTIONAL_DISTANCE_THRESHOLD
 
 
 def test_paper_design_pairs():

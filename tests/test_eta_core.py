@@ -16,6 +16,7 @@ from eta_zeta.eta_core import C15, R_MAX, correction_term, dirichlet_sum
 from eta_zeta.zeta_bridge import Line
 
 import oracles
+import reference_loops as ref
 
 GRID = [(sigma, t) for sigma in (0.5, 0.75, 1.0)
         for t in (0.0, 5.0, 14.1, 25.0, 40.0)]
@@ -81,7 +82,9 @@ def test_correction_reduces_to_half_at_s_zero():
     # every series term carries a factor s, and (2m+1)^0 = 1
     # and Boole's remainder vanishes with (s)_15
     for m in (1, 40, 150):
-        assert correction_term(ComplexPoint(0, 0), m)[:2] == (0.5 + 0j, 0.0)
+        _, chain, (_, factors, truncation, _) = Line(0.0, m)._bounds(0.0, m)
+        assert correction_term(ComplexPoint(0, 0), chain, factors)[0] == 0.5 + 0j
+        assert truncation == 0.0
 
 
 def test_correction_matches_remainder_oracle_at_one():
@@ -89,7 +92,8 @@ def test_correction_matches_remainder_oracle_at_one():
     # evaluates to 6.2109405508e-3 (leading term alone would be 1/162)
     exact_head = sum(Fraction((-1) ** (n + 1), n) for n in range(1, 81))
     remainder = math.log(2.0) - float(exact_head)
-    corr, truncation, rounding = correction_term(ComplexPoint(1, 0), 40)
+    _, chain, (_, factors, truncation, _) = Line(1.0, 40)._bounds(0.0, 40)
+    corr, rounding = correction_term(ComplexPoint(1, 0), chain, factors)
     assert corr.imag == 0.0
     assert truncation < 1e-25 and rounding < 1e-16
     assert remainder == pytest.approx(6.2109405508e-3, abs=1e-12)
@@ -197,7 +201,7 @@ def test_oracle_agreement_against_accelerated_series():
 def test_budget_structure():
     result = Line(0.75, 40).eta(14.1)
     budget = result.budget
-    assert budget.truncation == correction_term(ComplexPoint(0.75, 14.1), 40)[1]
+    assert budget.truncation == ref.truncation_bound(0.75, 14.1, 40)
     for part in (budget.truncation, budget.rounding):
         assert part > 0.0
         assert budget.total >= part

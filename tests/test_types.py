@@ -75,6 +75,20 @@ def test_named_fields_unpack_and_compare_as_tuples():
     assert ErrorBudget(1.0, 2.0, 3.0) == ErrorBudget.assemble(1.0, 2.0) == (1.0, 2.0, 3.0)
 
 
+def test_method_tags_are_their_strings():
+    # a tag is the str of its value, one object per member, iterated in
+    # declaration order and pickled by name
+    direct, stepwise = MethodTag.DIRECT26, MethodTag.STEPWISE3
+    assert list(MethodTag) == [direct, stepwise]
+    assert set(MethodTag) == {"Direct26", "Stepwise3"}
+    for tag, text in ((direct, "Direct26"), (stepwise, "Stepwise3")):
+        assert isinstance(tag, str) and tag == text and hash(tag) == hash(text)
+        assert str(tag) == f"{tag}" == text and type(str(tag)) is str
+        assert repr(tag) == repr(text)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(tag, protocol)) is tag
+
+
 @pytest.mark.parametrize("sigma, t", [(math.inf, 0.0), (0.5, -math.inf),
                                       (math.nan, 1.0)])
 def test_point_must_be_finite(sigma, t):
