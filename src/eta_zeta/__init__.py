@@ -6,9 +6,9 @@ See eta() and zeta() in this namespace for the user-facing entry points;
 the building blocks stay importable from their own modules.
 """
 
-from .errors import (DomainError, EtaZetaError, NonConvergentTailError,
-                     ParameterExhaustionError, PoleError)
-from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
+from .types import (ComplexPoint, DomainError, ErrorBudget, EtaZetaError, EvalResult,
+                    MethodTag, NonConvergentTailError, ParameterExhaustionError,
+                    PoleError)
 from .zeta_bridge import eta, exceptional_distance, zeta
 
 __version__ = "0.1.0"

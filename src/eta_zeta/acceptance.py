@@ -17,9 +17,9 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .coefficients import p_coefficient_asymptotic, p_coefficients
+from .coefficients import p_coefficients
 from .eta_core import R_MAX
-from .types import ComplexPoint, EvalResult
+from .types import ComplexPoint, DomainError, EvalResult
 from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
 
 EPS = sys.float_info.epsilon
@@ -169,6 +169,13 @@ def _cutoff_checks() -> list[CheckResult]:
     pairs = [(t, _eta_value(1.0, t), _eta_value(1.0, t, m=1100)) for t in (36, 50)]
     return [_check(f"selected cutoff sigma=1 t={t} vs m=1100", abs(a.value - b.value),
                    a.budget.total + b.budget.total) for t, a, b in pairs]
+
+
+def p_coefficient_asymptotic(r: int) -> float:
+    """Large-r form of p[r]: 2 (-1)^(r+1) / pi^(2r)."""
+    if r < 1:
+        raise DomainError("r must be >= 1")
+    return 2.0 * (-1.0) ** (r + 1) / math.pi ** (2 * r)
 
 
 def _coefficient_checks() -> list[CheckResult]:

@@ -16,8 +16,7 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .errors import EtaZetaError
-from .types import ComplexPoint, EvalResult
+from .types import ComplexPoint, EtaZetaError, EvalResult
 from .eta_core import check_sigma
 from .zeta_bridge import LN2, Line, eta, zeta
 

@@ -7,15 +7,15 @@ power series
 
 with B_{2r} the even Bernoulli numbers.  Everything here is generated from
 exact integer rationals and rounded to double precision once at the end, so
-each table entry is the correctly rounded double.  The related coefficients
-C_k(s) of the stepwise continuation are plain complex products.
+each table entry is the correctly rounded double.
+
+eta_core binds the table at import.  It stays a module of its own, importing
+nothing from the package, because the benchmark times its build here
+(bench/run.py, p_table_build_ms).
 """
 
 import functools
 import math
-
-from .errors import DomainError
-from .types import ComplexPoint
 
 # Subscripted annotations are quoted: import builds no object for them.
 
@@ -48,23 +48,3 @@ def p_coefficients(r_max: int) -> "tuple[float, ...]":
         p.append((2 ** (2 * r) - 1) * b[2 * r] / (den * math.factorial(2 * r)))
     return tuple(p)
 
-
-def p_coefficient_asymptotic(r: int) -> float:
-    """Large-r form of p[r]: 2 (-1)^(r+1) / pi^(2r)."""
-    if r < 1:
-        raise DomainError("r must be >= 1")
-    return 2.0 * (-1.0) ** (r + 1) / math.pi ** (2 * r)
-
-
-def c_coefficient(k: int, s: ComplexPoint) -> complex:
-    """Stepwise-continuation coefficient: prod_{r=0}^{2k-1}(s+r) / ((2k+1)! 2^(2k)).
-
-    No overflow guard; callers bound k.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    z = s.z
-    prod = complex(1.0, 0.0)
-    for r in range(2 * k):
-        prod *= z + r
-    return prod / (math.factorial(2 * k + 1) * 4.0 ** k)

@@ -21,8 +21,7 @@ from collections.abc import Iterable, Iterator
 from itertools import cycle, repeat
 
 from .coefficients import p_coefficients
-from .errors import DomainError
-from .types import ComplexPoint
+from .types import ComplexPoint, DomainError
 
 # Subscripted annotations are quoted: import builds no object for them.
 

@@ -13,13 +13,11 @@ import sys
 from itertools import chain, islice, repeat
 
 from . import eta_core
-from .coefficients import c_coefficient
-from .errors import (DomainError, NonConvergentTailError, ParameterExhaustionError,
-                     PoleError)
 from .eta_core import (CUTOFF_SHARE, T_MAX, TERMS_KEPT, UNIT_ROUNDOFF, _signed_powers,
                        boole_bound, check_sigma, dirichlet_sum, log_table, sum_rounding,
                        tail_factors)
-from .types import ComplexPoint, ErrorBudget, EvalResult, MethodTag
+from .types import (ComplexPoint, DomainError, ErrorBudget, EvalResult, MethodTag,
+                    NonConvergentTailError, ParameterExhaustionError, PoleError)
 
 # Subscripted and union annotations are quoted: import builds no object for them.
 
@@ -78,11 +76,13 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
 
         zeta(s) = 1 + (2/3)^(s-1) / (s-1) - sum_{k>=1} C_k(s) [zeta(s+2k) - 1]
 
-    The inner zeta values sit at Re >= sigma + 2 and come from the direct
-    series with an integral tail.  Terms are added until two consecutive ones
-    fall below STEPWISE_TOL relative to the running value, for at most
-    STEPWISE_K_MAX terms.  The budget is the flat STEPWISE_ERR_ENVELOPE plus
-    the rounding 8 u |value|, which dominates next to s = 1.
+    with C_k(s) = (s)_(2k) / ((2k+1)! 4^k), its rising factorial built as a
+    running product over k.  The inner zeta values sit at Re >= sigma + 2
+    and come from the direct series with an integral tail.  Terms are added
+    until two consecutive ones fall below STEPWISE_TOL relative to the
+    running value, for at most STEPWISE_K_MAX terms.  The budget is the flat
+    STEPWISE_ERR_ENVELOPE plus the rounding 8 u |value|, which dominates
+    next to s = 1.
     """
     z = s.z
     if abs(z - 1.0) < POLE_GAP:  # 1 / (s - 1) would leave the double range
@@ -91,9 +91,12 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
         raise DomainError("exceptional point requires stepwise path beyond "
                           f"|t|<={STEPWISE_T_MAX:g}")
     acc = 1.0 + cmath.exp((z - 1.0) * math.log(2.0 / 3.0)) / (z - 1.0)
+    rising = complex(1.0, 0.0)  # (s)_(2k)
     consecutive_small = 0
     for k in range(1, STEPWISE_K_MAX + 1):
-        term = (c_coefficient(k, s)
+        rising *= z + (2 * k - 2)
+        rising *= z + (2 * k - 1)
+        term = (rising / (math.factorial(2 * k + 1) * 4.0 ** k)
                 * (_zeta_dirichlet_tail(z + 2.0 * k) - 1.0))
         acc -= term
         if abs(term) < STEPWISE_TOL * abs(acc):

@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
-from hypothesis import strategies as st
 
-from eta_zeta import ComplexPoint, DomainError
-from eta_zeta.coefficients import (_bernoulli_fractions, c_coefficient,
-                                   p_coefficient_asymptotic, p_coefficients)
+from eta_zeta import DomainError
+from eta_zeta.acceptance import p_coefficient_asymptotic
+from eta_zeta.coefficients import _bernoulli_fractions, p_coefficients
 
 # Published table for the kernel-series coefficients: exact rationals and the
 # decimals printed alongside them (finite-digit rows only).
@@ -100,23 +98,3 @@ def test_asymptotic_rejects_bad_r():
     with pytest.raises(DomainError):
         p_coefficient_asymptotic(0)
 
-
-def test_c_coefficient_examples():
-    assert c_coefficient(1, ComplexPoint(1, 0)) == pytest.approx(1.0 / 12.0)
-    assert c_coefficient(1, ComplexPoint(0, 0)) == 0.0
-    assert c_coefficient(2, ComplexPoint(1, 0)) == pytest.approx(0.0125)
-
-
-def test_c_coefficient_rejects_bad_k():
-    with pytest.raises(DomainError):
-        c_coefficient(0, ComplexPoint(1, 0))
-
-
-@given(k=st.integers(min_value=1, max_value=6),
-       sigma=st.floats(-3, 3, allow_nan=False),
-       t=st.floats(-30, 30, allow_nan=False))
-def test_c_coefficient_conjugation(k, sigma, t):
-    # polynomial with real coefficients: c(k, conj s) = conj(c(k, s))
-    plus = c_coefficient(k, ComplexPoint(sigma, t))
-    minus = c_coefficient(k, ComplexPoint(sigma, -t))
-    assert abs(minus - plus.conjugate()) <= 2e-16 * abs(plus)

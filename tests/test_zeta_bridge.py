@@ -338,7 +338,10 @@ def test_stepwise_guards(monkeypatch):
 @pytest.mark.parametrize("sigma,t", [(-0.5, 3.7), (-0.25, 12.3), (0.1, 7.7),
                                      (0.5, 14.134725), (0.75, 21.3),
                                      (1.0, 33.0), (1.5, 8.5), (2.5, 41.0),
-                                     (0.6, 0.37), (0.9, 48.2)])
+                                     (0.6, 0.37), (0.9, 48.2),
+                                     # zeta takes the stepwise route here
+                                     (1.0, T1 + 3e-5), (1.0 + 2e-5, 2.0 * T1 - 4e-5),
+                                     (1.0, T1 + 1e-9)])
 def test_conjugation_symmetry(sigma, t):
     # bit for bit on one line, which reuses its sigma-only state at -t; the
     # 2-ulp check on separate calls is the acceptance check "conjugation
