@@ -136,9 +136,7 @@ def _special_value_checks() -> list[CheckResult]:
 def _table2_checks() -> list[CheckResult]:
     checks = []
     worst_even = 0.0
-    for n in range(0, 12, 2):
-        if n == 0:
-            continue
+    for n in range(2, 12, 2):
         v = _eta_value(1.0, n * math.pi / LN2, m=50).value
         worst_even = max(worst_even, abs(v))
     checks.append(_check("table2 even rows max |eta| (m=50)", worst_even, 1e-11))
@@ -256,15 +254,8 @@ def _determinism_checks() -> list[CheckResult]:
 
 def run_checks() -> list[CheckResult]:
     """Run every verification check and return the results in print order."""
-    checks: list[CheckResult] = []
-    checks.extend(_special_value_checks())
-    checks.extend(_table2_checks())
-    checks.extend(_critical_zero_checks())
-    checks.extend(_cutoff_checks())
-    checks.extend(_coefficient_checks())
-    checks.extend(_conjugation_checks())
-    checks.extend(_conversion_checks())
-    checks.extend(_cross_method_checks())
-    checks.extend(_oracle_checks())
-    checks.extend(_determinism_checks())
-    return checks
+    groups = (_special_value_checks, _table2_checks, _critical_zero_checks,
+              _cutoff_checks, _coefficient_checks, _conjugation_checks,
+              _conversion_checks, _cross_method_checks, _oracle_checks,
+              _determinism_checks)
+    return [check for group in groups for check in group()]

@@ -90,11 +90,11 @@ def _signed_powers(sigma: float, start: int, lns: "Iterable[float]") -> "Iterato
     return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
 
 
-def tail_factors(sigma: float, b: float, bracket: bool = True) -> tuple:
+def tail_factors(sigma: float, b: float) -> tuple:
     """The t-free inputs of sum_rounding, boole_bound and correction_term at
     N = b, in order: ln N, u S, u N^-sigma, the bracket's P_{2r-1} beta^(2r-1)
-    with beta = 1/N (none unless bracket), N^-sigma, beta^13, beta,
-    C14 / (sigma + 14), C15 beta and sigma + 15, each formed as per point."""
+    with beta = 1/N, N^-sigma, beta^13, beta, C14 / (sigma + 14), C15 beta
+    and sigma + 15, each formed as per point."""
     ln_b = math.log(b)
     x = (1.0 - sigma) * ln_b  # S = 1 + int_1^N x^-sigma dx = 1 + expm1(x) / (1 - sigma)
     power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
@@ -102,7 +102,7 @@ def tail_factors(sigma: float, b: float, bracket: bool = True) -> tuple:
     beta = beta_pow = 1.0 / b
     beta2 = beta * beta
     coeffs = []
-    for p in _P[1:R_MAX + 1] if bracket else ():
+    for p in _P[1:R_MAX + 1]:
         coeffs.append(p * beta_pow)
         beta_pow *= beta2
     beta13 = beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2
@@ -113,7 +113,7 @@ def tail_factors(sigma: float, b: float, bracket: bool = True) -> tuple:
 def boole_bound(poch15: float, shift15: float, factors: tuple) -> float:
     """The truncation bound of the formula (see correction_term) at the
     factors' N (tail_factors), from poch15 = |(s)_15| and shift15 =
-    |s + 15|: the one bound both the cutoff's check and the budget read."""
+    |s + 15|: the one bound both the cutoff's search and the budget read."""
     _, _, _, _, scale, beta13, beta, c14_share, c15_beta, sigma15 = factors
     return (poch15 * scale * beta13 * beta
             * min(c14_share, c15_beta * (1.0 + shift15 / sigma15)))
@@ -122,7 +122,7 @@ def boole_bound(poch15: float, shift15: float, factors: tuple) -> float:
 def sum_rounding(t: float, factors: tuple) -> float:
     """The partial sum's rounding bound u S (8 + |t| ln N) at the factors' N
     (see zeta_bridge.Line._eval), S = 1 + int_1^N x^-sigma dx >=
-    sum_{n<=2m} n^-sigma; the budget takes the cutoff's last check's."""
+    sum_{n<=2m} n^-sigma; the budget takes the cutoff search's read at m."""
     return factors[1] * (8.0 + abs(t) * factors[0])
 
 

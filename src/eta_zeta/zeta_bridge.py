@@ -123,42 +123,46 @@ class Line:
     most TERMS_KEPT), and whether |sigma - 1|, a floor of the exceptional
     distance, is below its threshold.  So are the factors at N = 2m + 1
     (eta_core.tail_factors) per m read, and the cutoff the last selection
-    returned, from which the next one steps.  ln n is kept per process
+    returned, from which the next one starts.  ln n is kept per process
     (log_table).  A point then pays only for what depends on t: one
-    rising-factorial chain, the bounds of its cutoff's checks, which its
-    budget reuses, the partial sum and the correction, with the same float
-    operations in the same order as a point alone.  A line is mutable:
+    rising-factorial chain, the bounds its cutoff's search reads (its budget
+    reuses the read at m), the partial sum and the correction, with the same
+    float operations in the same order as a point alone.  A line is mutable:
     create one per caller, do not share it between threads.
     """
 
     def __init__(self, sigma: float, m: "int | None" = None) -> None:
         check_sigma(sigma)
-        if m is not None and m < 1:  # refused alike on every route, before any table
+        try:  # refused alike on every route, before any table
+            self.m = m if m is None else operator.index(m)
+        except TypeError:
+            raise DomainError(f"m must be an integer, not {m!r}") from None
+        if self.m is not None and self.m < 1:
             raise DomainError("m must be >= 1")
         self.sigma = sigma
-        self.m = m
         self._mags: "list[float]" = []
         self._factors: "dict[int, tuple]" = {}  # tail_factors at N = 2m + 1, by m
         self._cutoff = 0  # the last selected cutoff; 0 before the first
+        self._power = 1.0 / (sigma + 14.0)  # the bound falls at least like N^-(sigma + 14)
         self._near_exceptional = abs(sigma - 1.0) < EXCEPTIONAL_DISTANCE_THRESHOLD
 
     def select(self, t: float) -> int:
         """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
-        partial sum's rounding bound u S (8 + |t| ln N) (_eval): the line's
-        last cutoff if its check on each side holds, or else stepped to from a
-        guess solved from the bound's local power law, as on a line's first
-        call; ParameterExhaustionError for |t| > T_MAX.  At fixed t the bound
-        over its share falls strictly with N, so every start steps to the
-        same m."""
+        partial sum's rounding bound u S (8 + |t| ln N) (_eval), by one search
+        that reads at integer m only: from the line's last cutoff, or N >= 2|t|
+        + 3, up to four jumps by the bound's local power law while they move m
+        by more than one, then steps down while m - 1 passes or up until m
+        passes; ParameterExhaustionError for |t| > T_MAX.  At fixed t the bound
+        over its share falls strictly with N, so every start ends at the same m."""
         return self._bounds(t, None)[0]
 
     def _bounds(self, t: float, m: "int | None") -> tuple:
         """m, selected where None, the rising-factorial chain (s)_1, (s)_3,
-        ..., (s)_13 at s = sigma + i t, and the last check, at N = 2m + 1
+        ..., (s)_13 at s = sigma + i t, and the search's read at m, N = 2m + 1
         (_excess), whose bounds the budget takes."""
         if m is None and not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
-        sigma, z = self.sigma, complex(self.sigma, t)
+        z = complex(self.sigma, t)
         p3 = z * ((z + 1.0) * (z + 2.0))  # each the last times two more factors
         p5 = p3 * ((z + 3.0) * (z + 4.0))
         p7 = p5 * ((z + 5.0) * (z + 6.0))
@@ -169,38 +173,39 @@ class Line:
         point = (t, abs(p13) * abs(z + 13.0) * abs(z + 14.0), abs(z + 15.0))
         if m:
             return m, rising, self._excess(point, m)
-        m = self._cutoff
-        if (not m or m > 1 and self._excess(point, m - 1)[0] <= 1.0
-                or (last := self._excess(point, m))[0] > 1.0):
-            # the bound falls at least like N^-(sigma + 14), the share grows
-            b = 2.0 * abs(t) + 3.0
-            for _ in range(2):
-                b = max(3.0, b * self._excess(point, 0, b)[0] ** (1.0 / (sigma + 14.0)))
-            m = math.ceil((b - 1.0) / 2.0)
-            while m > 1 and self._excess(point, m - 1)[0] <= 1.0:
-                m -= 1
-            while (last := self._excess(point, m))[0] > 1.0:
-                m += 1
+        m = self._cutoff or math.ceil(abs(t)) + 1
+        last = self._excess(point, m)
+        for _ in range(4):  # jumps, while they move m by more than one
+            target = max(1, math.ceil(((2 * m + 1) * last[0] ** self._power - 1.0) / 2.0))
+            if -1 <= target - m <= 1:
+                break
+            m, last = target, self._excess(point, target)
+        while last[0] <= 1.0 and m > 1 and (lower := self._excess(point, m - 1))[0] <= 1.0:
+            m, last = m - 1, lower
+        while last[0] > 1.0:
+            m += 1
+            last = self._excess(point, m)
         self._cutoff = m
         return m, rising, last
 
-    def _excess(self, point: tuple, m: int, guess: float = 0.0) -> tuple:
+    def _excess(self, point: tuple, m: int) -> tuple:
         """Boole's bound over its share at N = 2m + 1, from the factors kept
-        per m, or at N = guess with no bracket built; then the factors, the
-        bound and the share.  point = (t, |(s)_15|, |s + 15|)."""
+        per m; then the factors, the bound and the share.  point = (t,
+        |(s)_15|, |s + 15|)."""
         t, poch15, shift15 = point
-        if guess:
-            factors = tail_factors(self.sigma, guess, False)
-        else:
-            factors = self._factors.get(m)
-            if factors is None:
-                factors = self._factors[m] = tail_factors(self.sigma, 2.0 * m + 1.0)
+        factors = self._factors.get(m)
+        if factors is None:
+            factors = self._factors[m] = tail_factors(self.sigma, 2.0 * m + 1.0)
         bound, share = boole_bound(poch15, shift15, factors), sum_rounding(t, factors)
         return bound / (CUTOFF_SHARE * share), factors, bound, share
 
     def partial_sum(self, t: float, m: int) -> complex:
         """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t; DomainError
-        for m < 1."""
+        unless m is an integer >= 1."""
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise DomainError(f"m must be an integer, not {m!r}") from None
         if m < 1:
             raise DomainError("m must be >= 1")
         count, mags, lns = 2 * m, self._mags, log_table(2 * m)
@@ -252,8 +257,8 @@ class Line:
         its magnitude, cosine, sine and the compensated sum.  S bounds
         sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
         (sum_rounding); 8 u |value| more covers the last sum and a later
-        division by 1 - 2^(1-s).  Both bounds are the cutoff's last check's
-        (_bounds); the correction reads its chain and factors.
+        division by 1 - 2^(1-s).  Both bounds are the cutoff search's read at
+        m (_bounds); the correction reads its chain and factors.
         """
         m, rising, (_, factors, truncation, share) = self._bounds(s.t, self.m)
         if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln N) fails

@@ -92,8 +92,8 @@ def calls(monkeypatch):
 
 
 def test_select_continues_from_the_last_cutoff(calls):
-    # a fresh line starts from a guess, a reused one from its last cutoff:
-    # at a nearby t with the same m it reads the bound once on each side.
+    # a fresh line starts from N >= 2|t| + 3, a reused one from its last
+    # cutoff: at a nearby t with the same m it reads the bound at m and m - 1.
     # Walked up and down the reach, and after a refusal, which leaves the
     # kept cutoff alone, the line's cutoff is the plain loop's at every t
     line = Line(0.5)
@@ -120,8 +120,8 @@ def test_select_continues_from_the_last_cutoff(calls):
 
 def test_far_jump_costs_no_more_than_fresh_lines(calls):
     # t = 0 then t = 186 on one line reads the bound at most twice more than
-    # the same two selections on fresh lines: a kept cutoff that fails its
-    # check on either side is dropped for the solved guess, instead of one
+    # the same two selections on fresh lines: the search jumps from a kept
+    # cutoff by the bound's power law as from a fresh start, instead of one
     # step of m per unit of t
     line = Line(-0.5)
     reused = [line.select(0.0), line.select(186.0)]
@@ -146,23 +146,25 @@ def _record(monkeypatch, name):
 
 
 # (sigma, t, selected m, bound reads of a fresh line's selection)
-PINNED_READS = [(0.5, 14.134725, 20, 4), (-0.5, 186.0, 197, 5), (0.5, 0.0, 8, 4),
+PINNED_READS = [(0.5, 14.134725, 20, 4), (-0.5, 186.0, 197, 4), (0.5, 0.0, 8, 4),
                 (3.0, 100.0, 58, 4), (-0.3, 20.0, 27, 4), (2.5, 170.0, 103, 5)]
 
 
 @pytest.mark.parametrize("sigma, t, m, reads", PINNED_READS)
 def test_each_bound_is_read_once_per_check(monkeypatch, sigma, t, m, reads):
     # a point reads Boole's bound and the partial sum's share only in its
-    # cutoff's checks, a fresh line as often as its selection alone always
-    # did, a reused one once on each side; the budget's truncation is the
-    # last bound the selection read, so the cutoff's share holds by
-    # construction.  An explicit m reads each once
+    # cutoff's search, a fresh line as often as its selection alone, a
+    # reused one at m and m - 1; the budget's truncation is the search's one
+    # read at the selected m, so the cutoff's share holds by construction,
+    # and nothing is read after the selection.  An explicit m reads each once
     bounds = _record(monkeypatch, "boole_bound")
     shares = _record(monkeypatch, "sum_rounding")
     line = Line(sigma)
     result = line.eta(t)
     assert result.m == m and len(bounds) == len(shares) == reads
-    assert result.budget.truncation.hex() == bounds[-1][1].hex()
+    at_m = [bound for (*_, factors), bound in bounds if factors is line._factors[m]]
+    assert [bound.hex() for bound in at_m] == [result.budget.truncation.hex()]
+    assert Line(sigma).select(t) == m and bounds[reads:] == bounds[:reads]
     for point in (line.eta, line.zeta):
         bounds.clear()
         shares.clear()
@@ -176,19 +178,30 @@ def test_each_bound_is_read_once_per_check(monkeypatch, sigma, t, m, reads):
 
 
 def test_factors_are_built_once_per_m_on_the_scan_grid(monkeypatch):
-    # over line_scan's 5001-point grid the factors at N = 2m + 1 are built
-    # once for each m read, and kept; every other build is one of a solve's
-    # two guesses, which keep nothing and build no bracket
+    # over line_scan's 5001-point grid every build of the factors is one at
+    # N = 2m + 1 for an m read, kept, once per m
     builds = _record(monkeypatch, "tail_factors")
     line = Line(0.5)
     for k in range(5001):
         line.zeta(k * 0.01)
-    kept = [b for (sigma, b, *bracket), _ in builds if not bracket]
-    guesses = [b for (sigma, b, *bracket), _ in builds if bracket == [False]]
-    assert len(kept) + len(guesses) == len(builds)
-    assert sorted(kept) == sorted(2.0 * m + 1.0 for m in line._factors)
-    assert len(set(kept)) == len(kept) > 40
-    assert len(guesses) % 2 == 0
+    assert sorted(b for (sigma, b), _ in builds) \
+        == sorted(2.0 * m + 1.0 for m in line._factors)
+    assert len(builds) == len(line._factors) > 40
+    assert all(factors is line._factors[(b - 1.0) / 2.0] for (_, b), factors in builds)
+
+
+def test_no_scan_grid_point_reads_more_than_three_bounds(calls):
+    # along line_scan's grid a moved cutoff is stepped to from the kept one,
+    # never searched for afresh: after the fresh first point, each point
+    # reads the bound at most three times, and in fact twice
+    line = Line(0.5)
+    reads = []
+    for k in range(5001):
+        before = len(calls)
+        line.zeta(k * 0.01)
+        reads.append(len(calls) - before)
+    assert max(reads[1:]) <= 3
+    assert reads == [4] + [2] * 5000
 
 
 EXCEPTIONAL_SIGMAS = [x for d in (-1e-4, 1e-4)

@@ -10,6 +10,8 @@ import eta_zeta
 from eta_zeta import (ComplexPoint, DomainError, ErrorBudget, EvalResult,
                       MethodTag, ParameterExhaustionError, eta)
 
+import cold_start
+
 SRC = Path(eta_zeta.__file__).resolve().parent.parent
 
 # Modules a fresh interpreter must not load for import eta_zeta plus a value,
@@ -42,6 +44,20 @@ def test_import_and_first_values_load_no_heavy_module():
     assert {name for name in with_cli - library
             if name.split(".")[0] == "eta_zeta"} == {"eta_zeta.cli"}
     assert with_cli & set(HEAVY) == set()
+
+
+@pytest.mark.parametrize("measurement", ["setup", "scan_setup"])
+def test_cold_start_runs_no_collection_before_the_first_value(measurement):
+    # the benchmark's set-up region, import eta_zeta to the first value,
+    # ends below CPython's gen-0 threshold (tests/cold_start.py prints its
+    # headroom, 33 objects on 3.11): a collection inside it costs every cold
+    # start
+    code, *argv = cold_start.MEASUREMENTS[measurement]
+    proc = subprocess.run([sys.executable, "-I", "-c", cold_start.HEADROOM_CODE, str(SRC),
+                           *argv, "0"], capture_output=True, text=True, timeout=60, check=True)
+    collected, path = proc.stdout.split()
+    assert Path(path).resolve().is_relative_to(SRC)
+    assert collected == "0"
 
 
 def _result():

@@ -200,6 +200,28 @@ def test_m_below_one_is_refused_on_every_route(function, sigma, t, m):
         function(ComplexPoint(sigma, t), m=m)
 
 
+@pytest.mark.parametrize("function,sigma,t", M_ROUTES)
+def test_m_must_be_an_integer_on_every_route(function, sigma, t):
+    # a non-integer m is refused like m < 1; True is the integer 1, and the
+    # result says so with an int
+    point = ComplexPoint(sigma, t)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        function(point, m=2.5)
+    one, true = function(point, m=1), function(point, m=True)
+    assert true == one and type(true.m) is type(one.m)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_non_integer_m_is_a_domain_error_in_scans_and_sums(jobs):
+    # neither a bare TypeError (t = 1) nor islice's ValueError (t = 14)
+    for t in (1.0, 14.0):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            list(scan_lines("csv", "zeta", 0.5, t, t + 1.0, 0.5, m=2.5, jobs=jobs))
+        with pytest.raises(DomainError, match="m must be an integer"):
+            Line(0.5).partial_sum(t, 2.5)
+        assert Line(0.5).partial_sum(t, True) == Line(0.5).partial_sum(t, 1)
+
+
 # ------------------------------------------------------------ near s = 0 ---
 
 def test_near_zero_within_budget():
