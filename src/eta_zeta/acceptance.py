@@ -18,9 +18,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import p_coefficients
-from .eta_core import R_MAX
 from .types import ComplexPoint, DomainError, EvalResult
-from .zeta_bridge import LN2, eta, zeta, zeta_em_stepwise
+from .zeta_bridge import LN2, R_MAX, eta, zeta, zeta_em_stepwise
 
 EPS = sys.float_info.epsilon
 
@@ -177,7 +176,7 @@ def p_coefficient_asymptotic(r: int) -> float:
 
 
 def _coefficient_checks() -> list[CheckResult]:
-    # the process's one table, which eta_core bound at import
+    # the process's one table, which zeta_bridge bound at import
     p = p_coefficients(R_MAX + 1)
     worst_rel = 0.0
     for r, ref in enumerate(_P_REFERENCE_RATIONALS):

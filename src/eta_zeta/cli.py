@@ -17,8 +17,7 @@ import sys
 from collections.abc import Iterator
 
 from .types import ComplexPoint, EtaZetaError, EvalResult
-from .eta_core import check_sigma
-from .zeta_bridge import LN2, Line, eta, zeta
+from .zeta_bridge import LN2, Line, check_sigma, eta, zeta
 
 CSV_HEADER = "sigma,t,re,im,abs,method,err_bound,m_used"
 MAX_SCAN_POINTS = 10 ** 6

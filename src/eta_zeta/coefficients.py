@@ -9,9 +9,9 @@ with B_{2r} the even Bernoulli numbers.  Everything here is generated from
 exact integer rationals and rounded to double precision once at the end, so
 each table entry is the correctly rounded double.
 
-eta_core binds the table at import.  It stays a module of its own, importing
-nothing from the package, because the benchmark times its build here
-(bench/run.py, p_table_build_ms).
+zeta_bridge binds the table at import.  It stays a module of its own,
+importing nothing from the package, because the benchmark times its build
+here (bench/run.py, p_table_build_ms).
 """
 
 import functools

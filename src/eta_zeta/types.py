@@ -63,7 +63,10 @@ class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, sigma: float, t: float) -> "ComplexPoint":
-        sigma, t = float(sigma), float(t)
+        try:
+            sigma, t = float(sigma), float(t)
+        except (TypeError, ValueError, OverflowError):  # float() refuses it
+            raise DomainError(f"evaluation point must be numbers: {sigma!r}, {t!r}") from None
         if not (math.isfinite(sigma) and math.isfinite(t)):
             raise DomainError("evaluation point must be finite")
         return tuple.__new__(cls, (sigma, t))
@@ -77,7 +80,7 @@ class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
     """A-priori error bound, in two parts.
 
     truncation : bound on what the formula leaves out: Boole's remainder on
-                 the direct route (eta_core.correction_term), the flat
+                 the direct route (zeta_bridge.correction_term), the flat
                  envelope on the stepwise route
     rounding   : bound on the floating-point error of the value as computed
     total      : truncation + rounding, finite

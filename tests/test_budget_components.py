@@ -13,8 +13,7 @@ import mpmath
 import pytest
 
 from eta_zeta.coefficients import p_coefficients
-from eta_zeta.eta_core import C14, C15, R_MAX
-from eta_zeta.zeta_bridge import Line
+from eta_zeta.zeta_bridge import C14, C15, R_MAX, Line
 
 DPS = 40
 

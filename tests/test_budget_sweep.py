@@ -13,7 +13,7 @@ import pytest
 
 from eta_zeta import (ComplexPoint, DomainError, MethodTag, PoleError, eta,
                       exceptional_distance, zeta)
-from eta_zeta.eta_core import CUTOFF_SHARE, T_MAX
+from eta_zeta.zeta_bridge import CUTOFF_SHARE, T_MAX
 
 from reference_loops import partial_sum_rounding
 

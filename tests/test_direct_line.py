@@ -14,13 +14,12 @@ import tracemalloc
 import mpmath
 import pytest
 
-from eta_zeta import (ComplexPoint, EtaZetaError, MethodTag, ParameterExhaustionError,
-                      eta, zeta)
-from eta_zeta import eta_core, zeta_bridge
+from eta_zeta import (ComplexPoint, DomainError, EtaZetaError, MethodTag,
+                      ParameterExhaustionError, eta, zeta)
+from eta_zeta import zeta_bridge
 from eta_zeta.cli import scan_lines
-from eta_zeta.eta_core import T_MAX, TERMS_KEPT, log_table
-from eta_zeta.zeta_bridge import (EXCEPTIONAL_DISTANCE_THRESHOLD, EXCEPTIONAL_SPACING, Line,
-                                  exceptional_distance)
+from eta_zeta.zeta_bridge import (EXCEPTIONAL_DISTANCE_THRESHOLD, EXCEPTIONAL_SPACING,
+                                  T_MAX, TERMS_KEPT, Line, exceptional_distance, log_table)
 
 import reference_loops as ref
 
@@ -110,7 +109,7 @@ def test_select_continues_from_the_last_cutoff(calls):
             for t in (math.nextafter(T_MAX, math.inf), -600.0):
                 with pytest.raises(ParameterExhaustionError, match="T_MAX"):
                     refuse(t)
-        with pytest.raises(ParameterExhaustionError, match="T_MAX"):
+        with pytest.raises(DomainError, match="finite"):
             line.select(math.nan)
         calls.clear()
         assert line.select(45.0) == kept and len(calls) == 2
@@ -253,9 +252,11 @@ def test_refuses_past_t_max_and_past_double_range():
     # the selected cutoff reaches |t| = T_MAX and no further
     for sigma in (-0.5, 0.5, 3.0):
         assert Line(sigma).eta(-T_MAX).m > 1
-        for t in (math.nextafter(T_MAX, math.inf), -600.0, 1e150, math.nan):
+        for t in (math.nextafter(T_MAX, math.inf), -600.0, 1e150):
             with pytest.raises(ParameterExhaustionError, match="T_MAX"):
                 Line(sigma).select(t)
+        with pytest.raises(DomainError, match="finite"):  # a nan t is no |t| > T_MAX
+            Line(sigma).select(math.nan)
         with pytest.raises(ParameterExhaustionError, match="T_MAX"):
             eta(ComplexPoint(sigma, 600.0))
     # an explicit m has no reach: its truncation bound is finite at t = 600
@@ -281,7 +282,7 @@ def test_lines_on_threads_match_serial(monkeypatch):
     def work(i):
         results[i] = [bits(Line(sigma, m).eta(t).value) for sigma, t, m in points]
 
-    monkeypatch.setattr(eta_core, "_lns", ())
+    monkeypatch.setattr(zeta_bridge, "_lns", ())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -302,7 +303,7 @@ def test_log_table_shared_across_routes(monkeypatch):
     # later calls on other sigmas, at sigma < 1/2, on the stepwise route and
     # in a scan grow it where they read further and recompute no entry (a
     # recomputed ln n would be a new float object)
-    monkeypatch.setattr(eta_core, "_lns", ())
+    monkeypatch.setattr(zeta_bridge, "_lns", ())
     first = eta(ComplexPoint(0.5, 14.134725))
     assert first.m < 30 and len(log_table(0)) == 2 * first.m
     for sigma in SIGMAS:
@@ -342,7 +343,7 @@ def test_large_m_runs_in_bounded_memory(monkeypatch):
     # TERMS_KEPT of them and recomputes the rest.  The ln n table is filled
     # inside the traced region and counts against the same limit
     assert 2 * 30000 > 10 * TERMS_KEPT
-    monkeypatch.setattr(eta_core, "_lns", ())
+    monkeypatch.setattr(zeta_bridge, "_lns", ())
     tracemalloc.start()
     try:
         eta(ComplexPoint(0.75, 3.0), m=30000)

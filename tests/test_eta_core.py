@@ -12,8 +12,7 @@ import eta_zeta
 from eta_zeta import ComplexPoint, DomainError, MethodTag, ParameterExhaustionError
 from eta_zeta import zeta_bridge
 from eta_zeta.coefficients import p_coefficients
-from eta_zeta.eta_core import C15, R_MAX, correction_term, dirichlet_sum
-from eta_zeta.zeta_bridge import Line
+from eta_zeta.zeta_bridge import C15, R_MAX, Line, correction_term, dirichlet_sum
 
 import oracles
 import reference_loops as ref

@@ -20,7 +20,7 @@ HEAVY = ("__future__", "dataclasses", "fractions", "decimal", "inspect", "ast",
          "concurrent.futures", "multiprocessing")
 # The package's modules on that path: each costs GC-tracked objects in the
 # set-up region, which ends a few tens below a gen-0 collection.
-PACKAGE_PATH = ("types", "coefficients", "eta_core", "zeta_bridge")
+PACKAGE_PATH = ("types", "coefficients", "zeta_bridge")
 FOOTPRINT_CODE = """
 import sys
 before = set(sys.modules)

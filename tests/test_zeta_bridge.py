@@ -222,6 +222,29 @@ def test_non_integer_m_is_a_domain_error_in_scans_and_sums(jobs):
         assert Line(0.5).partial_sum(t, True) == Line(0.5).partial_sum(t, 1)
 
 
+# every entry that takes a sigma or a t from a caller
+INPUT_ENTRIES = {
+    "ComplexPoint sigma": lambda x: ComplexPoint(x, 0.0),
+    "ComplexPoint t": lambda x: ComplexPoint(0.5, x),
+    "Line sigma": Line,
+    "eta": lambda x: Line(0.5).eta(x),
+    "zeta": lambda x: Line(0.5).zeta(x),
+    "select": lambda x: Line(0.5).select(x),
+    "partial_sum": lambda x: Line(0.5).partial_sum(x, 3),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None,
+                                   pytest.param(10 ** 400, id="10**400")])
+@pytest.mark.parametrize("entry", list(INPUT_ENTRIES))
+def test_non_finite_or_non_numeric_input_is_a_domain_error(entry, value):
+    # neither a value (partial_sum returned nan+nanj at nan) nor a bare
+    # ValueError, TypeError or OverflowError (10 ** 400 has no float), nor
+    # the T_MAX refusal for a nan t
+    with pytest.raises(DomainError):
+        INPUT_ENTRIES[entry](value)
+
+
 # ------------------------------------------------------------ near s = 0 ---
 
 def test_near_zero_within_budget():
