@@ -19,6 +19,11 @@ def zeta_reference(sigma: float, t: float, dps: int = 40) -> mpmath.mpc:
         return mpmath.zeta(mpmath.mpc(sigma, t))
 
 
+def loggamma_reference(re: float, im: float, dps: int = 40) -> mpmath.mpc:
+    with mpmath.workdps(dps):
+        return mpmath.loggamma(mpmath.mpc(re, im))
+
+
 def eta_alternating_accelerated(sigma: float, t: float, n: int | None = None,
                                 dps: int = 40) -> mpmath.mpc:
     """eta(s) by Chebyshev-weighted acceleration of the alternating series.
