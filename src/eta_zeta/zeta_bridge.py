@@ -7,10 +7,10 @@ N = 2m + 1, (s)_k = s (s+1) ... (s+k-1): Boole's summation formula (DLMF
 24.17.2) for the alternating tail past n = 2m.  It holds on the whole strip
 with two bounds, Boole's remainder for what it leaves out (boole_bound,
 derived at correction_term) and the rounding of its float evaluation
-(sum_rounding, correction_term).  The routes: Line takes each point to the
-formula, with zeta(s) = eta(s) / (1 - 2^(1-s)), except zeta next to an
-exceptional point s = 1 +/- 2 pi n i / ln 2, where that quotient is 0/0 and
-a stepwise continuation through zeta(s + 2k) takes over.
+(sum_rounding, dirichlet_sum, correction_term).  The routes: Line takes
+each point to the formula, with zeta(s) = eta(s) / (1 - 2^(1-s)), except
+zeta next to an exceptional point s = 1 +/- 2 pi n i / ln 2, where that
+quotient is 0/0 and a stepwise continuation through zeta(s + 2k) takes over.
 """
 
 import cmath
@@ -18,7 +18,7 @@ import math
 import operator
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, cycle, islice, repeat
+from itertools import accumulate, cycle, islice, repeat
 
 from .coefficients import p_coefficients
 from .types import (ComplexPoint, DomainError, ErrorBudget, EvalResult, MethodTag,
@@ -54,18 +54,16 @@ def check_sigma(sigma: float) -> None:
         raise DomainError(f"outside supported sigma range [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
 
 
-def dirichlet_sum(mags: "Iterable[float]", lns: "Iterable[float]", t: float) -> complex:
-    """sum of mag e^(-i t ln_n) over mags and lns in step, up to the shorter,
-    Kahan-compensated in order: with mag = +/- n^(-sigma), a Dirichlet partial
-    sum at sigma + i t, near one ulp even at 2000 terms.  A term is one
-    cmath.rect; complex + and - act on each part alone: two real Kahan sums."""
-    total = carry = 0j
-    for term in map(cmath.rect, mags, map(operator.mul, repeat(-t), lns)):
-        y = term - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-    return total
+def dirichlet_sum(mags: "Iterable[float]", lns: "Iterable[float]", t: float,
+                  total: complex = 0j) -> "list[complex]":
+    """Partial sums s_0 = total, s_k = s_(k-1) + mag_k e^(-i t ln_k) over
+    mags and lns in step, in C: with mag = +/- n^(-sigma), n falling, the
+    last is a Dirichlet partial sum at sigma + i t, smallest term first.  A
+    term is one cmath.rect.  Each + rounds each part by at most u |its
+    result|, so the last is off by at most u sum_k (|Re s_k| + |Im s_k|) <=
+    sqrt(2) u sum_k |s_k| (Higham, Accuracy and Stability, ch. 4)."""
+    return list(accumulate(map(cmath.rect, mags, map(operator.mul, repeat(-t), lns)),
+                           initial=total))
 
 
 _lns: "tuple[float, ...]" = ()  # the process's ln n table, see log_table
@@ -92,21 +90,17 @@ def _signed_powers(sigma: float, start: int, lns: "Iterable[float]") -> "Iterato
 
 def tail_factors(sigma: float, b: float) -> tuple:
     """The t-free inputs of sum_rounding, boole_bound and correction_term at
-    N = b, in order: ln N, u S, u N^-sigma, the bracket's P_{2r-1} beta^(2r-1)
-    with beta = 1/N, N^-sigma, beta^13, beta, C14 / (sigma + 14), C15 beta
-    and sigma + 15, each formed as per point."""
+    N = b, in order: ln N, u S, u N^-sigma, the list correction_term fills
+    with P_{2r-1} beta^(2r-1), beta = 1/N, N^-sigma, beta^13, beta, C14 /
+    (sigma + 14), C15 beta and sigma + 15, each formed as per point."""
     ln_b = math.log(b)
     x = (1.0 - sigma) * ln_b  # S = 1 + int_1^N x^-sigma dx = 1 + expm1(x) / (1 - sigma)
     power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
     scale = math.exp(-sigma * ln_b)  # |N^-s|
-    beta = beta_pow = 1.0 / b
+    beta = 1.0 / b
     beta2 = beta * beta
-    coeffs = []
-    for p in _P[1:R_MAX + 1]:
-        coeffs.append(p * beta_pow)
-        beta_pow *= beta2
     beta13 = beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2
-    return (ln_b, UNIT_ROUNDOFF * power_sum, UNIT_ROUNDOFF * scale, coeffs, scale,
+    return (ln_b, UNIT_ROUNDOFF * power_sum, UNIT_ROUNDOFF * scale, [], scale,
             beta13, beta, C14 / (sigma + 14.0), C15 * beta, sigma + 15.0)
 
 
@@ -120,9 +114,9 @@ def boole_bound(poch15: float, shift15: float, factors: tuple) -> float:
 
 
 def sum_rounding(t: float, factors: tuple) -> float:
-    """The partial sum's rounding bound u S (8 + |t| ln N) at the factors' N
-    (see Line._eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m} n^-sigma;
-    the budget takes the cutoff search's read at m."""
+    """The rounding bound of the partial sum's terms, u S (8 + |t| ln N), at
+    the factors' N (see Line._eval), S = 1 + int_1^N x^-sigma dx >= sum_{n<=2m}
+    n^-sigma: the cutoff's share is of it, and the budget takes its read at m."""
     return factors[1] * (8.0 + abs(t) * factors[0])
 
 
@@ -166,9 +160,13 @@ def correction_term(s: ComplexPoint, chain: tuple, factors: tuple) -> tuple:
     N, B is ruled by the last terms; elsewhere it is near 1/2.
 
     Each factor product of the chain is the previous one times two new
-    factors, and the coefficients' beta powers advance by beta^2.
+    factors, and the coefficients' beta powers advance by beta^2, built on
+    the first correction at N: a cutoff's search reads more N than that.
     """
-    ln_b, u_scale, coeffs = factors[0], factors[2], factors[3]
+    ln_b, u_scale, coeffs, beta = factors[0], factors[2], factors[3], factors[6]
+    if not coeffs:
+        coeffs += map(operator.mul, _P[1:R_MAX + 1],
+                      accumulate(repeat(beta * beta, R_MAX - 1), operator.mul, initial=beta))
     bracket = complex(_P[0], 0.0)
     size = 0.5
     for term in map(operator.mul, coeffs, chain):
@@ -220,12 +218,13 @@ def _one_minus_two_pow(w: complex) -> complex:
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
     """zeta(z) for Re(z) >= 1.5 by direct summation to N with a two-term
-    integral tail: sum_{n<=N} n^(-z) + N^(1-z)/(z-1) - N^(-z)/2."""
-    lns = log_table(_INNER_N)
-    mags = map(math.exp, map(operator.mul, repeat(-z.real, _INNER_N), lns))
+    integral tail: sum_{n<=N} n^(-z) + N^(1-z)/(z-1) - N^(-z)/2, from n =
+    N down; STEPWISE_ERR_ENVELOPE covers its rounding."""
+    lns = log_table(_INNER_N)[_INNER_N - 1::-1]
+    mags = map(math.exp, map(operator.mul, repeat(-z.real), lns))
     big_n = complex(_INNER_N, 0.0)
     tail = big_n ** (1.0 - z) / (z - 1.0) - 0.5 * big_n ** (-z)
-    return dirichlet_sum(mags, lns, z.imag) + tail
+    return dirichlet_sum(mags, lns, z.imag)[-1] + tail
 
 
 def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
@@ -304,7 +303,7 @@ class Line:
         self._mags: "list[float]" = []
         self._factors: "dict[int, tuple]" = {}  # tail_factors at N = 2m + 1, by m
         self._cutoff = 0  # the last selected cutoff; 0 before the first
-        self._power = 1.0 / (sigma + 14.0)  # the bound falls at least like N^-(sigma + 14)
+        self._k = sigma + 14.0  # the bound falls at least like N^-k
         self._near_exceptional = abs(sigma - 1.0) < EXCEPTIONAL_DISTANCE_THRESHOLD
 
     def select(self, t: float) -> int:
@@ -336,12 +335,13 @@ class Line:
         if m:
             return m, rising, self._excess(point, m)
         m = self._cutoff or math.ceil(abs(t)) + 1
-        last = self._excess(point, m)
-        for _ in range(4):  # jumps, while they move m by more than one
-            target = max(1, math.ceil(((2 * m + 1) * last[0] ** self._power - 1.0) / 2.0))
-            if -1 <= target - m <= 1:
-                break
-            m, last = target, self._excess(point, target)
+        last, b, k = self._excess(point, m), 2.0 * m + 1.0, self._k
+        if not b / (b + 4.0 * k) < last[0] <= 1.0 + 2.0 * k / b:  # else no jump passes m +/- 1
+            for _ in range(4):  # jumps, while they move m by more than one
+                target = max(1, math.ceil(((2 * m + 1) * last[0] ** (1.0 / k) - 1.0) / 2.0))
+                if -1 <= target - m <= 1:
+                    break
+                m, last = target, self._excess(point, target)
         while last[0] <= 1.0 and m > 1 and (lower := self._excess(point, m - 1))[0] <= 1.0:
             m, last = m - 1, lower
         while last[0] > 1.0:
@@ -370,20 +370,24 @@ class Line:
             raise DomainError(f"m must be an integer, not {m!r}") from None
         if m < 1:
             raise DomainError("m must be >= 1")
-        return self._partial_sum(ComplexPoint(self.sigma, t).t, m)
+        return self._partial_sum(ComplexPoint(self.sigma, t).t, m)[0]
 
-    def _partial_sum(self, t: float, m: int) -> complex:
-        """partial_sum at a t and an m already checked (eta and zeta's path)."""
+    def _partial_sum(self, t: float, m: int) -> "tuple[complex, float]":
+        """partial_sum at a t and an m already checked (eta and zeta's path),
+        from n = 2m down, TERMS_KEPT terms at a time, and its summation's bound
+        1.5 u sum_k |s_k| (dirichlet_sum; 1.5 covers sqrt(2) and its rounding)."""
         count, mags, lns = 2 * m, self._mags, log_table(2 * m)
-        start, stop = len(mags) + 1, min(count, TERMS_KEPT) + 1
-        if start < stop:
-            mags.extend(_signed_powers(self.sigma, start,
-                                       islice(lns, start - 1, stop - 1)))
-        if count <= TERMS_KEPT:
-            return dirichlet_sum(islice(mags, count), lns, t)
-        far = range(TERMS_KEPT + 1, count + 1)  # recomputed per point, not kept
-        far_mags = _signed_powers(self.sigma, far.start, map(math.log, far))
-        return dirichlet_sum(chain(mags, far_mags), chain(lns, map(math.log, far)), t)
+        kept = min(count, TERMS_KEPT)
+        if len(mags) < kept:
+            mags.extend(_signed_powers(self.sigma, len(mags) + 1, islice(lns, len(mags), kept)))
+        total, size = 0j, 0.0
+        for top in range(count, TERMS_KEPT, -TERMS_KEPT):
+            far = range(top, max(top - TERMS_KEPT, TERMS_KEPT), -1)
+            partials = dirichlet_sum(_signed_powers(self.sigma, top, map(math.log, far)),
+                                     map(math.log, far), t, total)
+            total, size = partials[-1], size + math.fsum(map(abs, partials))
+        partials = dirichlet_sum(mags[kept - 1::-1], lns[kept - 1::-1], t, total)
+        return partials[-1], 1.5 * UNIT_ROUNDOFF * (size + math.fsum(map(abs, partials)))
 
     def eta(self, t: float) -> EvalResult:
         """eta(sigma + i t) by the paper's formula."""
@@ -416,31 +420,37 @@ class Line:
         line, before any budget or result is built.
 
         The budget is Boole's truncation bound plus a rounding bound: the
-        correction term's (correction_term), and the partial sum's.  Each
-        of its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from
-        the rounding of its phase (up to twice that where both roundings
-        align, which the sum of many terms averages out) and by a few u from
-        its magnitude, cosine, sine and the compensated sum.  S bounds
-        sum_{n<=2m} n^-sigma, so the sum is off by at most u S (8 + |t| ln N)
-        (sum_rounding); 8 u |value| more covers the last sum and a later
-        division by 1 - 2^(1-s).  Both bounds are the cutoff search's read at
-        m (_bounds); the correction reads its chain and factors.
+        correction term's (correction_term) and the partial sum's.  Each of
+        its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from its
+        phase's rounding (up to twice that where both roundings align, which
+        the sum of many terms averages out) and by a few u from its magnitude,
+        cosine and sine: at most u S (8 + |t| ln N) in all, S >= sum_{n<=2m}
+        n^-sigma (sum_rounding).  Their summation adds its running bound
+        (_partial_sum), and 8 u |value| covers the last sum and a later
+        division by 1 - 2^(1-s).  Truncation and the terms' part are the
+        cutoff search's read at m (_bounds), so the cutoff's share of the
+        terms' part holds by construction.
         """
         m, rising, (_, factors, truncation, share) = self._bounds(s.t, self.m)
         if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln N) fails
             raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
                                            f"at t = {s.t:g}, m = {m} exceeds double range")
         correction, rounding = correction_term(s, rising, factors)
-        value = self._partial_sum(s.t, m) + correction
-        rounding += share + 8.0 * UNIT_ROUNDOFF * abs(value)
+        partial, summation = self._partial_sum(s.t, m)
+        value = partial + correction
+        rounding += share + summation + 8.0 * UNIT_ROUNDOFF * abs(value)
         return value, truncation, rounding, m
 
 
 def eta(s: ComplexPoint, m: "int | None" = None) -> EvalResult:
     """eta(s) on -0.5 <= sigma <= 3 (see Line.eta); m overrides the cutoff."""
+    if not isinstance(s, ComplexPoint):
+        raise DomainError(f"s must be a ComplexPoint, not {s!r}")
     return Line(s.sigma, m).eta(s.t)
 
 
 def zeta(s: ComplexPoint, m: "int | None" = None) -> EvalResult:
     """zeta(s) on -0.5 <= sigma <= 3, s != 1 (see Line.zeta); m overrides the cutoff."""
+    if not isinstance(s, ComplexPoint):
+        raise DomainError(f"s must be a ComplexPoint, not {s!r}")
     return Line(s.sigma, m).zeta(s.t)

@@ -1,9 +1,10 @@
 """References kept outside the library.
 
-alternating_partial_sum is the direct evaluator's per-point loop as it was
-before the line evaluator (zeta_bridge.Line) took it over: the line must
-reproduce it bit for bit, because it performs the same float operations in
-the same order.  truncation_bound is Boole's bound as the per-point code
+alternating_partial_sum is the partial sum as a plain per-point loop over
+the real and imaginary parts, added from n = 2m down as the line evaluator
+(zeta_bridge.Line) adds them, across its chunks past TERMS_KEPT too: the
+line must reproduce it bit for bit, because it performs the same float
+operations in the same order.  truncation_bound is Boole's bound as the per-point code
 formed it before the line kept its factors per (line, m): the line must
 reproduce it bit for bit too.  smallest_cutoff is Line.select's rule as a
 plain loop over m, on truncation_bound and partial_sum_rounding, the
@@ -21,24 +22,14 @@ from eta_zeta.zeta_bridge import C14, C15, CUTOFF_SHARE, UNIT_ROUNDOFF
 
 
 def alternating_partial_sum(sigma, t, m):
-    """sum_{n=1}^{2m} (-1)^(n+1) n^(-s), Kahan-compensated in ascending n."""
-    sum_re = sum_im = carry_re = carry_im = 0.0
-    sign = 1.0
-    for n in range(1, 2 * m + 1):
+    """sum_{n=1}^{2m} (-1)^(n+1) n^(-s), recursive summation in descending n."""
+    sum_re = sum_im = 0.0
+    for n in range(2 * m, 0, -1):
         ln_n = math.log(n)
-        mag = sign * math.exp(-sigma * ln_n)
+        mag = (1.0 if n % 2 else -1.0) * math.exp(-sigma * ln_n)
         angle = t * ln_n
-        term_re = mag * math.cos(angle)
-        term_im = -mag * math.sin(angle)
-        y = term_re - carry_re
-        tmp = sum_re + y
-        carry_re = (tmp - sum_re) - y
-        sum_re = tmp
-        y = term_im - carry_im
-        tmp = sum_im + y
-        carry_im = (tmp - sum_im) - y
-        sum_im = tmp
-        sign = -sign
+        sum_re += mag * math.cos(angle)
+        sum_im += -mag * math.sin(angle)
     return complex(sum_re, sum_im)
 
 

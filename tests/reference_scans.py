@@ -44,6 +44,7 @@ SCANS = (
     "zeta --sigma 0.75 --t-min -100 --t-max 100 --step 0.1 --m 1100",
     "eta --sigma -0.5 --t-min -177 --t-max 177 --step 0.5",
     "zeta --sigma 3 --t-min -5 --t-max 5 --step 0.001",
+    "eta --sigma 0.5 --t-min 0 --t-max 2 --step 0.5 --m 2100",
 )
 
 

@@ -4,10 +4,16 @@ The same formula, sum plus correction at the same m, is run again in mpmath
 at 40 digits.  Then |formula - eta| is the truncation error, which the
 budget's truncation part (Boole's remainder) must bound, and |value -
 formula| is the rounding error, which its rounding part must bound.  The
-two constants of Boole's bound are pinned against mpmath as well."""
+summation's running bound is checked against the exact sum of the same
+float terms.  The two constants of Boole's bound are pinned against mpmath
+as well, and so is the libm the rounding bounds assume."""
 
+import cmath
 import math
+import operator
 import random
+from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -73,3 +79,56 @@ def test_boole_constants():
             assert float(sup) == pytest.approx(constant, rel=1e-15)
     assert C15 == abs(p_coefficients(R_MAX + 1)[R_MAX + 1])
     assert math.isclose(C14, 6.98e-8, rel_tol=1e-3)
+
+
+def _summation_points():
+    rng = random.Random(5)
+    points = [(rng.uniform(-0.5, 3.0), rng.uniform(-176.0, 176.0), rng.randint(1, 200))
+              for _ in range(60)]
+    # past TERMS_KEPT = 4096: 4200 terms, one chunk before the kept ones;
+    # 12290 terms, three (the last of two terms)
+    return points + [(0.5, 14.134725, 2100), (0.3, 7.5, 6145)]
+
+
+@pytest.mark.parametrize("sigma,t,m", _summation_points())
+def test_summation_within_its_running_bound(sigma, t, m):
+    # the partial sum is the recursive sum of its float terms from n = 2m
+    # down; its distance from their exact sum is at most its running bound
+    terms = []
+    for n in range(2 * m, 0, -1):
+        ln_n = math.log(n)
+        terms.append(cmath.rect((1.0 if n % 2 else -1.0) * math.exp(-sigma * ln_n),
+                                -t * ln_n))
+    value, bound = Line(sigma)._partial_sum(t, m)
+    assert value == reduce(operator.add, terms, 0j)
+    exact_re = sum(Fraction(z.real) for z in terms)
+    exact_im = sum(Fraction(z.imag) for z in terms)
+    error = abs(complex(float(Fraction(value.real) - exact_re),
+                        float(Fraction(value.imag) - exact_im)))
+    assert error <= bound, error / bound
+
+
+# Arguments as the derivation meets them: exp of -sigma ln n and of the
+# conversion's (1 - sigma) ln 2, log of n and N, cos and sin of phases t ln n
+# up to |t| = 186 and n past 2m = 400
+LIBM = {
+    "exp": (math.exp, mpmath.exp, lambda rng: rng.uniform(-26.0, 5.0)),
+    "log": (math.log, mpmath.log, lambda rng: float(rng.randint(2, 100000))),
+    "cos": (math.cos, mpmath.cos, lambda rng: rng.uniform(-1100.0, 1100.0)),
+    "sin": (math.sin, mpmath.sin, lambda rng: rng.uniform(-1100.0, 1100.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBM))
+def test_libm_within_one_ulp(name):
+    # the rounding bounds take each libm result within about one ulp of the
+    # exact value: 5000 seeded arguments per function, 20000 in all
+    function, exact, draw = LIBM[name]
+    rng = random.Random(name)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(5000):
+            x = draw(rng)
+            reference = exact(mpmath.mpf(x))
+            worst = max(worst, float(abs(function(x) - reference)) / math.ulp(float(reference)))
+    assert worst <= 1.0, worst

@@ -47,9 +47,10 @@ def test_partial_sum_refuses_m_below_one(m):
 
 
 def test_partial_sum_cancels_at_s_zero():
-    # the shared kernel with the s = 0 terms (-1)^(n+1), n = 1..6
-    lns = [math.log(n) for n in range(1, 7)]
-    assert dirichlet_sum([1.0, -1.0] * 3, lns, 0.0) == 0j
+    # the shared kernel with the s = 0 terms (-1)^(n+1), n = 6 down to 1:
+    # its partial sums from 0, the last the value
+    lns = [math.log(n) for n in range(6, 0, -1)]
+    assert dirichlet_sum([-1.0, 1.0] * 3, lns, 0.0) == [0j, -1, 0j, -1, 0j, -1, 0j]
 
 
 def test_partial_sum_at_two_against_exact_oracle():
