@@ -1,7 +1,9 @@
 """Dirichlet eta and Riemann zeta on and around the critical strip.
 
-Evaluation combines a 2m-term alternating partial sum with a closed-form
-correction term and reports an a-priori error budget alongside every value.
+eta sums 2m terms of its alternating series and closes the tail with the
+paper's correction term (Boole's summation formula); zeta sums 2m terms of
+its own series and closes the tail by Euler-Maclaurin summation, pole term
+included.  Every value comes with an a-priori error budget.
 See eta() and zeta() in this namespace for the user-facing entry points;
 the building blocks stay importable from their own modules.
 """

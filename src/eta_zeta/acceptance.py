@@ -12,6 +12,7 @@ check is kept as printed so the discrepancy is recorded rather than hidden,
 and it is expected to fail.
 """
 
+import cmath
 import math
 import sys
 from collections import namedtuple
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .coefficients import p_coefficients
 from .types import ComplexPoint, DomainError, EvalResult
-from .zeta_bridge import LN2, R_MAX, eta, zeta, zeta_em_stepwise
+from .zeta_bridge import LN2, R_MAX, UNIT_ROUNDOFF, eta, zeta, zeta_em_stepwise
 
 EPS = sys.float_info.epsilon
 
@@ -207,15 +208,25 @@ def _conjugation_checks() -> list[CheckResult]:
 
 
 def _conversion_checks() -> list[CheckResult]:
+    # Two formulas with independent truncations, Euler-Maclaurin's zeta and
+    # Boole's eta: |zeta den - eta| <= |den| b_zeta + b_eta + the product's
+    # rounding, den = 1 - 2^(1-s).  2^(1-s) = exp(w), w = (1 - s) ln 2, is off
+    # by u |2^(1-s)| (5 + 3 |Re w| + 2 |Im w|): the roundings of 1 - sigma,
+    # ln 2 and the product in w, and exp's; den's subtraction and the
+    # product add 2u and 3u of |zeta den|.
     worst = 0.0
     for sigma, t in _CONVERSION_POINTS:
         s = ComplexPoint(sigma, t)
-        eta_v = eta(s).value
-        zeta_v = zeta(s).value
-        recon = zeta_v * (1.0 - (2.0 + 0.0j) ** (1.0 - s.z))
-        worst = max(worst, _ulp_scale(abs(recon - eta_v), abs(eta_v)))
-    return [_check("conversion identity zeta*(1-2^(1-s)) = eta", worst, 4.0,
-                   "ulp-scale")]
+        eta_r, zeta_r = eta(s), zeta(s)
+        w = (1.0 - s.z) * LN2
+        power = cmath.exp(w)
+        den = 1.0 - power
+        rounding = UNIT_ROUNDOFF * abs(zeta_r.value) * (
+            abs(power) * (5.0 + 3.0 * abs(w.real) + 2.0 * abs(w.imag)) + 5.0 * abs(den))
+        allowed = abs(den) * zeta_r.budget.total + eta_r.budget.total + rounding
+        worst = max(worst, abs(zeta_r.value * den - eta_r.value) / allowed)
+    return [_check("conversion identity zeta*(1-2^(1-s)) = eta", worst, 1.0,
+                   "fraction of the allowance")]
 
 
 def _cross_method_checks() -> list[CheckResult]:

@@ -1,15 +1,16 @@
-"""Correction coefficients for the alternating-series evaluator.
+"""Correction coefficients of eta's and zeta's formulas.
 
 The logistic kernel 1/(1 + e^(-x)) = (1/2)(1 + tanh(x/2)) expands into an odd
 power series
 
     1/2 + sum_{r>=1} P_{2r-1} x^(2r-1),   P_{2r-1} = (2^(2r) - 1) B_{2r} / (2r)!
 
-with B_{2r} the even Bernoulli numbers.  Everything here is generated from
-exact integer rationals and rounded to double precision once at the end, so
-each table entry is the correctly rounded double.
+with B_{2r} the even Bernoulli numbers: eta's bracket (Boole's formula).
+Zeta's (Euler-Maclaurin) reads B_{2r} / (2r)! itself.  Everything here is
+generated from exact integer rationals and rounded to double precision once
+at the end, so each table entry is the correctly rounded double.
 
-zeta_bridge binds the table at import.  It stays a module of its own,
+zeta_bridge binds both tables at import.  It stays a module of its own,
 importing nothing from the package, because the benchmark times its build
 here (bench/run.py, p_table_build_ms).
 """
@@ -48,3 +49,10 @@ def p_coefficients(r_max: int) -> "tuple[float, ...]":
         p.append((2 ** (2 * r) - 1) * b[2 * r] / (den * math.factorial(2 * r)))
     return tuple(p)
 
+
+def em_coefficients(r_max: int) -> "tuple[float, ...]":
+    """Euler-Maclaurin coefficients e[0] = 1/2, e[r] = B_{2r} / (2r)! for
+    r = 1..r_max, each an exact rational rounded once by int/int true
+    division."""
+    b, den = _bernoulli_fractions(2 * r_max)
+    return (0.5, *(b[2 * r] / (den * math.factorial(2 * r)) for r in range(1, r_max + 1)))

@@ -15,8 +15,8 @@ class DomainError(EtaZetaError, ValueError):
 
 
 class PoleError(EtaZetaError, ArithmeticError):
-    """A pole was hit: s = 1, or |s - 1| or |1 - 2^(1-s)| below 1/DBL_MAX
-    where it divides."""
+    """zeta's pole was hit: |s - 1| below zeta_bridge.POLE_GAP, about
+    1/DBL_MAX, where |zeta(s)|, about 1/|s - 1|, leaves the double range."""
 
 
 class ParameterExhaustionError(EtaZetaError, RuntimeError):
@@ -39,15 +39,17 @@ class _Members(type):
 
 class MethodTag(str, metaclass=_Members):
     """Which code path produced a result: a str equal to its value, one
-    instance per member, each named after its value in upper case."""
+    instance per member."""
 
     __slots__ = ()
 
     def __reduce__(self) -> str:  # pickled by name, so it loads as the member
-        return "MethodTag." + self.upper()
+        return "MethodTag." + next(name for name, member in vars(MethodTag).items()
+                                   if member is self)
 
 
-MethodTag.DIRECT26 = MethodTag("Direct26")    # partial sum plus correction term
+MethodTag.DIRECT26 = MethodTag("Direct26")    # eta: partial sum plus Boole's correction
+MethodTag.EULER_MACLAURIN = MethodTag("EulerMaclaurin")  # zeta: Euler-Maclaurin's formula
 MethodTag.STEPWISE3 = MethodTag("Stepwise3")  # stepwise continuation through s + 2k
 
 
@@ -79,8 +81,9 @@ class ComplexPoint(namedtuple("ComplexPoint", "sigma t")):
 class ErrorBudget(namedtuple("ErrorBudget", "truncation rounding total")):
     """A-priori error bound, in two parts.
 
-    truncation : bound on what the formula leaves out: Boole's remainder on
-                 the direct route (zeta_bridge.correction_term), the flat
+    truncation : bound on what the formula leaves out: Boole's remainder for
+                 eta (zeta_bridge.correction_term), Backlund's for zeta by
+                 Euler-Maclaurin (zeta_bridge.backlund_bound), the flat
                  envelope on the stepwise route
     rounding   : bound on the floating-point error of the value as computed
     total      : truncation + rounding, finite

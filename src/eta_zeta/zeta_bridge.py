@@ -1,26 +1,35 @@
-"""eta and zeta on the strip -0.5 <= sigma <= 3 by the paper's formula
+"""eta and zeta on the strip -0.5 <= sigma <= 3, each by its own summation
+formula: eta by the paper's
 
     eta(s) ~ sum_{n=1}^{2m} (-1)^(n+1) n^(-s)
              + N^(-s) [ 1/2 + sum_{r=1}^{7} P_{2r-1} (s)_{2r-1} N^-(2r-1) ],
 
-N = 2m + 1, (s)_k = s (s+1) ... (s+k-1): Boole's summation formula (DLMF
-24.17.2) for the alternating tail past n = 2m.  It holds on the whole strip
-with two bounds, Boole's remainder for what it leaves out (boole_bound,
-derived at correction_term) and the rounding of its float evaluation
-(sum_rounding, dirichlet_sum, correction_term).  The routes: Line takes
-each point to the formula, with zeta(s) = eta(s) / (1 - 2^(1-s)), except
-zeta next to an exceptional point s = 1 +/- 2 pi n i / ln 2, where that
-quotient is 0/0 and a stepwise continuation through zeta(s + 2k) takes over.
+Boole's summation formula (DLMF 24.17.2) for the alternating tail past
+n = 2m, and zeta by Euler-Maclaurin's (DLMF 25.2.9, Edwards, Riemann's Zeta
+Function, 6.4)
+
+    zeta(s) ~ sum_{n=1}^{2m} n^(-s) + N^(1-s) / (s - 1)
+              + N^(-s) [ 1/2 + sum_{k=1}^{7} B_{2k}/(2k)! (s)_{2k-1} N^-(2k-1) ],
+
+N = 2m + 1, (s)_k = s (s+1) ... (s+k-1).  Both hold on the whole strip, each
+with two bounds: its remainder for what it leaves out (boole_bound, derived
+at correction_term; backlund_bound) and the rounding of its float
+evaluation (sum_rounding, dirichlet_sum, correction_term, pole_term).  Both
+read one cutoff search, one bracket loop and one partial sum, with the
+bound, the coefficients and the terms' signs chosen per function.  The
+routes: Line takes each point to its function's formula, except zeta next
+to an exceptional point s = 1 +/- 2 pi n i / ln 2 on a line within
+EXCEPTIONAL_DISTANCE_THRESHOLD of sigma = 1, where a stepwise continuation
+through zeta(s + 2k) takes over.
 """
 
 import cmath
 import math
 import operator
-import sys
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, cycle, islice, repeat
 
-from .coefficients import p_coefficients
+from .coefficients import em_coefficients, p_coefficients
 from .types import (ComplexPoint, DomainError, ErrorBudget, EvalResult, MethodTag,
                     NonConvergentTailError, ParameterExhaustionError, PoleError)
 
@@ -31,15 +40,18 @@ from .types import (ComplexPoint, DomainError, ErrorBudget, EvalResult, MethodTa
 CUTOFF_SHARE = 0.125
 T_MAX = 186.0
 
-# Depth of the correction polynomial: P_1 .. P_13, Boole's terms k <= 14.
-# One table, P_1 .. P_15: the bracket reads p[0..R_MAX], C15 the entry after.
+# Depth of the correction polynomial: P_1 .. P_13, Boole's terms k <= 14,
+# and B_2/2! .. B_14/14!, Euler-Maclaurin's K = 7.  One table each, to
+# P_15 and B_16/16!: the bracket reads [0..R_MAX], the bound the entry after.
 R_MAX = 7
 _P = p_coefficients(R_MAX + 1)
+_B = em_coefficients(R_MAX + 1)
 # Boole's remainder constants C_n = sup |E_n(x)| / (2 n!) over [0, 1]: for
 # even n at x = 1/2, |E_n| / 2^n with the Euler number E_14 = -199360981;
 # for odd n at the ends, where E_n(0) / n! = -2 P_n, so C_15 = |P_15|.
 C14 = 199360981 / (2 ** 14 * 2 * math.factorial(14))
 C15 = abs(_P[R_MAX + 1])
+B16 = abs(_B[R_MAX + 1])  # |B_16| / 16!, Backlund's bound's constant
 
 SIGMA_MIN = -0.5
 SIGMA_MAX = 3.0
@@ -82,17 +94,22 @@ def log_table(count: int) -> "tuple[float, ...]":
     return lns
 
 
-def _signed_powers(sigma: float, start: int, lns: "Iterable[float]") -> "Iterator[float]":
-    """(-1)^(n+1) n^(-sigma) for n = start, start + 1, ..., given ln n."""
-    signs = cycle((1.0, -1.0) if start % 2 else (-1.0, 1.0))
-    return map(operator.mul, signs, map(math.exp, map(operator.mul, repeat(-sigma), lns)))
+def _powers(sigma: float, start: int, lns: "Iterable[float]",
+            signed: bool) -> "Iterator[float]":
+    """n^(-sigma), times (-1)^(n+1) where signed, for n = start, start + 1,
+    ..., given ln n."""
+    powers = map(math.exp, map(operator.mul, repeat(-sigma), lns))
+    if not signed:
+        return powers
+    return map(operator.mul, cycle((1.0, -1.0) if start % 2 else (-1.0, 1.0)), powers)
 
 
 def tail_factors(sigma: float, b: float) -> tuple:
-    """The t-free inputs of sum_rounding, boole_bound and correction_term at
-    N = b, in order: ln N, u S, u N^-sigma, the list correction_term fills
-    with P_{2r-1} beta^(2r-1), beta = 1/N, N^-sigma, beta^13, beta, C14 /
-    (sigma + 14), C15 beta and sigma + 15, each formed as per point."""
+    """The t-free inputs of sum_rounding, the two bounds and correction_term
+    at N = b, in order: ln N, u S, u N^-sigma, the lists correction_term
+    fills with P_{2r-1} beta^(2r-1) and B_{2r}/(2r)! beta^(2r-1), beta =
+    1/N, N^-sigma, beta^13, beta, C14 / (sigma + 14), C15 beta and sigma +
+    15, each formed as per point."""
     ln_b = math.log(b)
     x = (1.0 - sigma) * ln_b  # S = 1 + int_1^N x^-sigma dx = 1 + expm1(x) / (1 - sigma)
     power_sum = 1.0 + (math.expm1(x) / (1.0 - sigma) if x else ln_b)
@@ -100,17 +117,32 @@ def tail_factors(sigma: float, b: float) -> tuple:
     beta = 1.0 / b
     beta2 = beta * beta
     beta13 = beta * beta2 * beta2 * beta2 * beta2 * beta2 * beta2
-    return (ln_b, UNIT_ROUNDOFF * power_sum, UNIT_ROUNDOFF * scale, [], scale,
+    return (ln_b, UNIT_ROUNDOFF * power_sum, UNIT_ROUNDOFF * scale, [], [], scale,
             beta13, beta, C14 / (sigma + 14.0), C15 * beta, sigma + 15.0)
 
 
 def boole_bound(poch15: float, shift15: float, factors: tuple) -> float:
-    """The truncation bound of the formula (see correction_term) at the
+    """The truncation bound of eta's formula (see correction_term) at the
     factors' N (tail_factors), from poch15 = |(s)_15| and shift15 =
-    |s + 15|: the one bound both the cutoff's search and the budget read."""
-    _, _, _, _, scale, beta13, beta, c14_share, c15_beta, sigma15 = factors
+    |s + 15|: the one bound both eta's cutoff search and its budget read."""
+    _, _, _, _, _, scale, beta13, beta, c14_share, c15_beta, sigma15 = factors
     return (poch15 * scale * beta13 * beta
             * min(c14_share, c15_beta * (1.0 + shift15 / sigma15)))
+
+
+def backlund_bound(poch15: float, shift15: float, factors: tuple) -> float:
+    """The truncation bound of zeta's formula at the factors' N, as
+    boole_bound is eta's: Backlund's (Edwards 6.4), |s + 15| / (sigma + 15)
+    times the first term the bracket leaves out,
+
+        |B_16| / 16! |(s)_15| N^(-sigma-15) |s + 15| / (sigma + 15),
+
+    which holds for sigma > -15, so on the whole strip.  It falls like
+    N^-(sigma + 15) at fixed s, one power faster than Boole's bound, and its
+    constant is 2^16 - 1 times smaller than C15: zeta's cutoff is about half
+    of eta's."""
+    _, _, _, _, _, scale, beta13, beta, _, _, sigma15 = factors
+    return poch15 * scale * beta13 * beta * beta * (B16 * shift15 / sigma15)
 
 
 def sum_rounding(t: float, factors: tuple) -> float:
@@ -120,11 +152,14 @@ def sum_rounding(t: float, factors: tuple) -> float:
     return factors[1] * (8.0 + abs(t) * factors[0])
 
 
-def correction_term(s: ComplexPoint, chain: tuple, factors: tuple) -> tuple:
+def correction_term(s: ComplexPoint, chain: tuple, factors: tuple,
+                    zeta: bool = False) -> tuple:
     """The correction c = N^(-s) [1/2 + sum_{r<=7} P_{2r-1} (s)_{2r-1}
     N^-(2r-1)], N = 2m + 1, and a bound on its rounding, from the point's
     rising-factorial chain (s)_1, (s)_3, ..., (s)_13 and the factors at N
-    (tail_factors).
+    (tail_factors).  For zeta the coefficients are B_{2r}/(2r)! in place of
+    P_{2r-1}: Euler-Maclaurin's bracket, whose remainder is backlund_bound;
+    everything else, the rounding bound included, is the same.
 
     Its truncation bound, on the formula (sum plus correction against
     eta(s)), is boole_bound.  The tail past n = 2m is sum_{j>=0} (-1)^j f(j),
@@ -161,13 +196,15 @@ def correction_term(s: ComplexPoint, chain: tuple, factors: tuple) -> tuple:
 
     Each factor product of the chain is the previous one times two new
     factors, and the coefficients' beta powers advance by beta^2, built on
-    the first correction at N: a cutoff's search reads more N than that.
+    the first correction of each function at N: a cutoff's search reads
+    more N than that.
     """
-    ln_b, u_scale, coeffs, beta = factors[0], factors[2], factors[3], factors[6]
+    ln_b, u_scale, beta = factors[0], factors[2], factors[7]
+    coeffs, table = (factors[4], _B) if zeta else (factors[3], _P)
     if not coeffs:
-        coeffs += map(operator.mul, _P[1:R_MAX + 1],
+        coeffs += map(operator.mul, table[1:R_MAX + 1],
                       accumulate(repeat(beta * beta, R_MAX - 1), operator.mul, initial=beta))
-    bracket = complex(_P[0], 0.0)
+    bracket = complex(table[0], 0.0)
     size = 0.5
     for term in map(operator.mul, coeffs, chain):
         bracket += term
@@ -176,13 +213,37 @@ def correction_term(s: ComplexPoint, chain: tuple, factors: tuple) -> tuple:
     return cmath.exp(-chain[0] * ln_b) * bracket, rounding  # chain[0] = (s)_1 = s
 
 
+def pole_term(s: ComplexPoint, b: float, ln_b: float) -> tuple:
+    """Zeta's pole term N^(1-s) / (s - 1), formed as N N^(-s) / (s - 1) at
+    N = b (so exactly -N at s = 0), and a bound on its rounding,
+
+        u |N^(1-s) / (s - 1)| (17 + 2 (|t| + |sigma|) ln N).
+
+    N^(-s) = exp(-s ln N) is the correction's (correction_term): off by
+    2u (|t| + |sigma|) ln N from rounding ln N and the product, and by 5u
+    from exp, cos or sin (an ulp each, 2u at most) and their product.  The
+    product by N adds u, the rounding of s - 1 in the divisor u, and the
+    division 8u: CPython divides by Smith's algorithm, whose quotient is off
+    by at most (2 sqrt 2 + 5) u of its modulus.  The sum of the partial sum
+    and the correction, before this term joins them, adds sqrt 2 u of their
+    modulus, at most 1.5u |this term| beyond the 8 u |value| that _eval
+    charges: 16.5u in all, first order.  Next to s = 1 the term rules the
+    value, and with it the budget.  |s - 1| >= POLE_GAP keeps it in double
+    range."""
+    z = s.z
+    pole = cmath.exp(-z * ln_b) * b / (z - 1.0)
+    return pole, UNIT_ROUNDOFF * abs(pole) * (17.0 + 2.0 * (abs(s.t) + abs(s.sigma)) * ln_b)
+
+
 LN2 = math.log(2.0)
 EXCEPTIONAL_SPACING = 2.0 * math.pi / LN2  # imaginary gap between zeros of 1 - 2^(1-s)
 
-# Below this distance from an exceptional point the conversion denominator
-# amplifies the eta budget past what the stepwise route delivers.
+# zeta takes the stepwise route below this distance from an exceptional point
 EXCEPTIONAL_DISTANCE_THRESHOLD = 1e-4
-POLE_GAP = 1.0 / sys.float_info.max  # |1 - 2^(1-s)| or |s - 1| below it: s = 1
+# zeta refuses |s - 1| < POLE_GAP, where its pole term N^(1-s) / (s - 1),
+# about 1 / |s - 1|, leaves the double range with its rounding: 1 / DBL_MAX
+# (2^-1024 as a double) and 2^-46 of it, 16 subnormal steps, more
+POLE_GAP = math.ldexp(1.0 + 2.0 ** -46, -1024)
 
 # Stepwise route: term magnitudes peak like e^(e|t|/4); past |t| = 20 the
 # cancellation in double precision is no longer acceptable.
@@ -204,16 +265,6 @@ def exceptional_distance(s: ComplexPoint) -> float:
     n = max(1, round(abs(s.t) * LN2 / (2.0 * math.pi)))
     t_exc = math.copysign(n * EXCEPTIONAL_SPACING, s.t)
     return math.hypot(s.sigma - 1.0, s.t - t_exc)
-
-
-def _one_minus_two_pow(w: complex) -> complex:
-    """1 - 2^w = -expm1(w ln 2), without cancelling near w = 0: with
-    w ln 2 = a + ib, 1 - e^a e^(ib) = 2 sin^2(b/2) - expm1(a) cos b
-    - i e^a sin b."""
-    a, b = w.real * LN2, w.imag * LN2
-    half_sin = math.sin(0.5 * b)
-    return complex(2.0 * half_sin * half_sin - math.expm1(a) * math.cos(b),
-                   -math.exp(a) * math.sin(b))
 
 
 def _zeta_dirichlet_tail(z: complex) -> complex:
@@ -271,20 +322,23 @@ def zeta_em_stepwise(s: ComplexPoint) -> EvalResult:
 class Line:
     """eta and zeta along the vertical line Re s = sigma, each point routed
     here, once: zeta within EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional
-    point to the stepwise route, whatever m, and every other point to the
-    formula.  m = None selects the cutoff per point.
+    point to the stepwise route, whatever m, and every other point to its
+    function's formula, eta's by Boole and zeta's by Euler-Maclaurin.
+    m = None selects the cutoff per point and function.
 
     What depends on sigma alone is computed on first use and kept: the
-    signed terms (-1)^(n+1) n^(-sigma) up to the largest 2m asked for (at
-    most TERMS_KEPT), and whether |sigma - 1|, a floor of the exceptional
-    distance, is below its threshold.  So are the factors at N = 2m + 1
-    (tail_factors) per m read, and the cutoff the last selection
-    returned, from which the next one starts.  ln n is kept per process
+    terms n^(-sigma), signed (-1)^(n+1) n^(-sigma) for eta and unsigned for
+    zeta, each up to the largest 2m asked for (at most TERMS_KEPT), and
+    whether |sigma - 1|, a floor of the exceptional distance, is below its
+    threshold.  So are the factors at N = 2m + 1 (tail_factors) per m read,
+    shared by both functions, and each function's cutoff the last selection
+    returned, from which its next one starts.  ln n is kept per process
     (log_table).  A point then pays only for what depends on t: one
     rising-factorial chain, the bounds its cutoff's search reads (its budget
-    reuses the read at m), the partial sum and the correction, with the same
-    float operations in the same order as a point alone.  A line is mutable:
-    create one per caller, do not share it between threads.
+    reuses the read at m), the partial sum, the correction and, for zeta,
+    the pole term, with the same float operations in the same order as a
+    point alone.  A line is mutable: create one per caller, do not share it
+    between threads.
     """
 
     def __init__(self, sigma: float, m: "int | None" = None) -> None:
@@ -300,27 +354,29 @@ class Line:
         if self.m is not None and self.m < 1:
             raise DomainError("m must be >= 1")
         self.sigma = sigma
-        self._mags: "list[float]" = []
+        self._terms: "tuple[list[float], list[float]]" = ([], [])  # eta's signed, zeta's
         self._factors: "dict[int, tuple]" = {}  # tail_factors at N = 2m + 1, by m
-        self._cutoff = 0  # the last selected cutoff; 0 before the first
-        self._k = sigma + 14.0  # the bound falls at least like N^-k
+        self._cutoffs = [0, 0]  # eta's and zeta's last selected cutoff; 0 before the first
+        self._k = (sigma + 14.0, sigma + 15.0)  # each bound falls at least like N^-k
         self._near_exceptional = abs(sigma - 1.0) < EXCEPTIONAL_DISTANCE_THRESHOLD
 
     def select(self, t: float) -> int:
-        """The smallest m >= 1 whose boole_bound is at most CUTOFF_SHARE of the
-        partial sum's rounding bound u S (8 + |t| ln N) (_eval), by one search
-        that reads at integer m only: from the line's last cutoff, or N >= 2|t|
-        + 3, up to four jumps by the bound's local power law while they move m
-        by more than one, then steps down while m - 1 passes or up until m
-        passes.  At fixed t the bound over its share falls strictly with N, so
-        every start ends at the same m.  DomainError unless t is a finite
-        number, ParameterExhaustionError for |t| > T_MAX."""
-        return self._bounds(ComplexPoint(self.sigma, t).t, None)[0]
+        """eta's cutoff: the smallest m >= 1 whose boole_bound is at most
+        CUTOFF_SHARE of the partial sum's rounding bound u S (8 + |t| ln N)
+        (_eval), by one search that reads at integer m only: from the line's
+        last cutoff, or N >= 2|t| + 3, up to four jumps by the bound's local
+        power law while they move m by more than one, then steps down while
+        m - 1 passes or up until m passes.  At fixed t the bound over its
+        share falls strictly with N, so every start ends at the same m.
+        Zeta's cutoff comes from the same search on backlund_bound (_bounds).
+        DomainError unless t is a finite number, ParameterExhaustionError for
+        |t| > T_MAX."""
+        return self._bounds(ComplexPoint(self.sigma, t).t, None, False)[0]
 
-    def _bounds(self, t: float, m: "int | None") -> tuple:
-        """m, selected where None, the rising-factorial chain (s)_1, (s)_3,
-        ..., (s)_13 at s = sigma + i t, and the search's read at m, N = 2m + 1
-        (_excess), whose bounds the budget takes."""
+    def _bounds(self, t: float, m: "int | None", zeta: bool = False) -> tuple:
+        """m, selected for eta or zeta where None, the rising-factorial chain
+        (s)_1, (s)_3, ..., (s)_13 at s = sigma + i t, and the search's read at
+        m, N = 2m + 1 (_excess), whose bounds the budget takes."""
         if m is None and not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
         z = complex(self.sigma, t)
@@ -331,11 +387,11 @@ class Line:
         p11 = p9 * ((z + 9.0) * (z + 10.0))
         p13 = p11 * ((z + 11.0) * (z + 12.0))
         rising = (z, p3, p5, p7, p9, p11, p13)
-        point = (t, abs(p13) * abs(z + 13.0) * abs(z + 14.0), abs(z + 15.0))
+        point = (t, abs(p13) * abs(z + 13.0) * abs(z + 14.0), abs(z + 15.0), zeta)
         if m:
             return m, rising, self._excess(point, m)
-        m = self._cutoff or math.ceil(abs(t)) + 1
-        last, b, k = self._excess(point, m), 2.0 * m + 1.0, self._k
+        m = self._cutoffs[zeta] or math.ceil(abs(t)) + 1
+        last, b, k = self._excess(point, m), 2.0 * m + 1.0, self._k[zeta]
         if not b / (b + 4.0 * k) < last[0] <= 1.0 + 2.0 * k / b:  # else no jump passes m +/- 1
             for _ in range(4):  # jumps, while they move m by more than one
                 target = max(1, math.ceil(((2 * m + 1) * last[0] ** (1.0 / k) - 1.0) / 2.0))
@@ -347,18 +403,20 @@ class Line:
         while last[0] > 1.0:
             m += 1
             last = self._excess(point, m)
-        self._cutoff = m
+        self._cutoffs[zeta] = m
         return m, rising, last
 
     def _excess(self, point: tuple, m: int) -> tuple:
-        """Boole's bound over its share at N = 2m + 1, from the factors kept
-        per m; then the factors, the bound and the share.  point = (t,
-        |(s)_15|, |s + 15|)."""
-        t, poch15, shift15 = point
+        """The function's bound (boole_bound for eta, backlund_bound for
+        zeta) over its share at N = 2m + 1, from the factors kept per m;
+        then the factors, the bound and the share.  point = (t, |(s)_15|,
+        |s + 15|, zeta)."""
+        t, poch15, shift15, zeta = point
         factors = self._factors.get(m)
         if factors is None:
             factors = self._factors[m] = tail_factors(self.sigma, 2.0 * m + 1.0)
-        bound, share = boole_bound(poch15, shift15, factors), sum_rounding(t, factors)
+        bound = (backlund_bound if zeta else boole_bound)(poch15, shift15, factors)
+        share = sum_rounding(t, factors)
         return bound / (CUTOFF_SHARE * share), factors, bound, share
 
     def partial_sum(self, t: float, m: int) -> complex:
@@ -370,75 +428,79 @@ class Line:
             raise DomainError(f"m must be an integer, not {m!r}") from None
         if m < 1:
             raise DomainError("m must be >= 1")
-        return self._partial_sum(ComplexPoint(self.sigma, t).t, m)[0]
+        return self._partial_sum(ComplexPoint(self.sigma, t).t, m, False)[0]
 
-    def _partial_sum(self, t: float, m: int) -> "tuple[complex, float]":
-        """partial_sum at a t and an m already checked (eta and zeta's path),
-        from n = 2m down, TERMS_KEPT terms at a time, and its summation's bound
-        1.5 u sum_k |s_k| (dirichlet_sum; 1.5 covers sqrt(2) and its rounding)."""
-        count, mags, lns = 2 * m, self._mags, log_table(2 * m)
+    def _partial_sum(self, t: float, m: int, zeta: bool = False) -> "tuple[complex, float]":
+        """eta's partial_sum, or zeta's sum_{n=1}^{2m} n^(-s), at a t and an
+        m already checked (eta and zeta's path), from n = 2m down, TERMS_KEPT
+        terms at a time, and its summation's bound 1.5 u sum_k |s_k|
+        (dirichlet_sum; 1.5 covers sqrt(2) and its rounding)."""
+        count, terms, lns = 2 * m, self._terms[zeta], log_table(2 * m)
         kept = min(count, TERMS_KEPT)
-        if len(mags) < kept:
-            mags.extend(_signed_powers(self.sigma, len(mags) + 1, islice(lns, len(mags), kept)))
+        if len(terms) < kept:
+            terms.extend(_powers(self.sigma, len(terms) + 1, islice(lns, len(terms), kept),
+                                 not zeta))
         total, size = 0j, 0.0
         if count > TERMS_KEPT:
             for top in range(count, TERMS_KEPT, -TERMS_KEPT):
                 # [*...], not list(...): the name list costs cold start a GC-tracked object
                 far = [*map(math.log, range(top, max(top - TERMS_KEPT, TERMS_KEPT), -1))]
-                partials = dirichlet_sum(_signed_powers(self.sigma, top, far), far, t, total)
+                partials = dirichlet_sum(_powers(self.sigma, top, far, not zeta), far, t, total)
                 total, size = partials[-1], size + math.fsum(map(abs, partials))
-        partials = dirichlet_sum(mags[kept - 1::-1], lns[kept - 1::-1], t, total)
+        partials = dirichlet_sum(terms[kept - 1::-1], lns[kept - 1::-1], t, total)
         return partials[-1], 1.5 * UNIT_ROUNDOFF * (size + math.fsum(map(abs, partials)))
 
     def eta(self, t: float) -> EvalResult:
         """eta(sigma + i t) by the paper's formula."""
-        value, truncation, rounding, m = self._eval(ComplexPoint(self.sigma, t))
+        value, truncation, rounding, m = self._eval(ComplexPoint(self.sigma, t), False)
         return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
                           MethodTag.DIRECT26, m)
 
     def zeta(self, t: float) -> EvalResult:
-        """zeta(sigma + i t): eta(s) / (1 - 2^(1-s)), both budget parts
-        multiplied by 1 / |1 - 2^(1-s)|, or the stepwise continuation
-        (|t| <= 20 only) within EXCEPTIONAL_DISTANCE_THRESHOLD of an
-        exceptional point.  A line farther than that from sigma = 1 never
-        measures the distance.  The point, its budget and its result are
-        each built once."""
+        """zeta(sigma + i t) by Euler-Maclaurin's formula, at its own cutoff,
+        or by the stepwise continuation (|t| <= 20 only) within
+        EXCEPTIONAL_DISTANCE_THRESHOLD of an exceptional point; PoleError
+        for |s - 1| < POLE_GAP.  A line farther than that threshold from
+        sigma = 1 never measures the distance.  The point, its budget and its
+        result are each built once."""
         s = ComplexPoint(self.sigma, t)
         if (self._near_exceptional
                 and exceptional_distance(s) < EXCEPTIONAL_DISTANCE_THRESHOLD):
             return zeta_em_stepwise(s)
-        denominator = _one_minus_two_pow(1.0 - s.z)
-        if abs(denominator) < POLE_GAP:
+        if abs(s.z - 1.0) < POLE_GAP:
             raise PoleError("pole at s=1")
-        value, truncation, rounding, m = self._eval(s)
-        scale = 1.0 / abs(denominator)
-        return EvalResult(value / denominator,
-                          ErrorBudget.assemble(truncation * scale, rounding * scale),
-                          MethodTag.DIRECT26, m)
+        value, truncation, rounding, m = self._eval(s, True)
+        return EvalResult(value, ErrorBudget.assemble(truncation, rounding),
+                          MethodTag.EULER_MACLAURIN, m)
 
-    def _eval(self, s: ComplexPoint) -> "tuple[complex, float, float, int]":
-        """eta's value, truncation and rounding bounds and m at s on this
-        line, before any budget or result is built.
+    def _eval(self, s: ComplexPoint, zeta: bool) -> "tuple[complex, float, float, int]":
+        """eta's or zeta's value, truncation and rounding bounds and m at s on
+        this line, before any budget or result is built.
 
-        The budget is Boole's truncation bound plus a rounding bound: the
-        correction term's (correction_term) and the partial sum's.  Each of
-        its terms n^(-sigma) e^(-i t ln n) is off by about u |t| ln n from its
-        phase's rounding (up to twice that where both roundings align, which
-        the sum of many terms averages out) and by a few u from its magnitude,
-        cosine and sine: at most u S (8 + |t| ln N) in all, S >= sum_{n<=2m}
-        n^-sigma (sum_rounding).  Their summation adds its running bound
-        (_partial_sum), and 8 u |value| covers the last sum and a later
-        division by 1 - 2^(1-s).  Truncation and the terms' part are the
-        cutoff search's read at m (_bounds), so the cutoff's share of the
-        terms' part holds by construction.
+        The budget is the formula's truncation bound (boole_bound or
+        backlund_bound) plus a rounding bound: the correction term's
+        (correction_term), zeta's pole term's (pole_term) and the partial
+        sum's.  Each of its terms n^(-sigma) e^(-i t ln n) is off by about
+        u |t| ln n from its phase's rounding (up to twice that where both
+        roundings align, which the sum of many terms averages out) and by a
+        few u from its magnitude, cosine and sine: at most u S (8 + |t| ln N)
+        in all, S >= sum_{n<=2m} n^-sigma (sum_rounding), with or without
+        the signs.  Their summation adds its running bound (_partial_sum),
+        and 8 u |value| covers the last sums.  Truncation and the terms'
+        part are the cutoff search's read at m (_bounds), so the cutoff's
+        share of the terms' part holds by construction.
         """
-        m, rising, (_, factors, truncation, share) = self._bounds(s.t, self.m)
+        m, rising, (_, factors, truncation, share) = self._bounds(s.t, self.m, zeta)
         if not truncation < math.inf:  # |s| past about 1e20, before exp(-s ln N) fails
             raise ParameterExhaustionError(f"parameter exhaustion: the truncation bound "
                                            f"at t = {s.t:g}, m = {m} exceeds double range")
-        correction, rounding = correction_term(s, rising, factors)
-        partial, summation = self._partial_sum(s.t, m)
+        correction, rounding = correction_term(s, rising, factors, zeta)
+        partial, summation = self._partial_sum(s.t, m, zeta)
         value = partial + correction
+        if zeta:
+            pole, pole_rounding = pole_term(s, 2.0 * m + 1.0, factors[0])
+            value += pole
+            rounding += pole_rounding
         rounding += share + summation + 8.0 * UNIT_ROUNDOFF * abs(value)
         return value, truncation, rounding, m
 

@@ -1,9 +1,11 @@
-"""Each part of the direct route's budget against the error it bounds.
+"""Each part of eta's and zeta's budgets against the error it bounds.
 
-The same formula, sum plus correction at the same m, is run again in mpmath
-at 40 digits.  Then |formula - eta| is the truncation error, which the
-budget's truncation part (Boole's remainder) must bound, and |value -
-formula| is the rounding error, which its rounding part must bound.  The
+The same formula, sum plus correction (plus zeta's pole term) at the same m,
+is run again in mpmath at 40 digits.  Then |formula - eta| or |formula -
+zeta| is the truncation error, which the budget's truncation part (Boole's
+or Backlund's remainder) must bound, and |value - formula| is the rounding
+error, which its rounding part must bound.  Zeta's Euler-Maclaurin bracket
+and pole term are each checked against their own rounding bounds too.  The
 summation's running bound is checked against the exact sum of the same
 float terms.  The two constants of Boole's bound are pinned against mpmath
 as well, and so is the libm the rounding bounds assume."""
@@ -18,8 +20,9 @@ from functools import reduce
 import mpmath
 import pytest
 
+from eta_zeta import ComplexPoint, MethodTag
 from eta_zeta.coefficients import p_coefficients
-from eta_zeta.zeta_bridge import C14, C15, R_MAX, Line
+from eta_zeta.zeta_bridge import B16, C14, C15, R_MAX, Line, correction_term, pole_term
 
 DPS = 40
 
@@ -65,6 +68,53 @@ def test_each_component_bounds_its_error(sigma, t, m):
     assert rounding_error <= result.budget.rounding
 
 
+# next to s = 1, where the pole term rules zeta's value and budget, and
+# next to s = 0, where it is exactly -N
+ZETA_POINTS = _points() + [(1.0 + 1e-8, 0.0, None), (1.0, 1e-6, None),
+                           (1.0 - 1e-12, 1e-12, None), (0.999, 0.5, 3),
+                           (1e-9, -1e-9, None), (2.0, 1e-3, 40)]
+
+
+def _zeta_parts(s, m):
+    # the Euler-Maclaurin bracket N^-s [1/2 + sum_k B_2k/(2k)! (s)_{2k-1}
+    # N^-(2k-1)] and the pole term N^(1-s)/(s - 1), N = 2m + 1, exactly
+    n_top = 2 * m + 1
+    bracket = mpmath.mpf(1) / 2
+    for k in range(1, R_MAX + 1):
+        bracket += (mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+                    * mpmath.rf(s, 2 * k - 1) * mpmath.power(n_top, 1 - 2 * k))
+    return (mpmath.power(n_top, -s) * bracket,
+            mpmath.power(n_top, 1 - s) / (s - 1))
+
+
+@pytest.mark.parametrize("sigma,t,m", ZETA_POINTS)
+def test_each_zeta_component_bounds_its_error(sigma, t, m):
+    # Backlund's remainder, then the rounding part as a whole, then the
+    # bracket and the pole term each against its own rounding bound
+    line = Line(sigma, m)
+    result = line.zeta(t)
+    assert result.method is MethodTag.EULER_MACLAURIN
+    point = ComplexPoint(sigma, t)
+    _, chain, (_, factors, truncation, _) = line._bounds(t, result.m, True)
+    bracket, bracket_rounding = correction_term(point, chain, factors, True)
+    pole, pole_rounding = pole_term(point, 2.0 * result.m + 1.0, factors[0])
+    assert truncation == result.budget.truncation
+    with mpmath.workdps(DPS):
+        s = mpmath.mpc(sigma, t)
+        exact_bracket, exact_pole = _zeta_parts(s, result.m)
+        head = mpmath.fsum(mpmath.power(n, -s) for n in range(1, 2 * result.m + 1))
+        formula = head + exact_bracket + exact_pole
+        scale = mpmath.fsum(mpmath.power(n, -sigma) for n in range(1, 2 * result.m + 2))
+        noise = float(max(scale, abs(exact_pole)) * mpmath.mpf(10) ** (3 - DPS))
+        truncation_error = float(abs(formula - mpmath.zeta(s)))
+        errors = [float(abs(mpmath.mpc(v.real, v.imag) - exact)) for v, exact in
+                  ((result.value, formula), (bracket, exact_bracket), (pole, exact_pole))]
+    assert truncation_error <= result.budget.truncation + noise
+    assert errors[0] <= result.budget.rounding
+    assert errors[1] <= bracket_rounding
+    assert errors[2] <= pole_rounding
+
+
 def test_boole_constants():
     # C14 = sup |E_14(x)| / (2 14!) over [0, 1], at x = 1/2: |E_14| / 2^14
     # with the Euler number E_14; C15 = sup |E_15(x)| / (2 15!), at the ends,
@@ -79,6 +129,9 @@ def test_boole_constants():
             assert float(sup) == pytest.approx(constant, rel=1e-15)
     assert C15 == abs(p_coefficients(R_MAX + 1)[R_MAX + 1])
     assert math.isclose(C14, 6.98e-8, rel_tol=1e-3)
+    # Backlund's constant |B_16| / 16!, rounded once
+    with mpmath.workdps(30):
+        assert B16 == float(abs(mpmath.bernoulli(16)) / mpmath.factorial(16))
 
 
 def _summation_points():

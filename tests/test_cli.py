@@ -26,7 +26,7 @@ def test_eval_text_zeta_half(capsys):
     code, out, _ = run_cli(capsys, "eval", "zeta", "0.5", "0")
     assert code == 0
     assert "-1.46035450881" in out
-    assert "method    = Direct26" in out
+    assert "method    = EulerMaclaurin" in out
 
 
 def test_eval_text_eta_one_m50(capsys):
@@ -56,7 +56,7 @@ def test_eval_csv(capsys):
     assert lines[0] == CSV_HEADER
     fields = lines[1].split(",")
     assert float(fields[0]) == 0.75
-    assert fields[5] == "Direct26"
+    assert fields[5] == "EulerMaclaurin"
 
 
 def test_eval_pole_exit_code(capsys):
@@ -94,7 +94,7 @@ def test_scan_record_count_and_header(capsys):
     assert len(lines) == 4
     t_values = [float(line.split(",")[1]) for line in lines[1:]]
     assert t_values == sorted(t_values)
-    assert all(line.split(",")[5] == "Direct26" for line in lines[1:])
+    assert all(line.split(",")[5] == "EulerMaclaurin" for line in lines[1:])
 
 
 def test_scan_minimum_near_first_critical_zero(capsys):
@@ -174,32 +174,32 @@ def test_scan_repeated_and_parallel_bytes_identical():
     assert first == parallel
 
 
-# zeta on sigma = 1 at n pi i / ln 2, n = 0..8: the pole, direct rows
-# between the exceptional points, stepwise rows at the first two and error
+# zeta on sigma = 1 at n pi i / ln 2, n = 0..8: the pole, Euler-Maclaurin
+# rows between the exceptional points, stepwise rows at the first two and error
 # rows past the stepwise reach, pinned byte for byte
 PINNED_SCAN = ("scan", "zeta", "--sigma", "1", "--t-min", "0", "--t-max", "36.26",
                "--step", "4.532360141827194")
 PINNED_CSV = """\
 sigma,t,re,im,abs,method,err_bound,m_used
 1.0,0.0,,,,error,,
-1.0,4.532360141827194,0.7187753347212902,0.12469648368369426,0.729511613921794,Direct26,6.740478192354893e-15,11
+1.0,4.532360141827194,0.7187753347212901,0.12469648368369368,0.7295116139217938,EulerMaclaurin,1.0679514681614715e-14,6
 1.0,9.064720283654388,1.3465795428362433,0.10988313679611028,1.3510554277812656,Stepwise3,1.0000011999782748e-09,0
-1.0,13.597080425481582,0.40189531652479793,-0.22107154305595472,0.45868559231101685,Direct26,1.700390092238276e-14,19
+1.0,13.597080425481582,0.40189531652479876,-0.22107154305595406,0.45868559231101724,EulerMaclaurin,2.5193594988101706e-14,9
 1.0,18.129440567308777,1.824744877857094,-0.21603521606809142,1.837488798291649,Stepwise3,1.000001632017897e-09,0
-1.0,22.66180070913597,1.0559490390610458,0.2208804125800802,1.0788032859402554,Direct26,3.191447110767245e-14,27
+1.0,22.66180070913597,1.0559490390610495,0.2208804125800799,1.078803285940259,EulerMaclaurin,4.694313511201758e-14,13
 1.0,27.194160850963165,,,,error,,
-1.0,31.72652099279036,0.7259397335718146,0.007785273939040756,0.7259814785988848,Direct26,4.826487158638559e-14,35
+1.0,31.72652099279036,0.7259397335718161,0.007785273939039718,0.7259814785988863,EulerMaclaurin,6.90296079340788e-14,18
 1.0,36.25888113461755,,,,error,,
 """
 PINNED_JSON = """\
 {"sigma": 1, "t": 0, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
-{"sigma": 1, "t": 4.5323601418271942, "re": 0.71877533472129018, "im": 0.12469648368369426, "abs": 0.72951161392179398, "method": "Direct26", "err_bound": 6.7404781923548931e-15, "m_used": 11}
+{"sigma": 1, "t": 4.5323601418271942, "re": 0.71877533472129007, "im": 0.12469648368369368, "abs": 0.72951161392179376, "method": "EulerMaclaurin", "err_bound": 1.0679514681614715e-14, "m_used": 6}
 {"sigma": 1, "t": 9.0647202836543883, "re": 1.3465795428362433, "im": 0.10988313679611028, "abs": 1.3510554277812656, "method": "Stepwise3", "err_bound": 1.0000011999782748e-09, "m_used": 0}
-{"sigma": 1, "t": 13.597080425481582, "re": 0.40189531652479793, "im": -0.22107154305595472, "abs": 0.45868559231101685, "method": "Direct26", "err_bound": 1.7003900922382759e-14, "m_used": 19}
+{"sigma": 1, "t": 13.597080425481582, "re": 0.40189531652479876, "im": -0.22107154305595406, "abs": 0.45868559231101724, "method": "EulerMaclaurin", "err_bound": 2.5193594988101706e-14, "m_used": 9}
 {"sigma": 1, "t": 18.129440567308777, "re": 1.824744877857094, "im": -0.21603521606809142, "abs": 1.837488798291649, "method": "Stepwise3", "err_bound": 1.0000016320178971e-09, "m_used": 0}
-{"sigma": 1, "t": 22.661800709135971, "re": 1.0559490390610458, "im": 0.2208804125800802, "abs": 1.0788032859402554, "method": "Direct26", "err_bound": 3.1914471107672448e-14, "m_used": 27}
+{"sigma": 1, "t": 22.661800709135971, "re": 1.0559490390610495, "im": 0.2208804125800799, "abs": 1.078803285940259, "method": "EulerMaclaurin", "err_bound": 4.6943135112017583e-14, "m_used": 13}
 {"sigma": 1, "t": 27.194160850963165, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
-{"sigma": 1, "t": 31.726520992790359, "re": 0.72593973357181463, "im": 0.0077852739390407563, "abs": 0.72598147859888484, "method": "Direct26", "err_bound": 4.8264871586385587e-14, "m_used": 35}
+{"sigma": 1, "t": 31.726520992790359, "re": 0.72593973357181607, "im": 0.0077852739390397181, "abs": 0.72598147859888629, "method": "EulerMaclaurin", "err_bound": 6.9029607934078799e-14, "m_used": 18}
 {"sigma": 1, "t": 36.258881134617553, "re": null, "im": null, "abs": null, "method": "error", "err_bound": null, "m_used": null}
 """
 

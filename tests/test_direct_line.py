@@ -1,8 +1,8 @@
 """The line evaluator against the per-point loops it replaced and the plain
 cutoff loop (reference_loops), against the per-point budget and against
-per-point eta/zeta: equal to the last bit, including when a line is reused
-out of order and when 2m passes 2000.  It also pins the paper's cutoff
-design pairs."""
+per-point eta/zeta: equal to the last bit, for eta's formula and zeta's,
+including when a line is reused out of order and when 2m passes 2000.  It
+also pins the paper's cutoff design pairs."""
 
 import math
 import operator
@@ -48,6 +48,35 @@ def test_partial_sum_matches_reference(sigma):
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
+def test_unsigned_partial_sum_matches_reference(sigma):
+    # zeta's sum of n^-s, on a line reused over m and t that keeps its
+    # unsigned terms beside eta's signed ones
+    line = Line(sigma)
+    for m in MS:
+        for t in TS:
+            assert bits(line._partial_sum(t, m, True)[0]) \
+                == bits(ref.dirichlet_partial_sum(sigma, t, m)), (m, t)
+            assert bits(line.partial_sum(t, m)) \
+                == bits(ref.alternating_partial_sum(sigma, t, m)), (m, t)
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_backlund_matches_pointwise(sigma):
+    # zeta's truncation bound at an explicit m is Backlund's per point, bit
+    # for bit, on a line reused over t; s = 1 is the pole, and 1 + 9.0647i
+    # an exceptional point, which takes the stepwise route
+    for m in MS:
+        line = Line(sigma, m)
+        for t in TS:
+            if sigma == 1.0 and t in (0.0, 9.0647202836):
+                continue
+            result = line.zeta(t)
+            assert (result.method, result.m) == (MethodTag.EULER_MACLAURIN, m)
+            assert result.budget.truncation.hex() \
+                == ref.backlund_bound(sigma, t, m).hex(), (m, t)
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
 def test_truncation_matches_pointwise(sigma):
     # an explicit m's truncation bound is the per-point one, bit for bit, on
     # a line reused over t that keeps its factors at N = 2m + 1
@@ -73,6 +102,12 @@ def test_select_matches_reference(sigma):
     rng.shuffle(ts)
     line = Line(sigma)
     for t in ts:
+        assert line.select(t) == ref.smallest_cutoff(sigma, t), t
+    # zeta's cutoff, by the same search on Backlund's bound, on the same
+    # line: its kept cutoff is its own
+    for t in ts[::-1]:
+        assert line._bounds(t, None, True)[0] \
+            == ref.smallest_cutoff(sigma, t, ref.backlund_bound), t
         assert line.select(t) == ref.smallest_cutoff(sigma, t), t
 
 
@@ -144,66 +179,84 @@ def _record(monkeypatch, name):
     return calls
 
 
-# (sigma, t, selected m, bound reads of a fresh line's selection)
+# (sigma, t, selected m, bound reads of a fresh line's selection), eta's;
+# zeta's (m, reads) at the same points, by Backlund's bound
 PINNED_READS = [(0.5, 14.134725, 20, 4), (-0.5, 186.0, 197, 4), (0.5, 0.0, 8, 4),
                 (3.0, 100.0, 58, 4), (-0.3, 20.0, 27, 4), (2.5, 170.0, 103, 5)]
+ZETA_READS = {(0.5, 14.134725): (10, 3), (-0.5, 186.0): (99, 4), (0.5, 0.0): (4, 3),
+              (3.0, 100.0): (31, 3), (-0.3, 20.0): (13, 3), (2.5, 170.0): (55, 3)}
+BOUND_NAMES = {"eta": "boole_bound", "zeta": "backlund_bound"}
 
 
 @pytest.mark.parametrize("sigma, t, m, reads", PINNED_READS)
 def test_each_bound_is_read_once_per_check(monkeypatch, sigma, t, m, reads):
-    # a point reads Boole's bound and the partial sum's share only in its
-    # cutoff's search, a fresh line as often as its selection alone, a
-    # reused one at m and m - 1; the budget's truncation is the search's one
-    # read at the selected m, so the cutoff's share holds by construction,
-    # and nothing is read after the selection.  An explicit m reads each once
-    bounds = _record(monkeypatch, "boole_bound")
+    # a point reads its function's bound (Boole's for eta, Backlund's for
+    # zeta) and the partial sum's share only in its cutoff's search, a fresh
+    # line as often as its selection alone, a reused one at m and m - 1; the
+    # budget's truncation is the search's one read at the selected m, so the
+    # cutoff's share holds by construction, and nothing is read after the
+    # selection.  An explicit m reads each once
     shares = _record(monkeypatch, "sum_rounding")
     line = Line(sigma)
-    result = line.eta(t)
-    assert result.m == m and len(bounds) == len(shares) == reads
-    at_m = [bound for (*_, factors), bound in bounds if factors is line._factors[m]]
-    assert [bound.hex() for bound in at_m] == [result.budget.truncation.hex()]
-    # a fresh point reads the same; the bracket's coefficients in the factors
-    # at m are built by its correction, after the search
-    assert Line(sigma).eta(t).m == m and bounds[reads:] == bounds[:reads]
-    assert Line(sigma).select(t) == m and len(bounds) == 3 * reads
-    for point in (line.eta, line.zeta):
+    for function, (m, reads) in (("eta", (m, reads)), ("zeta", ZETA_READS[sigma, t])):
+        bounds = _record(monkeypatch, BOUND_NAMES[function])
+        shares.clear()
+        result = getattr(line, function)(t)
+        assert result.m == m and len(bounds) == len(shares) == reads
+        at_m = [bound for (*_, factors), bound in bounds if factors is line._factors[m]]
+        assert [bound.hex() for bound in at_m] == [result.budget.truncation.hex()]
+        # a fresh point reads the same; the bracket's coefficients in the
+        # factors at m are built by its correction, after the search
+        assert getattr(Line(sigma), function)(t).m == m and bounds[reads:] == bounds[:reads]
+        if function == "eta":  # select is eta's cutoff
+            assert Line(sigma).select(t) == m and len(bounds) == 3 * reads
         bounds.clear()
         shares.clear()
-        result = point(math.nextafter(t, 0.0))
+        result = getattr(line, function)(math.nextafter(t, 0.0))
         assert result.m == m and len(bounds) == len(shares) == 2
-    bounds.clear()
-    shares.clear()
-    result = Line(sigma, 40).eta(t)
-    assert len(bounds) == len(shares) == 1
-    assert result.budget.truncation.hex() == bounds[0][1].hex()
+        bounds.clear()
+        shares.clear()
+        result = getattr(Line(sigma, 40), function)(t)
+        assert len(bounds) == len(shares) == 1
+        assert result.budget.truncation.hex() == bounds[0][1].hex()
+
+
+def _scan_grid(monkeypatch, function, name):
+    """Each call of zeta_bridge's name per point over line_scan's 5001-point
+    grid, on one line, and the line."""
+    calls = _record(monkeypatch, name)
+    line = Line(0.5)
+    evaluate = getattr(line, function)
+    per_point = []
+    for k in range(5001):
+        evaluate(k * 0.01)
+        per_point.append(calls[:])
+        calls.clear()
+    return per_point, line
 
 
 def test_factors_are_built_once_per_m_on_the_scan_grid(monkeypatch):
     # over line_scan's 5001-point grid every build of the factors is one at
-    # N = 2m + 1 for an m read, kept, once per m
-    builds = _record(monkeypatch, "tail_factors")
-    line = Line(0.5)
-    for k in range(5001):
-        line.zeta(k * 0.01)
-    assert sorted(b for (sigma, b), _ in builds) \
-        == sorted(2.0 * m + 1.0 for m in line._factors)
-    assert len(builds) == len(line._factors) > 40
-    assert all(factors is line._factors[(b - 1.0) / 2.0] for (_, b), factors in builds)
+    # N = 2m + 1 for an m read, kept, once per m: more than 40 of them for
+    # eta, more than 20 for zeta, whose cutoffs are about half
+    for function, at_least in (("eta", 40), ("zeta", 20)):
+        per_point, line = _scan_grid(monkeypatch, function, "tail_factors")
+        builds = [build for point in per_point for build in point]
+        assert sorted(b for (sigma, b), _ in builds) \
+            == sorted(2.0 * m + 1.0 for m in line._factors)
+        assert len(builds) == len(line._factors) > at_least
+        assert all(factors is line._factors[(b - 1.0) / 2.0] for (_, b), factors in builds)
 
 
-def test_no_scan_grid_point_reads_more_than_three_bounds(calls):
+def test_no_scan_grid_point_reads_more_than_three_bounds(monkeypatch):
     # along line_scan's grid a moved cutoff is stepped to from the kept one,
     # never searched for afresh: after the fresh first point, each point
-    # reads the bound at most three times, and in fact twice
-    line = Line(0.5)
-    reads = []
-    for k in range(5001):
-        before = len(calls)
-        line.zeta(k * 0.01)
-        reads.append(len(calls) - before)
-    assert max(reads[1:]) <= 3
-    assert reads == [4] + [2] * 5000
+    # reads its function's bound at most three times, and in fact twice
+    for function, first in (("eta", 4), ("zeta", 3)):
+        per_point, _ = _scan_grid(monkeypatch, function, BOUND_NAMES[function])
+        reads = [len(point) for point in per_point]
+        assert max(reads[1:]) <= 3
+        assert reads == [first] + [2] * 5000
 
 
 EXCEPTIONAL_SIGMAS = [x for d in (-1e-4, 1e-4)
@@ -320,7 +373,7 @@ def test_log_table_shared_across_routes(monkeypatch):
         (lambda: zeta(ComplexPoint(1.0, 9.0647202836)).method, MethodTag.STEPWISE3),
         (lambda: {row.split(",")[5]
                   for row in list(scan_lines("csv", "zeta", 0.25, 0.0, 30.0, 0.5))[1:]},
-         {"Direct26"}),
+         {"EulerMaclaurin"}),
         (lambda: Line(2.5, 2100).eta(3.0).method, MethodTag.DIRECT26))
     sizes = []
     for route, methods in routes:
@@ -336,9 +389,9 @@ def test_log_table_shared_across_routes(monkeypatch):
 def test_large_m_values_unchanged():
     assert eta(ComplexPoint(0.75, 3.0), m=1001).value \
         == (1.0162861704465986 + 0.452895642561893j)
-    # sigma = 0.3 on the direct route too, with 2400 terms
+    # zeta on sigma = 0.3 by Euler-Maclaurin, with 2400 terms
     assert zeta(ComplexPoint(0.3, 3.0), m=1200).value \
-        == (0.49469031977981553 - 0.06320843421161455j)
+        == (0.49469031977990596 - 0.06320843421153066j)
 
 
 def test_large_m_runs_in_bounded_memory(monkeypatch):

@@ -99,10 +99,12 @@ def test_named_fields_unpack_and_compare_as_tuples():
 def test_method_tags_are_their_strings():
     # a tag is the str of its value, one object per member, iterated in
     # declaration order and pickled by name
-    direct, stepwise = MethodTag.DIRECT26, MethodTag.STEPWISE3
-    assert list(MethodTag) == [direct, stepwise]
-    assert set(MethodTag) == {"Direct26", "Stepwise3"}
-    for tag, text in ((direct, "Direct26"), (stepwise, "Stepwise3")):
+    direct, euler, stepwise = (MethodTag.DIRECT26, MethodTag.EULER_MACLAURIN,
+                               MethodTag.STEPWISE3)
+    assert list(MethodTag) == [direct, euler, stepwise]
+    assert set(MethodTag) == {"Direct26", "EulerMaclaurin", "Stepwise3"}
+    for tag, text in ((direct, "Direct26"), (euler, "EulerMaclaurin"),
+                      (stepwise, "Stepwise3")):
         assert isinstance(tag, str) and tag == text and hash(tag) == hash(text)
         assert str(tag) == f"{tag}" == text and type(str(tag)) is str
         assert repr(tag) == repr(text)

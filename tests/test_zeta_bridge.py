@@ -12,7 +12,7 @@ from eta_zeta import (ComplexPoint, DomainError, ErrorBudget, EtaZetaError,
                       exceptional_distance, zeta)
 from eta_zeta import zeta_bridge
 from eta_zeta.cli import scan_lines
-from eta_zeta.zeta_bridge import Line, zeta_em_stepwise
+from eta_zeta.zeta_bridge import POLE_GAP, Line, zeta_em_stepwise
 
 import oracles
 
@@ -102,8 +102,8 @@ def test_functional_equation_round_trip():
 
 def test_zero_over_zero_routes_are_pinned():
     # the points where the functional equation was 0/0 (sigma near 0), now
-    # direct, and the conversion next to an exceptional point, pinned bit
-    # for bit
+    # on each function's formula, and the stepwise route next to an
+    # exceptional point, pinned bit for bit
     image = eta(ComplexPoint(0.0, 9.064720283654388))
     assert image.value == (-1.5987345268086879-0.2783386696390828j)
     assert image.budget.total == 1.6835596540899973e-13
@@ -111,7 +111,7 @@ def test_zero_over_zero_routes_are_pinned():
     assert (eta(ComplexPoint(1e-9, 0.0)).value
             == (0.5000000002257916+0j))
     assert (zeta(ComplexPoint(-1e-9, 0.0)).value
-            == (-0.4999999990810614-0j))
+            == (-0.49999999908106174+0j))
     assert (zeta(ComplexPoint(1.0, 9.064720383654388)).value
             == (1.3465795532854368+0.10988311702034802j))
 
@@ -164,11 +164,12 @@ def test_eta_stepwise_image_on_the_zero_line():
 
 def test_eta_stepwise_image_beyond_reach():
     # the image of the third exceptional point, past the stepwise route's
-    # |t| <= 20, is direct as well, for eta and zeta
-    for function, reference in ((eta, oracles.eta_reference),
-                                (zeta, oracles.zeta_reference)):
+    # |t| <= 20, is on each function's formula as well, for eta and zeta
+    for function, reference, method in (
+            (eta, oracles.eta_reference, MethodTag.DIRECT26),
+            (zeta, oracles.zeta_reference, MethodTag.EULER_MACLAURIN)):
         result = function(ComplexPoint(0.0, 3.0 * T1))
-        assert result.method is MethodTag.DIRECT26
+        assert result.method is method
         assert oracles.diff(result.value, reference(0.0, 3.0 * T1)) \
             <= result.budget.total
 
@@ -278,18 +279,20 @@ def test_near_zero_within_budget():
 # --------------------------------------------------------- zeta dispatch ---
 
 def test_zeta_at_half():
+    # Euler-Maclaurin's zeta against Boole's eta over 1 - sqrt 2
     result = zeta(ComplexPoint(0.5, 0.0))
     assert result.value.real == pytest.approx(-1.4603545, abs=5e-8)
-    assert result.method is MethodTag.DIRECT26
+    assert (result.method, result.m) == (MethodTag.EULER_MACLAURIN, 4)
     eta_v = eta(ComplexPoint(0.5, 0.0)).value
     assert result.value.real == pytest.approx(
         eta_v.real / (1.0 - math.sqrt(2.0)), rel=1e-15)
 
 
 def test_zeta_special_value_at_zero():
+    # 1 + 1 + N^0 / 2 - N^1 / 1 at N = 3, each exact
     result = zeta(ComplexPoint(0, 0))
     assert result.value == -0.5 + 0j
-    assert (result.method, result.m) == (MethodTag.DIRECT26, 1)
+    assert (result.method, result.m) == (MethodTag.EULER_MACLAURIN, 1)
 
 
 def test_zeta_at_two():
@@ -313,10 +316,11 @@ def test_zeta_at_first_exceptional_point():
     assert oracles.diff(result.value, ref) <= 1e-9
 
 
-def test_zeta_near_exceptional_point_uses_conversion():
+def test_zeta_near_exceptional_point_uses_euler_maclaurin():
+    # past the stepwise route's threshold, 1e-3 from the point
     s = ComplexPoint(1.0, T1 + 1e-3)
     result = zeta(s)
-    assert result.method is MethodTag.DIRECT26
+    assert result.method is MethodTag.EULER_MACLAURIN
     ref = oracles.zeta_reference(1.0, T1 + 1e-3)
     assert oracles.diff(result.value, ref) <= result.budget.total
 
@@ -344,21 +348,56 @@ def test_zeta_near_pole_within_budget(sigma, t):
     assert oracles.diff(result.value, ref) <= result.budget.total
 
 
-def test_zeta_budget_scaling():
-    # zeta's value is eta's over 1 - 2^(1-s), and each budget part is eta's
-    # times 1 / |1 - 2^(1-s)|, bit for bit
-    for sigma, t in ((-0.3, 20.0), (-0.3, -170.0), (0.5, 14.134725), (0.5, 170.0),
-                     (0.75, 3.0), (0.75, -101.5), (2.5, 0.5), (2.5, 170.0)):
-        s = ComplexPoint(sigma, t)
-        eta_result, zeta_result = eta(s), zeta(s)
-        denominator = zeta_bridge._one_minus_two_pow(1.0 - s.z)
-        scale = abs(1.0 / abs(denominator))
-        assert zeta_result.value == eta_result.value / denominator, s
-        assert zeta_result.budget.truncation.hex() \
-            == (eta_result.budget.truncation * scale).hex(), s
-        assert zeta_result.budget.rounding.hex() \
-            == (eta_result.budget.rounding * scale).hex(), s
-        assert zeta_result.m == eta_result.m, s
+def test_zeta_next_to_the_pole_is_pinned():
+    # without the quotient by 1 - 2^(1-s), the pole term N^(1-s) / (s - 1)
+    # carries zeta to POLE_GAP.  At 1 + 6e-309 i, just past it, zeta is
+    # -i / 6e-309 plus Euler's constant; at 1 - 2^-53 + 1e-308 i its real
+    # part -2^53 + 0.5772 rounds to -(2^53 - 1), the double nearest it
+    near = zeta(ComplexPoint(1.0, 6e-309))
+    assert near.value == (0.5772156649015363-1.666666666666666e+308j)
+    assert abs(near.value.real - 0.5772156649015329) < 1e-14
+    below = zeta(ComplexPoint(1.0 - 2.0 ** -53, 1e-308))
+    assert below.value == (-9007199254740991-8.112963841460667e-277j)
+    for result, (sigma, t) in ((near, (1.0, 6e-309)), (below, (1.0 - 2.0 ** -53, 1e-308))):
+        assert result.method is MethodTag.EULER_MACLAURIN
+        exact = oracles.zeta_reference(sigma, t)
+        assert oracles.diff(result.value, exact) <= result.budget.total < math.inf
+    assert below.value.real == float(oracles.zeta_reference(1.0 - 2.0 ** -53, 1e-308).real)
+
+
+# on sigma = 1, |s - 1| at POLE_GAP, the double just past it and points out
+# to 1e-300; the doubles next to 1, on the real axis and off it
+OUTSIDE_POLE_GAP = [(1.0, POLE_GAP), (1.0, -POLE_GAP), (1.0, math.nextafter(POLE_GAP, 1.0)),
+                    (1.0, 6e-309), (1.0, 1e-308), (1.0, 1e-300),
+                    (math.nextafter(1.0, 0.0), 0.0), (math.nextafter(1.0, 2.0), 0.0),
+                    (math.nextafter(1.0, 0.0), POLE_GAP), (math.nextafter(1.0, 2.0), -1e-308)]
+
+
+@pytest.mark.parametrize("m", [None, 1, 40, 2100])
+def test_pole_error_only_within_the_pole_gap(m):
+    # PoleError exactly where |s - 1| < POLE_GAP; past it a finite value and
+    # budget, never an infinite value nor ParameterExhaustionError, however
+    # many terms
+    for sigma, t in OUTSIDE_POLE_GAP:
+        assert not abs(complex(sigma, t) - 1.0) < POLE_GAP
+        result = zeta(ComplexPoint(sigma, t), m=m)
+        assert cmath.isfinite(result.value), (sigma, t)
+        assert math.isfinite(result.budget.total), (sigma, t)
+        assert result.method is MethodTag.EULER_MACLAURIN
+    for t in (0.0, -0.0, 5e-324, math.nextafter(POLE_GAP, 0.0), -1e-310):
+        assert abs(complex(1.0, t) - 1.0) < POLE_GAP
+        with pytest.raises(PoleError, match="pole at s=1"):
+            zeta(ComplexPoint(1.0, t), m=m)
+
+
+def test_no_exhaustion_next_to_the_pole():
+    # 400 seeded points 1e-308 .. 1e-4 from s = 1 in every direction return
+    # finite values and budgets: no ParameterExhaustionError, no PoleError
+    rng = random.Random(41)
+    for _ in range(400):
+        z = 1.0 + cmath.rect(10.0 ** rng.uniform(-308.0, -4.0), rng.uniform(0.0, 2.0 * math.pi))
+        result = zeta(ComplexPoint(z.real, z.imag))
+        assert cmath.isfinite(result.value) and math.isfinite(result.budget.total), z
 
 
 # ---------------------------------------------------------- stepwise route ---
@@ -413,26 +452,27 @@ def test_conjugation_symmetry(sigma, t):
        t=st.floats(0.0, 40.0, allow_nan=False))
 @example(sigma=1.0, t=5e-324)  # |zeta| ~ 1/|s - 1| past the double range
 @example(sigma=math.nextafter(1.0, 0.0), t=0.0)  # 1 - 2^(1-s) rounds to 0
+@example(sigma=1.0, t=1e-300)
 def test_conversion_identity(sigma, t):
+    # two formulas, Euler-Maclaurin's zeta and Boole's eta, whose
+    # truncations are independent: |zeta den - eta| <= |den| b_zeta + b_eta
+    # with den = 1 - 2^(1-s) and the product both taken to 40 digits, so
+    # with no rounding of their own
     s = ComplexPoint(sigma, t)
     if exceptional_distance(s) < 1e-2:
         return
-    eta_v = eta(s).value
+    eta_r = eta(s)
     try:
-        zeta_v = zeta(s).value
+        zeta_r = zeta(s)
     except PoleError:
-        # only where |1 - 2^(1-s)| falls below the double range's reciprocal:
-        # within about 1e-308 of s = 1, so on sigma = 1
-        assert sigma == 1.0 and abs(t) < 1e-300
+        # only where |s - 1| < POLE_GAP, within about 1e-308 of s = 1
+        assert sigma == 1.0 and abs(t) < POLE_GAP
         return
-    # rebuild eta with 1 - 2^(1-s) = -expm1(w) to 40 digits, at the double
-    # w = (1 - s) ln 2 the conversion rounds to, not with a double
-    # 1 - exp(w) that cancels next to s = 1
-    w = (1.0 - s.z) * math.log(2.0)
     with mpmath.workdps(40):
-        factor = -mpmath.expm1(mpmath.mpc(w.real, w.imag))
-        recon = mpmath.mpc(zeta_v.real, zeta_v.imag) * factor
-    assert oracles.diff(eta_v, recon) <= 4.0 * 2.3e-16 * abs(eta_v)
+        den = 1 - mpmath.power(2, 1 - mpmath.mpc(sigma, t))
+        recon = mpmath.mpc(zeta_r.value.real, zeta_r.value.imag) * den
+        allowed = abs(den) * zeta_r.budget.total + eta_r.budget.total
+        assert oracles.diff(eta_r.value, recon) <= allowed
 
 
 # s != 0 within about 1e-16 of 0, with t subnormal or 0, where the reflected
@@ -443,10 +483,11 @@ NEXT_TO_ZERO = [(0.0, 5e-324), (0.0, 1e-310), (1e-320, 0.0), (-1e-17, 0.0),
 
 @pytest.mark.parametrize("sigma,t", NEXT_TO_ZERO)
 def test_points_next_to_zero_within_budget(sigma, t):
-    for function, reference in ((eta, oracles.eta_reference),
-                                (zeta, oracles.zeta_reference)):
+    for function, reference, method in (
+            (eta, oracles.eta_reference, MethodTag.DIRECT26),
+            (zeta, oracles.zeta_reference, MethodTag.EULER_MACLAURIN)):
         result = function(ComplexPoint(sigma, t))
-        assert result.method is MethodTag.DIRECT26
+        assert result.method is method
         assert oracles.diff(result.value, reference(sigma, t)) <= result.budget.total
 
 
