@@ -233,10 +233,11 @@ def _cross_method_checks() -> list[CheckResult]:
     worst = 0.0
     for sigma, t in _CROSS_METHOD_POINTS:
         s = ComplexPoint(sigma, t)
-        direct = zeta(s).value
-        stepwise = zeta_em_stepwise(s).value
-        worst = max(worst, abs(direct - stepwise))
-    return [_check("cross-method agreement (3 pts)", worst, 1e-8)]
+        direct, stepwise = zeta(s), zeta_em_stepwise(s)
+        worst = max(worst, abs(direct.value - stepwise.value)
+                    / (direct.budget.total + stepwise.budget.total))
+    return [_check("cross-method agreement (3 pts)", worst, 1.0,
+                   "fraction of the allowance")]
 
 
 def _oracle_checks() -> list[CheckResult]:

@@ -1,7 +1,6 @@
-"""High-precision reference implementations, used only by the tests.
-
-The production library is plain double precision; everything here runs in
-mpmath working precision so the tests can compare against 30+ digit values.
+"""High-precision oracles, used only by the tests: mpmath's eta and zeta and
+an independent accelerated eta, all in mpmath working precision, so the
+tests can compare the double-precision library against 30+ digit values.
 """
 
 from __future__ import annotations
@@ -17,11 +16,6 @@ def eta_reference(sigma: float, t: float, dps: int = 40) -> mpmath.mpc:
 def zeta_reference(sigma: float, t: float, dps: int = 40) -> mpmath.mpc:
     with mpmath.workdps(dps):
         return mpmath.zeta(mpmath.mpc(sigma, t))
-
-
-def loggamma_reference(re: float, im: float, dps: int = 40) -> mpmath.mpc:
-    with mpmath.workdps(dps):
-        return mpmath.loggamma(mpmath.mpc(re, im))
 
 
 def eta_alternating_accelerated(sigma: float, t: float, n: int | None = None,

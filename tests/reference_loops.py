@@ -1,4 +1,5 @@
-"""References kept outside the library.
+"""Plain-loop references of the line evaluator's arithmetic, kept outside
+the library.  They import only its constants.
 
 alternating_partial_sum is eta's partial sum as a plain per-point loop over
 the real and imaginary parts, added from n = 2m down as the line evaluator
@@ -11,15 +12,10 @@ and backlund_bound is zeta's, formed the same way: the line must reproduce
 them bit for bit too.  smallest_cutoff is the cutoff search's rule as a
 plain loop over m, on either bound and partial_sum_rounding, the rounding
 bound written out plainly.
-log_gamma is the complex log-gamma of the functional-equation route that the
-paper's formula on the whole strip replaced; its tests keep the reference.
 """
 
-import cmath
 import math
 
-from eta_zeta import DomainError
-from eta_zeta.coefficients import _bernoulli_fractions
 from eta_zeta.zeta_bridge import B16, C14, C15, CUTOFF_SHARE, UNIT_ROUNDOFF
 
 
@@ -94,34 +90,3 @@ def smallest_cutoff(sigma, t, bound=truncation_bound):
         m += 1
     return m
 
-
-# Asymptotic series coefficients B_{2k} / (2k (2k-1)), k = 1..8, each rounded
-# once from its exact rational.  With the argument shifted to Re >= 10 the
-# truncation error sits below 1e-16 relative.
-_BERNOULLI, _BERNOULLI_DEN = _bernoulli_fractions(16)
-STIRLING_COEFFS = tuple(_BERNOULLI[n] / (_BERNOULLI_DEN * n * (n - 1))
-                        for n in range(2, 17, 2))
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(z):
-    """Principal-branch log gamma for Re(z) > 0, to 13+ significant digits
-    for 0 < Re(z) <= 60, |Im(z)| <= 180: the Stirling series after shifting
-    the argument to Re >= 10 through log Gamma(z) = log Gamma(z+1) - log z."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("log_gamma requires a finite argument")
-    if z.real <= 0.0:
-        raise DomainError("log_gamma requires Re(z) > 0; reflect first")
-    shift = 0j
-    w = z
-    while w.real < 10.0:
-        shift += cmath.log(w)
-        w += 1.0
-    inv_w2 = 1.0 / (w * w)
-    series = 0j
-    power = 1.0 / w
-    for c in STIRLING_COEFFS:
-        series += c * power
-        power *= inv_w2
-    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI + series - shift

@@ -68,11 +68,13 @@ def test_each_component_bounds_its_error(sigma, t, m):
     assert rounding_error <= result.budget.rounding
 
 
-# next to s = 1, where the pole term rules zeta's value and budget, and
-# next to s = 0, where it is exactly -N
+# next to s = 1, where the pole term rules zeta's value and budget, next to
+# s = 0, where it is exactly -N, and at sigma < 1 with m far past the cutoff,
+# where the unsigned sum cancels against the pole term
 ZETA_POINTS = _points() + [(1.0 + 1e-8, 0.0, None), (1.0, 1e-6, None),
                            (1.0 - 1e-12, 1e-12, None), (0.999, 0.5, 3),
-                           (1e-9, -1e-9, None), (2.0, 1e-3, 40)]
+                           (1e-9, -1e-9, None), (2.0, 1e-3, 40),
+                           (-0.5, 3.0, 1200), (0.3, 3.0, 1200)]
 
 
 def _zeta_parts(s, m):

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-import sympy
 
 from eta_zeta import DomainError
 from eta_zeta.acceptance import p_coefficient_asymptotic
-from eta_zeta.coefficients import _bernoulli_fractions, p_coefficients
+from eta_zeta.coefficients import _bernoulli_fractions, em_coefficients, p_coefficients
+from eta_zeta.zeta_bridge import R_MAX
 
 # Published table for the kernel-series coefficients: exact rationals and the
 # decimals printed alongside them (finite-digit rows only).
@@ -35,14 +36,23 @@ def test_bernoulli_examples():
     assert b[14] == Fraction(7, 6)
 
 
-def test_bernoulli_against_sympy():
-    # independent oracle for the recurrence that feeds both the P table and
-    # gamma's Stirling series, exact through B_30; sympy's B_1 is +1/2
+def test_bernoulli_against_mpmath():
+    # independent exact oracle for the recurrence behind both coefficient
+    # tables, through B_30; mpmath's B_1 is -1/2 as here
     b = _bernoulli(30)
-    assert len(b) == 31 and b[1] == Fraction(-1, 2)
+    assert len(b) == 31
     for n, value in enumerate(b):
-        if n != 1:
-            assert value == Fraction(str(sympy.bernoulli(n)))
+        assert value == Fraction(*mpmath.bernfrac(n))
+
+
+def test_tables_are_correctly_rounded():
+    # every entry the library binds is its exact rational rounded once
+    p, e = p_coefficients(R_MAX + 1), em_coefficients(R_MAX + 1)
+    assert p[0] == e[0] == 0.5
+    for r in range(1, R_MAX + 2):
+        ratio = Fraction(*mpmath.bernfrac(2 * r)) / math.factorial(2 * r)
+        assert p[r] == float((4 ** r - 1) * ratio)
+        assert e[r] == float(ratio)
 
 
 def test_p_table_matches_published_rationals():
