@@ -35,7 +35,7 @@ from .types import (ComplexPoint, DomainError, ErrorBudget, EvalResult, MethodTa
 
 # Subscripted and union annotations are quoted: import builds no object for them.
 
-# The selected cutoff's share of the rounding bound (see Line.select);
+# The selected cutoff's share of the rounding bound (see Line._bounds);
 # selection refuses |t| > T_MAX (m = 197 at -0.5 + 186i), an explicit m never.
 CUTOFF_SHARE = 0.125
 T_MAX = 186.0
@@ -360,23 +360,20 @@ class Line:
         self._k = (sigma + 14.0, sigma + 15.0)  # each bound falls at least like N^-k
         self._near_exceptional = abs(sigma - 1.0) < EXCEPTIONAL_DISTANCE_THRESHOLD
 
-    def select(self, t: float) -> int:
-        """eta's cutoff: the smallest m >= 1 whose boole_bound is at most
-        CUTOFF_SHARE of the partial sum's rounding bound u S (8 + |t| ln N)
-        (_eval), by one search that reads at integer m only: from the line's
-        last cutoff, or N >= 2|t| + 3, up to four jumps by the bound's local
-        power law while they move m by more than one, then steps down while
-        m - 1 passes or up until m passes.  At fixed t the bound over its
-        share falls strictly with N, so every start ends at the same m.
-        Zeta's cutoff comes from the same search on backlund_bound (_bounds).
-        DomainError unless t is a finite number, ParameterExhaustionError for
-        |t| > T_MAX."""
-        return self._bounds(ComplexPoint(self.sigma, t).t, None, False)[0]
-
     def _bounds(self, t: float, m: "int | None", zeta: bool = False) -> tuple:
         """m, selected for eta or zeta where None, the rising-factorial chain
         (s)_1, (s)_3, ..., (s)_13 at s = sigma + i t, and the search's read at
-        m, N = 2m + 1 (_excess), whose bounds the budget takes."""
+        m, N = 2m + 1 (_excess), whose bounds the budget takes.
+
+        The selected cutoff is the smallest m >= 1 whose bound (boole_bound
+        for eta, backlund_bound for zeta) is at most CUTOFF_SHARE of the
+        partial sum's rounding bound u S (8 + |t| ln N) (_eval), by one
+        search that reads at integer m only: from the function's last cutoff
+        on this line, or N >= 2|t| + 3, up to four jumps by the bound's local
+        power law while they move m by more than one, then steps down while
+        m - 1 passes or up until m passes.  At fixed t the bound over its
+        share falls strictly with N, so every start ends at the same m.
+        ParameterExhaustionError for |t| > T_MAX; t is already checked."""
         if m is None and not abs(t) <= T_MAX:
             raise ParameterExhaustionError(f"parameter exhaustion: |t| > T_MAX = {T_MAX:g}")
         z = complex(self.sigma, t)
@@ -419,22 +416,11 @@ class Line:
         share = sum_rounding(t, factors)
         return bound / (CUTOFF_SHARE * share), factors, bound, share
 
-    def partial_sum(self, t: float, m: int) -> complex:
-        """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) at s = sigma + i t; DomainError
-        unless m is an integer >= 1 and t a finite number."""
-        try:
-            m = operator.index(m)
-        except TypeError:
-            raise DomainError(f"m must be an integer, not {m!r}") from None
-        if m < 1:
-            raise DomainError("m must be >= 1")
-        return self._partial_sum(ComplexPoint(self.sigma, t).t, m, False)[0]
-
     def _partial_sum(self, t: float, m: int, zeta: bool = False) -> "tuple[complex, float]":
-        """eta's partial_sum, or zeta's sum_{n=1}^{2m} n^(-s), at a t and an
-        m already checked (eta and zeta's path), from n = 2m down, TERMS_KEPT
-        terms at a time, and its summation's bound 1.5 u sum_k |s_k|
-        (dirichlet_sum; 1.5 covers sqrt(2) and its rounding)."""
+        """sum_{n=1}^{2m} (-1)^(n+1) n^(-s) for eta, or n^(-s) for zeta, at
+        s = sigma + i t, with t and m already checked, from n = 2m down,
+        TERMS_KEPT terms at a time, and its summation's bound 1.5 u sum_k
+        |s_k| (dirichlet_sum; 1.5 covers sqrt(2) and its rounding)."""
         count, terms, lns = 2 * m, self._terms[zeta], log_table(2 * m)
         kept = min(count, TERMS_KEPT)
         if len(terms) < kept:

@@ -140,8 +140,10 @@ def main() -> int:
     parser.add_argument("src", nargs="+", type=Path,
                         help="a directory holding the eta_zeta package")
     parser.add_argument("-n", "--runs", type=int, default=25,
-                        help="cold runs per directory and measurement")
+                        help="cold runs per directory and measurement, at least 2")
     args = parser.parse_args()
+    if args.runs < 2:  # the interquartile range needs two
+        parser.error("--runs must be at least 2")
     srcs = [src.resolve() for src in args.src]
     times = {(src, name): [] for src in srcs for name in MEASUREMENTS}
     extras = {(src, name): [] for src in srcs for name in MEASUREMENTS}

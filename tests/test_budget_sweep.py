@@ -105,7 +105,7 @@ CUTOFF_POINTS = [(-0.5, 170.0), (-0.3, 20.0),
 def test_cutoff_keeps_truncation_below_its_share(sigma, t):
     # the selected m leaves Boole's bound at most CUTOFF_SHARE of the partial
     # sum's rounding bound, also for sigma < 0.  The budget takes both bounds
-    # from Line.select's last check, so this holds by construction; the
+    # from the cutoff search's last check, so this holds by construction; the
     # share here is written out plainly (reference_loops)
     result = eta(ComplexPoint(sigma, t))
     share = CUTOFF_SHARE * partial_sum_rounding(sigma, t, result.m)

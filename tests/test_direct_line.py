@@ -38,12 +38,17 @@ def bits(z):
     return (z.real.hex(), z.imag.hex())
 
 
+def test_a_line_is_reached_only_through_eta_and_zeta():
+    # the cutoff search and the partial sum are steps of a value, not entries
+    assert sorted(name for name in vars(Line) if not name.startswith("_")) == ["eta", "zeta"]
+
+
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_partial_sum_matches_reference(sigma):
     line = Line(sigma)
     for m in MS:
         for t in TS:
-            assert bits(line.partial_sum(t, m)) \
+            assert bits(line._partial_sum(t, m)[0]) \
                 == bits(ref.alternating_partial_sum(sigma, t, m)), (m, t)
 
 
@@ -56,7 +61,7 @@ def test_unsigned_partial_sum_matches_reference(sigma):
         for t in TS:
             assert bits(line._partial_sum(t, m, True)[0]) \
                 == bits(ref.dirichlet_partial_sum(sigma, t, m)), (m, t)
-            assert bits(line.partial_sum(t, m)) \
+            assert bits(line._partial_sum(t, m)[0]) \
                 == bits(ref.alternating_partial_sum(sigma, t, m)), (m, t)
 
 
@@ -96,19 +101,19 @@ SELECT_SIGMAS = (-0.5, -0.3, 0.0, 0.25, *SIGMAS,
 @pytest.mark.parametrize("sigma", SELECT_SIGMAS)
 def test_select_matches_reference(sigma):
     # one line reused at seeded t out of order, with t = 0 and the reach
-    # +/- T_MAX: select steps to the m of the plain loop over m
+    # +/- T_MAX: eta's search steps to the m of the plain loop over m
     rng = random.Random(repr(sigma))
     ts = [0.0, T_MAX, -T_MAX, *(rng.uniform(-T_MAX, T_MAX) for _ in range(13))]
     rng.shuffle(ts)
     line = Line(sigma)
     for t in ts:
-        assert line.select(t) == ref.smallest_cutoff(sigma, t), t
+        assert line.eta(t).m == ref.smallest_cutoff(sigma, t), t
     # zeta's cutoff, by the same search on Backlund's bound, on the same
     # line: its kept cutoff is its own
     for t in ts[::-1]:
         assert line._bounds(t, None, True)[0] \
             == ref.smallest_cutoff(sigma, t, ref.backlund_bound), t
-        assert line.select(t) == ref.smallest_cutoff(sigma, t), t
+        assert line.eta(t).m == ref.smallest_cutoff(sigma, t), t
 
 
 @pytest.fixture
@@ -131,25 +136,24 @@ def test_select_continues_from_the_last_cutoff(calls):
     # Walked up and down the reach, and after a refusal, which leaves the
     # kept cutoff alone, the line's cutoff is the plain loop's at every t
     line = Line(0.5)
-    assert line.select(14.134725) == 20 and len(calls) >= 4
+    assert line.eta(14.134725).m == 20 and len(calls) >= 4
     calls.clear()
-    assert line.select(14.2) == 20 and len(calls) == 2
+    assert line.eta(14.2).m == 20 and len(calls) == 2
     for sigma in (-0.3, 2.5):
         line = Line(sigma)
         ts = [k * 2.0 for k in range(94)] + [T_MAX]
         for t in ts + ts[::-1]:
-            assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
-        kept = line.select(45.0)
-        for refuse in (line.eta, line.select):
-            for t in (math.nextafter(T_MAX, math.inf), -600.0):
-                with pytest.raises(ParameterExhaustionError, match="T_MAX"):
-                    refuse(t)
+            assert line.eta(t).m == ref.smallest_cutoff(sigma, t), (sigma, t)
+        kept = line.eta(45.0).m
+        for t in (math.nextafter(T_MAX, math.inf), -600.0):
+            with pytest.raises(ParameterExhaustionError, match="T_MAX"):
+                line.eta(t)
         with pytest.raises(DomainError, match="finite"):
-            line.select(math.nan)
+            line.eta(math.nan)
         calls.clear()
-        assert line.select(45.0) == kept and len(calls) == 2
+        assert line.eta(45.0).m == kept and len(calls) == 2
         for t in (-T_MAX, 60.0, 0.0):
-            assert line.select(t) == ref.smallest_cutoff(sigma, t), (sigma, t)
+            assert line.eta(t).m == ref.smallest_cutoff(sigma, t), (sigma, t)
 
 
 def test_far_jump_costs_no_more_than_fresh_lines(calls):
@@ -158,10 +162,10 @@ def test_far_jump_costs_no_more_than_fresh_lines(calls):
     # cutoff by the bound's power law as from a fresh start, instead of one
     # step of m per unit of t
     line = Line(-0.5)
-    reused = [line.select(0.0), line.select(186.0)]
+    reused = [line.eta(0.0).m, line.eta(186.0).m]
     reused_calls = len(calls)
     calls.clear()
-    assert [Line(-0.5).select(0.0), Line(-0.5).select(186.0)] == reused
+    assert [Line(-0.5).eta(0.0).m, Line(-0.5).eta(186.0).m] == reused
     assert reused_calls <= len(calls) + 2, (reused_calls, len(calls))
 
 
@@ -208,8 +212,9 @@ def test_each_bound_is_read_once_per_check(monkeypatch, sigma, t, m, reads):
         # a fresh point reads the same; the bracket's coefficients in the
         # factors at m are built by its correction, after the search
         assert getattr(Line(sigma), function)(t).m == m and bounds[reads:] == bounds[:reads]
-        if function == "eta":  # select is eta's cutoff
-            assert Line(sigma).select(t) == m and len(bounds) == 3 * reads
+        # the search alone reads as often as the whole point
+        assert Line(sigma)._bounds(t, None, function == "zeta")[0] == m
+        assert len(bounds) == 3 * reads
         bounds.clear()
         shares.clear()
         result = getattr(line, function)(math.nextafter(t, 0.0))
@@ -310,9 +315,9 @@ def test_refuses_past_t_max_and_past_double_range():
         assert Line(sigma).eta(-T_MAX).m > 1
         for t in (math.nextafter(T_MAX, math.inf), -600.0, 1e150):
             with pytest.raises(ParameterExhaustionError, match="T_MAX"):
-                Line(sigma).select(t)
+                Line(sigma).eta(t)
         with pytest.raises(DomainError, match="finite"):  # a nan t is no |t| > T_MAX
-            Line(sigma).select(math.nan)
+            Line(sigma).eta(math.nan)
         with pytest.raises(ParameterExhaustionError, match="T_MAX"):
             eta(ComplexPoint(sigma, 600.0))
     # an explicit m has no reach: its truncation bound is finite at t = 600
@@ -365,7 +370,7 @@ def test_log_table_shared_across_routes(monkeypatch):
     for sigma in SIGMAS:
         line = Line(sigma)
         for t in (14.134725, 120.0):
-            assert bits(line.partial_sum(t, 65)) \
+            assert bits(line._partial_sum(t, 65)[0]) \
                 == bits(ref.alternating_partial_sum(sigma, t, 65)), (sigma, t)
     assert len(log_table(0)) == 130
     routes = (

@@ -50,7 +50,7 @@ def test_import_and_first_values_load_no_heavy_module():
 def test_cold_start_runs_no_collection_before_the_first_value(measurement):
     # the benchmark's set-up region, import eta_zeta to the first value,
     # ends below CPython's gen-0 threshold (tests/cold_start.py prints its
-    # headroom, 33 objects on 3.11): a collection inside it costs every cold
+    # headroom, 40 objects on 3.11): a collection inside it costs every cold
     # start
     code, *argv = cold_start.MEASUREMENTS[measurement]
     proc = subprocess.run([sys.executable, "-I", "-c", cold_start.HEADROOM_CODE, str(SRC),
@@ -58,6 +58,15 @@ def test_cold_start_runs_no_collection_before_the_first_value(measurement):
     collected, path = proc.stdout.split()
     assert Path(path).resolve().is_relative_to(SRC)
     assert collected == "0"
+
+
+def test_cold_start_refuses_a_single_run(monkeypatch):
+    # before any interpreter starts, not at the interquartile range
+    monkeypatch.setattr(sys, "argv", ["cold_start.py", "-n", "1", str(SRC)])
+    monkeypatch.setattr(cold_start, "sample", None)
+    with pytest.raises(SystemExit) as exit_info:
+        cold_start.main()
+    assert exit_info.value.code == 2
 
 
 def _result():
